@@ -10,7 +10,7 @@ import csv
 import math
 from pathlib import Path
 
-from mdhv.models import create_model, run_experiment, singlet_context
+from mdhv.models import create_model, run_experiment, singlet_context, singlet_correlation
 from mdhv.quantum import BlochVector
 
 
@@ -21,12 +21,7 @@ def scan(model_name: str, angles, shots: int, seed: int):
     for k, deg in enumerate(angles):
         b = BlochVector.from_polar(math.radians(deg), 0.0)
         rep = run_experiment(model, singlet_context(a, b), shots, seed + k)
-        est = (
-            rep.estimates["++"]
-            + rep.estimates["--"]
-            - rep.estimates["+-"]
-            - rep.estimates["-+"]
-        )
+        est = singlet_correlation(rep.estimates)
         expected = -math.cos(math.radians(deg))
         stderr = math.sqrt(max(0.0, 1.0 - expected**2) / shots)
         rows.append((deg, est, expected, stderr))

@@ -25,18 +25,10 @@ from .models.base import (
     ModelContext,
     OnticKind,
     OnticPoint,
+    singlet_context,
     stream,
 )
-from .models.brans import BransSinglet
-from .models.hall import HallSinglet
-from .models.ks import KochenSpecker2
-from .quantum import (
-    DensityMatrix,
-    Povm,
-    ProjectiveBasis,
-    StateVector,
-    bloch_from_ket,
-)
+from .quantum import DensityMatrix, Povm, ProjectiveBasis, StateVector
 from .sphere import bootstrap_stderr, stratified_sphere_points
 
 __all__ = [
@@ -46,7 +38,6 @@ __all__ = [
     "CompatibilityReport",
     "MarginalDependenceReport",
     "projector_index",
-    "context_for",
     "support_overlap_mass",
     "degree_of_epistemicity",
     "classical_overlap",
@@ -75,17 +66,6 @@ def projector_index(M: ProjectiveBasis, phi: StateVector) -> int:
     if overlaps[k] < 1.0 - TOL.structural:
         raise ValueError("measurement does not contain the projector of the given state")
     return k
-
-
-def context_for(model: HiddenVariableModel, state: StateVector, M: ProjectiveBasis) -> ModelContext:
-    """Model context for a pure state measured in a projective basis.
-
-    Axis-parametrized models take the basis through its leading ket's Bloch
-    axis; everything else takes the basis itself.
-    """
-    if isinstance(model, KochenSpecker2):
-        return ModelContext(state, bloch_from_ket(M.kets[0]))
-    return ModelContext(state, M)
 
 
 def _mc_mass(mask: np.ndarray) -> tuple[float, float]:
@@ -153,8 +133,8 @@ def degree_of_epistemicity(
     q = M.kets[k].overlap_sq(psi)
     if q <= 0.0:
         raise ValueError("degree of epistemicity needs |<psi|phi>|^2 > 0")
-    ctx_psi = context_for(model, psi, M)
-    ctx_phi = context_for(model, phi, M)
+    ctx_psi = model.basis_context(psi, M)
+    ctx_phi = model.basis_context(phi, M)
     if method == "monte-carlo":
         arrays = model.sample_arrays(ctx_psi, samples, stream(seed, 0))
         mass, err = _mc_mass(model.in_support_arrays(arrays, ctx_phi))
@@ -190,8 +170,8 @@ def classical_overlap(
     Exact sums for discrete ontic spaces, exact piecewise integration on the
     interval, stratified Monte Carlo quadrature on (labeled) spheres.
     """
-    ctx_a = context_for(model, psi, M)
-    ctx_b = context_for(model, phi, M)
+    ctx_a = model.basis_context(psi, M)
+    ctx_b = model.basis_context(phi, M)
     model.validate_context(ctx_a)
     model.validate_context(ctx_b)
     kind = model.ontic_kind
@@ -244,7 +224,7 @@ def randomness(
     the region 0 < p(outcome|lam) < 1.  Deterministic responses contribute
     exact 0/1 weights, so the result is literal 0.0 for deterministic models.
     """
-    ctx = context_for(model, psi, M)
+    ctx = model.basis_context(psi, M)
     model.validate_context(ctx)
     k = M.index(outcome_label)
     arrays = model.sample_arrays(ctx, samples, stream(seed, 0))
@@ -276,7 +256,7 @@ def reciprocity_check(
     of psi's outcome falls short of 1.  Requires M to contain |psi><psi|.
     """
     k = projector_index(M, psi)
-    ctx = context_for(model, psi, M)
+    ctx = model.basis_context(psi, M)
     model.validate_context(ctx)
     arrays = model.sample_arrays(ctx, samples, stream(seed, 0))
     r = model.respond_probability_arrays(arrays, ctx, k)
@@ -488,15 +468,13 @@ def setting_marginal_dependence(
     (two-point counting marginal); stratified antithetic Monte Carlo
     quadrature with bootstrap stderr for the antipodal-pair model.
     """
-    from .models.brans import singlet_context
-
     if particle == 1:
         ctx1, ctx2 = singlet_context(a, b), singlet_context(a, b_alt)
     elif particle == 2:
         ctx1, ctx2 = singlet_context(b, a), singlet_context(b_alt, a)
     else:
         raise ValueError("particle must be 1 or 2")
-    if isinstance(model, BransSinglet):
+    if model.ontic_kind == OnticKind.SETTINGS_PAIR:
         tv = 0.5 * sum(
             abs(
                 model.marginal_density(particle, i, ctx1)
@@ -505,12 +483,10 @@ def setting_marginal_dependence(
             for i in (+1, -1)
         )
         return MarginalDependenceReport(float(tv), 0.0, particle, "exact")
-    if isinstance(model, HallSinglet):
+    if model.ontic_kind == OnticKind.ANTIPODAL:
         rng = stream(seed, 0)
         pts = stratified_sphere_points(resolution, rng)
-        diff = np.abs(
-            model.marginal_values(pts, ctx1, particle) - model.marginal_values(pts, ctx2, particle)
-        )
+        diff = np.abs(model.marginal_values(pts, ctx1) - model.marginal_values(pts, ctx2))
         tv = 0.5 * 4.0 * np.pi * float(diff.mean())
         err = 0.5 * 4.0 * np.pi * bootstrap_stderr(diff, rng)
         return MarginalDependenceReport(tv, err, particle, "quadrature")
@@ -538,8 +514,8 @@ def product_measurement_factorization_test(
     major, matching the lexicographic tuple convention used by the
     preparation-independence audit.
     """
-    ctx_a = context_for(model, psi, M1)
-    ctx_b = context_for(model, phi, M2)
+    ctx_a = model.basis_context(psi, M1)
+    ctx_b = model.basis_context(phi, M2)
     model.validate_context(ctx_a)
     model.validate_context(ctx_b)
     la = model.outcome_labels(ctx_a)

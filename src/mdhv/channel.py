@@ -6,9 +6,8 @@ who alone knows his axis b_hat, keeps each incoming vector with probability
 follow the weighted hemisphere density step(lam.a)|lam.b|/pi, the acceptance
 rate is 1/2 for every axis pair, and outcome frequencies are (1 +- a.b)/2.
 
-The parties are separate state machines joined by an in-process queue whose
-messages are (round_id, lambda_xyz) tuples in fixed blocks; a socket
-transport could replace the queue without touching the protocol logic.
+The parties are separate state machines: Alice emits fixed blocks of
+(round_id, lambda_xyz) messages and Bob processes each block as it arrives.
 
 Cost accounting separates the NOMINAL asymptotic figure (1 bit of mutual
 information between axis and message, doubled by the self-selection to
@@ -20,13 +19,12 @@ information in bits).
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .models.base import SpherePoint, stream
+from .models.base import stream
 from .quantum import BlochVector
 from .sphere import uniform_hemisphere
 
@@ -35,9 +33,6 @@ __all__ = [
     "InfoReport",
     "AliceSender",
     "BobFilter",
-    "alice_send",
-    "bob_filter",
-    "bob_outcome",
     "run_channel",
     "mutual_information_report",
     "communication_cost",
@@ -109,26 +104,6 @@ class InfoReport:
 
 
 # ---------------------------------------------------------------------------
-# Single-round operations
-# ---------------------------------------------------------------------------
-
-
-def alice_send(a: BlochVector, rng: np.random.Generator) -> SpherePoint:
-    """One message: uniform on the hemisphere {lam : lam.a > 0}, density step/2pi."""
-    return SpherePoint(BlochVector.from_array(uniform_hemisphere(rng, 1, a.as_array())[0]))
-
-
-def bob_filter(lam: SpherePoint, b: BlochVector, rng: np.random.Generator) -> bool:
-    """Accept with probability |lam.b| (the weight that tilts uniform to |lam.b|/pi)."""
-    return bool(rng.random() < abs(lam.vec.dot(b)))
-
-
-def bob_outcome(lam: SpherePoint, b: BlochVector) -> str:
-    """'+b' iff lam.b >= 0 (sign-at-zero fixed to +1), else '-b'."""
-    return "+b" if lam.vec.dot(b) >= 0.0 else "-b"
-
-
-# ---------------------------------------------------------------------------
 # State machines and the protocol loop
 # ---------------------------------------------------------------------------
 
@@ -142,6 +117,7 @@ class AliceSender:
         self.next_round = 0
 
     def emit(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """n messages, uniform on the hemisphere {lam : lam.a >= 0} (density step/2pi)."""
         ids = np.arange(self.next_round, self.next_round + n)
         self.next_round += n
         return ids, uniform_hemisphere(self.rng, n, self.axis)
@@ -155,6 +131,9 @@ class BobFilter:
         self.rng = rng
 
     def process(self, ids: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Accept each message with probability |lam.b|, the weight that tilts
+        uniform to |lam.b|/pi; the outcome is +b iff lam.b >= 0 (sign at zero
+        reads +b)."""
         dots = vecs @ self.axis
         accept = self.rng.random(ids.size) < np.abs(dots)
         outcome_plus = dots >= 0.0
@@ -179,7 +158,6 @@ def run_channel(
         raise ValueError("target_accepted must be >= 1")
     alice = AliceSender(a, stream(seed, 1))
     bob = BobFilter(b, stream(seed, 2))
-    queue: deque = deque()
 
     if trace is not None:
         trace.write(",".join(TRACE_HEADER) + "\n")
@@ -188,8 +166,7 @@ def run_channel(
     accepted = 0
     plus = 0
     while accepted < target_accepted:
-        queue.append(alice.emit(block))
-        ids, vecs = queue.popleft()
+        ids, vecs = alice.emit(block)
         accept, outcome_plus = bob.process(ids, vecs)
 
         cum = np.cumsum(accept)

@@ -16,15 +16,21 @@ import sys
 from dataclasses import dataclass, field
 
 from . import analysis, channel
-from .models import MODEL_REGISTRY, create_model, run_experiment, singlet_context, stream
+from .models import (
+    MODEL_REGISTRY,
+    SingletModel,
+    create_model,
+    run_experiment,
+    singlet_context,
+    singlet_correlation,
+    stream,
+)
 from .quantum import (
     BlochVector,
     StateVector,
     orthonormal_basis_containing,
     random_state,
 )
-
-BIPARTITE = ("brans", "hall")
 
 _CHAR_KETS = {
     "0": [1.0, 0.0],
@@ -54,6 +60,19 @@ def parse_direction(text: str) -> BlochVector:
     if len(parts) == 3:
         return BlochVector.normalized(*parts)
     raise argparse.ArgumentTypeError(f"expected 'theta,phi' or 'x,y,z', got {text!r}")
+
+
+def _int_at_least(low: int):
+    """argparse type for an integer option that must be >= low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
 
 
 def parse_angles(text: str) -> list[float]:
@@ -173,11 +192,8 @@ def cmd_verify(args) -> int:
         ctx = model.random_context(stream(args.seed, 10_000 + trial), dim=args.dim)
         report = run_experiment(model, ctx, args.shots, args.seed + trial, threads=args.threads)
         corr = None
-        if name in BIPARTITE:
-            corr = sum(
-                (+1 if label in ("++", "--") else -1) * report.estimates[label]
-                for label in ("++", "+-", "-+", "--")
-            )
+        if isinstance(model, SingletModel):
+            corr = singlet_correlation(report.estimates)
             corr_expected = -ctx.measurement.alice.dot(ctx.measurement.bob)
         for label in model.outcome_labels(ctx):
             p = report.born_reference[label]
@@ -204,10 +220,10 @@ def cmd_verify(args) -> int:
 
 def cmd_scan(args) -> int:
     name = _resolve_model(args)
-    if name not in BIPARTITE:
+    model = create_model(name)
+    if not isinstance(model, SingletModel):
         print(f"scan requires a bipartite singlet model, got {name!r}", file=sys.stderr)
         return 2
-    model = create_model(name)
     config = RunConfig(
         "scan", args.seed, {"model": name, "shots": args.shots, "angles": args.angles}
     )
@@ -218,13 +234,10 @@ def cmd_scan(args) -> int:
         rad = math.radians(angle)
         b = BlochVector.from_polar(rad, 0.0)
         report = run_experiment(model, singlet_context(a, b), args.shots, args.seed + k)
-        est = sum(
-            (+1 if label in ("++", "--") else -1) * report.estimates[label]
-            for label in ("++", "+-", "-+", "--")
-        )
+        est = singlet_correlation(report.estimates)
         expected = -math.cos(rad)
         stderr = math.sqrt(max(1e-300, (1.0 - expected**2)) / args.shots)
-        ok = abs(est - expected) <= 5.0 * stderr if stderr > 0 else est == expected
+        ok = abs(est - expected) <= 5.0 * stderr
         all_ok &= ok
         rows.append(
             {
@@ -323,6 +336,9 @@ def cmd_audit(args) -> int:
         _emit(config, {"compat": json.loads(report.to_json())}, [], args)
         return 0
     if check == "marginal":
+        if not isinstance(model, SingletModel):
+            print(f"marginal requires a bipartite singlet model, got {name!r}", file=sys.stderr)
+            return 2
         report = analysis.setting_marginal_dependence(
             model, args.particle, args.alice, args.bob, args.bob2, args.samples, args.seed
         )
@@ -338,7 +354,9 @@ def cmd_audit(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default: fresh entropy)")
+    p.add_argument(
+        "--seed", type=_int_at_least(0), default=None, help="RNG seed (default: fresh entropy)"
+    )
     p.add_argument("--output", default=None, help="write the report to this path")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
@@ -353,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="Born-rule agreement over random contexts")
     p.add_argument("model", nargs="?", choices=sorted(MODEL_REGISTRY))
     p.add_argument("--model", dest="model_flag", choices=sorted(MODEL_REGISTRY))
-    p.add_argument("--shots", type=int, default=100_000)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--shots", type=_int_at_least(1), default=100_000)
+    p.add_argument("--trials", type=_int_at_least(1), default=20)
+    p.add_argument("--dim", type=_int_at_least(2), default=2)
     p.add_argument("--threads", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -369,14 +387,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=[float(x) for x in range(0, 181, 15)],
         help="comma-separated degrees",
     )
-    p.add_argument("--shots", type=int, default=100_000)
+    p.add_argument("--shots", type=_int_at_least(1), default=100_000)
     _add_common(p)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("channel", help="two-party qubit channel simulation")
     p.add_argument("--alice", type=parse_direction, default=BlochVector(0.0, 0.0, 1.0))
     p.add_argument("--bob", type=parse_direction, default=BlochVector(0.0, 0.0, 1.0))
-    p.add_argument("--accepted", type=int, default=10_000, help="target accepted rounds")
+    p.add_argument(
+        "--accepted", type=_int_at_least(1), default=10_000, help="target accepted rounds"
+    )
     p.add_argument("--trace", default=None, help="write a per-round CSV trace to this path")
     _add_common(p)
     p.set_defaults(func=cmd_channel)
@@ -392,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("model", nargs="?", choices=sorted(MODEL_REGISTRY))
     p.add_argument("--model", dest="model_flag", choices=sorted(MODEL_REGISTRY))
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--dim", type=_int_at_least(2), default=2)
+    p.add_argument("--samples", type=_int_at_least(1), default=100_000)
     p.add_argument("--state", default="+,0", help="product state for the pi check")
     p.add_argument("--states", default="0,+", help="state pair for the compat check")
     p.add_argument("--basis", default="mixed-psi-plus", help="named two-qubit basis")

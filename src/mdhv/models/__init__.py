@@ -17,13 +17,16 @@ from .base import (
     SettingsOutcomePair,
     SimulationReport,
     SingletFlag,
+    SingletModel,
     SpherePoint,
     mixture_density,
     run_experiment,
+    singlet_context,
+    singlet_correlation,
     stream,
 )
 from .bellmermin import BellMermin
-from .brans import BransSinglet, singlet_context
+from .brans import BransSinglet
 from .gbrans import GeneralizedBrans
 from .hall import HallSinglet
 from .interval import IntervalModel
@@ -70,10 +73,12 @@ __all__ = [
     "SettingsOutcomePair",
     "SimulationReport",
     "SingletFlag",
+    "SingletModel",
     "SpherePoint",
     "create_model",
     "mixture_density",
     "run_experiment",
     "singlet_context",
+    "singlet_correlation",
     "stream",
 ]

@@ -23,7 +23,18 @@ from typing import Union
 import numpy as np
 
 from ..constants import TOL
-from ..quantum import BlochVector, DensityMatrix, Povm, StateVector
+from ..quantum import (
+    BlochVector,
+    DensityMatrix,
+    Povm,
+    ProjectiveBasis,
+    StateVector,
+    bloch_from_ket,
+    random_basis,
+    random_bloch,
+    random_state,
+    singlet_outcome_probability,
+)
 
 __all__ = [
     "DiscreteIndex",
@@ -40,10 +51,17 @@ __all__ = [
     "ReferenceMeasure",
     "OnticKind",
     "HiddenVariableModel",
+    "QubitBasisModel",
+    "SingletModel",
+    "JOINT_LABELS",
+    "OUTCOME_PAIRS",
+    "singlet_context",
+    "singlet_correlation",
     "SimulationReport",
     "run_experiment",
     "mixture_density",
     "stream",
+    "categorical",
 ]
 
 
@@ -167,6 +185,17 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(index)))))
 
 
+def categorical(weights: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n indices drawn with probability proportional to `weights` (inverse CDF).
+
+    One uniform per draw; a zero weight is an empty CDF step, which
+    side="right" steps over, so its index is never drawn.
+    """
+    cum = np.cumsum(weights)
+    u = rng.random(n) * cum[-1]
+    return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+
+
 # ---------------------------------------------------------------------------
 # Model interface
 # ---------------------------------------------------------------------------
@@ -202,6 +231,10 @@ class HiddenVariableModel(ABC):
     @abstractmethod
     def random_context(self, rng: np.random.Generator, dim: int = 2) -> ModelContext:
         """A random context of the shape this model accepts (dim where meaningful)."""
+
+    def basis_context(self, state: StateVector, M: ProjectiveBasis) -> ModelContext:
+        """Context for a pure state measured in a projective basis."""
+        return ModelContext(state, M)
 
     # -- array-level engine ---------------------------------------------------
 
@@ -263,6 +296,99 @@ class HiddenVariableModel(ABC):
 
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+# ---------------------------------------------------------------------------
+# Model families
+# ---------------------------------------------------------------------------
+
+
+def _qubit_basis_axes(M: ProjectiveBasis) -> np.ndarray:
+    """(2, 3) Bloch axes of a qubit projective basis, in label order."""
+    return np.stack([bloch_from_ket(ket).as_array() for ket in M.kets])
+
+
+class QubitBasisModel(HiddenVariableModel):
+    """A qubit state measured in a qubit projective basis, with ontic values
+    (label, unit vector) on the labeled Bloch sphere and the point mass on
+    the label as response.  Subclasses supply the sampler and the density.
+    """
+
+    reference_measure = ReferenceMeasure.LABELED_SPHERE
+    ontic_kind = OnticKind.LABELED_SPHERE
+    is_deterministic = True
+
+    def validate_context(self, ctx: ModelContext) -> None:
+        if not isinstance(ctx.preparation, StateVector) or ctx.preparation.dim != 2:
+            raise TypeError("preparation must be a qubit StateVector")
+        if not isinstance(ctx.measurement, ProjectiveBasis) or ctx.measurement.dim != 2:
+            raise TypeError("measurement must be a qubit ProjectiveBasis")
+
+    def outcome_labels(self, ctx: ModelContext) -> tuple[str, ...]:
+        return ctx.measurement.labels
+
+    def born_reference(self, ctx: ModelContext) -> dict[str, float]:
+        psi, M = ctx.preparation, ctx.measurement
+        return {label: ket.overlap_sq(psi) for label, ket in zip(M.labels, M.kets)}
+
+    def random_context(self, rng: np.random.Generator, dim: int = 2) -> ModelContext:
+        return ModelContext(random_state(2, rng), random_basis(2, rng))
+
+    def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
+        return np.asarray(arrays["label"], dtype=int)
+
+    def point_from_arrays(self, arrays: dict, i: int, ctx: ModelContext) -> LabeledSphere:
+        return LabeledSphere(
+            label=ctx.measurement.labels[int(arrays["label"][i])],
+            vec=BlochVector.from_array(arrays["vec"][i]),
+        )
+
+    def arrays_from_point(self, lam, ctx: ModelContext) -> dict:
+        if not isinstance(lam, LabeledSphere):
+            raise TypeError(f"expected LabeledSphere, got {type(lam).__name__}")
+        return {
+            "label": np.array([ctx.measurement.index(lam.label)], dtype=int),
+            "vec": lam.vec.as_array()[None, :],
+        }
+
+
+JOINT_LABELS = ("++", "+-", "-+", "--")
+OUTCOME_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+
+
+def singlet_context(a: BlochVector, b: BlochVector) -> ModelContext:
+    return ModelContext(SINGLET, AxisPair(a, b))
+
+
+def singlet_correlation(estimates: dict[str, float]) -> float:
+    """E(a, b) = sum over joint labels of x y p(x, y), summed in label order."""
+    return sum(x * y * estimates[label] for label, (x, y) in zip(JOINT_LABELS, OUTCOME_PAIRS))
+
+
+class SingletModel(HiddenVariableModel):
+    """The two-qubit singlet measured along an axis pair, with joint sign
+    labels as outcomes.  Subclasses supply the ontic space and its marginals.
+    """
+
+    def validate_context(self, ctx: ModelContext) -> None:
+        if not isinstance(ctx.preparation, SingletFlag):
+            raise TypeError("preparation must be the singlet flag")
+        if not isinstance(ctx.measurement, AxisPair):
+            raise TypeError("measurement must be an AxisPair of Bloch axes")
+
+    def outcome_labels(self, ctx: ModelContext) -> tuple[str, ...]:
+        return JOINT_LABELS
+
+    def joint_probabilities(self, ctx: ModelContext) -> np.ndarray:
+        a, b = ctx.measurement.alice, ctx.measurement.bob
+        return np.array([singlet_outcome_probability(a, b, i, j) for i, j in OUTCOME_PAIRS])
+
+    def born_reference(self, ctx: ModelContext) -> dict[str, float]:
+        p = self.joint_probabilities(ctx)
+        return {label: float(p[k]) for k, label in enumerate(JOINT_LABELS)}
+
+    def random_context(self, rng: np.random.Generator, dim: int = 2) -> ModelContext:
+        return singlet_context(random_bloch(rng), random_bloch(rng))
 
 
 # ---------------------------------------------------------------------------

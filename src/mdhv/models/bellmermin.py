@@ -13,39 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..constants import step
-from ..quantum import BlochVector, ProjectiveBasis, StateVector, bloch_from_ket, random_basis, random_state
+from ..quantum import bloch_from_ket
 from ..sphere import uniform_cap
-from .base import (
-    HiddenVariableModel,
-    LabeledSphere,
-    ModelContext,
-    OnticKind,
-    ReferenceMeasure,
-)
-from .ks import _qubit_basis_axes
+from .base import ModelContext, QubitBasisModel, _qubit_basis_axes
 
 
-class BellMermin(HiddenVariableModel):
+class BellMermin(QubitBasisModel):
     name = "bellmermin"
-    reference_measure = ReferenceMeasure.LABELED_SPHERE
-    ontic_kind = OnticKind.LABELED_SPHERE
-    is_deterministic = True
-
-    def validate_context(self, ctx: ModelContext) -> None:
-        if not isinstance(ctx.preparation, StateVector) or ctx.preparation.dim != 2:
-            raise TypeError("preparation must be a qubit StateVector")
-        if not isinstance(ctx.measurement, ProjectiveBasis) or ctx.measurement.dim != 2:
-            raise TypeError("measurement must be a qubit ProjectiveBasis")
-
-    def outcome_labels(self, ctx: ModelContext) -> tuple[str, ...]:
-        return ctx.measurement.labels
-
-    def born_reference(self, ctx: ModelContext) -> dict[str, float]:
-        psi, M = ctx.preparation, ctx.measurement
-        return {label: ket.overlap_sq(psi) for label, ket in zip(M.labels, M.kets)}
-
-    def random_context(self, rng: np.random.Generator, dim: int = 2) -> ModelContext:
-        return ModelContext(random_state(2, rng), random_basis(2, rng))
 
     def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:
         psi_hat = bloch_from_ket(ctx.preparation).as_array()
@@ -69,20 +43,3 @@ class BellMermin(HiddenVariableModel):
         label = np.asarray(arrays["label"], dtype=int)
         k_hat = axes[label]
         return step(np.einsum("ij,ij->i", k_hat, psi_hat + vec)) / (4.0 * np.pi)
-
-    def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
-        return np.asarray(arrays["label"], dtype=int)
-
-    def point_from_arrays(self, arrays: dict, i: int, ctx: ModelContext) -> LabeledSphere:
-        return LabeledSphere(
-            label=ctx.measurement.labels[int(arrays["label"][i])],
-            vec=BlochVector.from_array(arrays["vec"][i]),
-        )
-
-    def arrays_from_point(self, lam, ctx: ModelContext) -> dict:
-        if not isinstance(lam, LabeledSphere):
-            raise TypeError(f"expected LabeledSphere, got {type(lam).__name__}")
-        return {
-            "label": np.array([ctx.measurement.index(lam.label)], dtype=int),
-            "vec": lam.vec.as_array()[None, :],
-        }

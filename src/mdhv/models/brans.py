@@ -16,67 +16,26 @@ from __future__ import annotations
 import numpy as np
 
 from ..constants import TOL
-from ..quantum import (
-    BlochVector,
-    random_bloch,
-    singlet_outcome_probability,
-    singlet_state,
-    spin_eigenket,
-)
+from ..quantum import singlet_state, spin_eigenket
 from .base import (
-    SINGLET,
-    AxisPair,
-    HiddenVariableModel,
+    OUTCOME_PAIRS,
     ModelContext,
     OnticKind,
     ReferenceMeasure,
     SettingsOutcomePair,
-    SingletFlag,
+    SingletModel,
+    categorical,
 )
 
-JOINT_LABELS = ("++", "+-", "-+", "--")
-OUTCOME_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 
-
-def singlet_context(a: BlochVector, b: BlochVector) -> ModelContext:
-    return ModelContext(SINGLET, AxisPair(a, b))
-
-
-def _validate_singlet_context(ctx: ModelContext) -> None:
-    if not isinstance(ctx.preparation, SingletFlag):
-        raise TypeError("preparation must be the singlet flag")
-    if not isinstance(ctx.measurement, AxisPair):
-        raise TypeError("measurement must be an AxisPair of Bloch axes")
-
-
-class BransSinglet(HiddenVariableModel):
+class BransSinglet(SingletModel):
     name = "brans"
     reference_measure = ReferenceMeasure.COUNTING
     ontic_kind = OnticKind.SETTINGS_PAIR
     is_deterministic = True
 
-    def validate_context(self, ctx: ModelContext) -> None:
-        _validate_singlet_context(ctx)
-
-    def outcome_labels(self, ctx: ModelContext) -> tuple[str, ...]:
-        return JOINT_LABELS
-
-    def joint_probabilities(self, ctx: ModelContext) -> np.ndarray:
-        a, b = ctx.measurement.alice, ctx.measurement.bob
-        return np.array([singlet_outcome_probability(a, b, i, j) for i, j in OUTCOME_PAIRS])
-
-    def born_reference(self, ctx: ModelContext) -> dict[str, float]:
-        p = self.joint_probabilities(ctx)
-        return {label: float(p[k]) for k, label in enumerate(JOINT_LABELS)}
-
-    def random_context(self, rng: np.random.Generator, dim: int = 2) -> ModelContext:
-        return singlet_context(random_bloch(rng), random_bloch(rng))
-
     def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:
-        cum = np.cumsum(self.joint_probabilities(ctx))
-        u = rng.random(n) * cum[-1]
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), 3)
-        return {"idx": idx}
+        return {"idx": categorical(self.joint_probabilities(ctx), n, rng)}
 
     def density_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         idx = np.asarray(arrays["idx"], dtype=int)

@@ -27,6 +27,7 @@ from .base import (
     ModelContext,
     OnticKind,
     ReferenceMeasure,
+    categorical,
 )
 
 
@@ -69,10 +70,7 @@ class GeneralizedBrans(HiddenVariableModel):
         return ModelContext(prep, random_basis(dim, rng))
 
     def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:
-        cum = np.cumsum(self.outcome_probabilities(ctx))
-        u = rng.random(n) * cum[-1]
-        j = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
-        return {"j": j}
+        return {"j": categorical(self.outcome_probabilities(ctx), n, rng)}
 
     def density_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         j = np.asarray(arrays["j"], dtype=int)

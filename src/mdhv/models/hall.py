@@ -23,40 +23,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..constants import TOL, sign_pm
-from ..quantum import BlochVector, random_bloch, singlet_outcome_probability
-from .base import (
-    AntipodalPair,
-    HiddenVariableModel,
-    ModelContext,
-    OnticKind,
-    ReferenceMeasure,
-)
-from .brans import JOINT_LABELS, _validate_singlet_context, singlet_context
+from ..quantum import BlochVector
+from .base import AntipodalPair, ModelContext, OnticKind, ReferenceMeasure, SingletModel
 
 
-class HallSinglet(HiddenVariableModel):
+class HallSinglet(SingletModel):
     name = "hall"
     reference_measure = ReferenceMeasure.SPHERE_SURFACE
     ontic_kind = OnticKind.ANTIPODAL
     is_deterministic = True
-
-    def validate_context(self, ctx: ModelContext) -> None:
-        _validate_singlet_context(ctx)
-
-    def outcome_labels(self, ctx: ModelContext) -> tuple[str, ...]:
-        return JOINT_LABELS
-
-    def born_reference(self, ctx: ModelContext) -> dict[str, float]:
-        a, b = ctx.measurement.alice, ctx.measurement.bob
-        return {
-            "++": singlet_outcome_probability(a, b, +1, +1),
-            "+-": singlet_outcome_probability(a, b, +1, -1),
-            "-+": singlet_outcome_probability(a, b, -1, +1),
-            "--": singlet_outcome_probability(a, b, -1, -1),
-        }
-
-    def random_context(self, rng: np.random.Generator, dim: int = 2) -> ModelContext:
-        return singlet_context(random_bloch(rng), random_bloch(rng))
 
     # -- marginal machinery ---------------------------------------------------
 
@@ -70,15 +45,12 @@ class HallSinglet(HiddenVariableModel):
         t = 1.0 - 2.0 * phi / np.pi
         return (1.0 + c) / (1.0 + t), (1.0 - c) / (1.0 - t), False
 
-    def marginal_values(self, vecs: np.ndarray, ctx: ModelContext, particle: int = 1) -> np.ndarray:
+    def marginal_values(self, vecs: np.ndarray, ctx: ModelContext) -> np.ndarray:
         """Density of one particle's ontic vector at each row of vecs.
 
         The density is antipodally even, so both particles share the same
-        marginal as a function on the sphere; `particle` is kept for
-        interface symmetry.
+        marginal as a function on the sphere.
         """
-        if particle not in (1, 2):
-            raise ValueError("particle must be 1 or 2")
         g_plus, g_minus, _ = self._branch_values(ctx)
         a = ctx.measurement.alice.as_array()
         b = ctx.measurement.bob.as_array()

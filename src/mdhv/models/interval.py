@@ -18,6 +18,7 @@ from .base import (
     ModelContext,
     OnticKind,
     ReferenceMeasure,
+    categorical,
 )
 
 
@@ -58,10 +59,7 @@ class IntervalModel(HiddenVariableModel):
 
     def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:
         x, edges = self.bin_edges(ctx)
-        weights = x * x
-        cum = np.cumsum(weights)
-        u = rng.random(n) * cum[-1]
-        j = np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+        j = categorical(x * x, n, rng)
         pos = edges[j] + rng.random(n) * x[j]
         return {"x": pos}
 

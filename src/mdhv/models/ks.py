@@ -23,47 +23,22 @@ from ..quantum import (
     StateVector,
     bloch_from_ket,
     ket_from_bloch,
-    random_basis,
     random_bloch,
-    random_state,
 )
 from ..sphere import cosine_hemisphere, uniform_hemisphere
 from .base import (
     HiddenVariableModel,
-    LabeledSphere,
     ModelContext,
     OnticKind,
+    QubitBasisModel,
     ReferenceMeasure,
     SpherePoint,
+    _qubit_basis_axes,
 )
 
 
-def _qubit_basis_axes(M: ProjectiveBasis) -> np.ndarray:
-    """(2, 3) Bloch axes of a qubit projective basis, in label order."""
-    return np.stack([bloch_from_ket(ket).as_array() for ket in M.kets])
-
-
-class KochenSpecker1(HiddenVariableModel):
+class KochenSpecker1(QubitBasisModel):
     name = "ks1"
-    reference_measure = ReferenceMeasure.LABELED_SPHERE
-    ontic_kind = OnticKind.LABELED_SPHERE
-    is_deterministic = True
-
-    def validate_context(self, ctx: ModelContext) -> None:
-        if not isinstance(ctx.preparation, StateVector) or ctx.preparation.dim != 2:
-            raise TypeError("preparation must be a qubit StateVector")
-        if not isinstance(ctx.measurement, ProjectiveBasis) or ctx.measurement.dim != 2:
-            raise TypeError("measurement must be a qubit ProjectiveBasis")
-
-    def outcome_labels(self, ctx: ModelContext) -> tuple[str, ...]:
-        return ctx.measurement.labels
-
-    def born_reference(self, ctx: ModelContext) -> dict[str, float]:
-        psi, M = ctx.preparation, ctx.measurement
-        return {label: ket.overlap_sq(psi) for label, ket in zip(M.labels, M.kets)}
-
-    def random_context(self, rng: np.random.Generator, dim: int = 2) -> ModelContext:
-        return ModelContext(random_state(2, rng), random_basis(2, rng))
 
     def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:
         psi_hat = bloch_from_ket(ctx.preparation).as_array()
@@ -80,23 +55,6 @@ class KochenSpecker1(HiddenVariableModel):
         k_dot = np.einsum("ij,ij->i", vec, axes[label])
         p_dot = vec @ psi_hat
         return (1.0 / np.pi) * step(k_dot) * step(p_dot) * np.maximum(p_dot, 0.0)
-
-    def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
-        return np.asarray(arrays["label"], dtype=int)
-
-    def point_from_arrays(self, arrays: dict, i: int, ctx: ModelContext) -> LabeledSphere:
-        return LabeledSphere(
-            label=ctx.measurement.labels[int(arrays["label"][i])],
-            vec=BlochVector.from_array(arrays["vec"][i]),
-        )
-
-    def arrays_from_point(self, lam, ctx: ModelContext) -> dict:
-        if not isinstance(lam, LabeledSphere):
-            raise TypeError(f"expected LabeledSphere, got {type(lam).__name__}")
-        return {
-            "label": np.array([ctx.measurement.index(lam.label)], dtype=int),
-            "vec": lam.vec.as_array()[None, :],
-        }
 
 
 class KochenSpecker2(HiddenVariableModel):
@@ -117,6 +75,10 @@ class KochenSpecker2(HiddenVariableModel):
     def context(a: BlochVector, b: BlochVector) -> ModelContext:
         """Context for a qubit prepared along a and measured along b."""
         return ModelContext(ket_from_bloch(a), b)
+
+    def basis_context(self, state: StateVector, M: ProjectiveBasis) -> ModelContext:
+        """The basis enters through its leading ket's Bloch axis."""
+        return ModelContext(state, bloch_from_ket(M.kets[0]))
 
     def _axes(self, ctx: ModelContext) -> tuple[np.ndarray, np.ndarray]:
         return bloch_from_ket(ctx.preparation).as_array(), ctx.measurement.as_array()

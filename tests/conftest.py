@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mdhv.models import MODEL_REGISTRY, ModelContext, create_model, stream
+from mdhv.models import MODEL_REGISTRY, create_model, stream
 from mdhv.quantum import random_basis
 
 ALL_MODEL_NAMES = tuple(MODEL_REGISTRY)
@@ -25,11 +25,5 @@ def rng_for(*key: int) -> np.random.Generator:
 
 def orthogonal_pair_contexts(model, rng, dim: int = 2):
     """Two orthogonal preparations sharing one measurement that resolves both."""
-    from mdhv.models.ks import KochenSpecker2
-    from mdhv.quantum import random_bloch
-
-    if isinstance(model, KochenSpecker2):
-        axis = random_bloch(rng)
-        return KochenSpecker2.context(axis, axis), KochenSpecker2.context(-axis, axis)
     M = random_basis(dim, rng)
-    return ModelContext(M.kets[0], M), ModelContext(M.kets[1], M)
+    return model.basis_context(M.kets[0], M), model.basis_context(M.kets[1], M)

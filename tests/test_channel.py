@@ -9,7 +9,7 @@ import pytest
 import oracles
 from mdhv import channel
 from mdhv.constants import TOL
-from mdhv.models import SpherePoint, stream
+from mdhv.models import stream
 from mdhv.quantum import BlochVector, random_bloch
 
 Z = BlochVector(0, 0, 1)
@@ -21,9 +21,8 @@ class TestAliceSend:
     def test_support(self):
         rng = stream(601)
         a = random_bloch(rng)
-        for _ in range(200):
-            lam = channel.alice_send(a, rng)
-            assert lam.vec.dot(a) >= 0.0
+        _, vecs = channel.AliceSender(a, rng).emit(200)
+        assert np.all(vecs @ a.as_array() >= 0.0)
 
     def test_first_moment_is_half_axis(self):
         rng = stream(603)
@@ -53,15 +52,16 @@ class TestAliceSend:
 
 class TestBobFilter:
     def test_parallel_always_accepts(self):
-        rng = stream(607)
+        bob = channel.BobFilter(Z, stream(607))
         for sign in (+1, -1):
-            lam = SpherePoint(BlochVector(0, 0, float(sign)))
-            assert all(channel.bob_filter(lam, Z, rng) for _ in range(100))
+            vecs = np.tile([0.0, 0.0, float(sign)], (100, 1))
+            accept, _ = bob.process(np.arange(100), vecs)
+            assert accept.all()
 
     def test_orthogonal_never_accepts(self):
-        rng = stream(609)
-        lam = SpherePoint(X)
-        assert not any(channel.bob_filter(lam, Z, rng) for _ in range(100))
+        bob = channel.BobFilter(Z, stream(609))
+        accept, _ = bob.process(np.arange(100), np.tile(X.as_array(), (100, 1)))
+        assert not accept.any()
 
     def test_acceptance_rate_half_any_axes(self):
         rng = stream(611)
@@ -82,10 +82,10 @@ class TestBobFilter:
 
 class TestBobOutcome:
     def test_signs(self):
-        assert channel.bob_outcome(SpherePoint(Z), Z) == "+b"
-        assert channel.bob_outcome(SpherePoint(BlochVector(0, 0, -1)), Z) == "-b"
-        # sign-at-zero convention: orthogonal reads +
-        assert channel.bob_outcome(SpherePoint(X), Z) == "+b"
+        # rows: along b, against b, orthogonal (sign-at-zero convention reads +)
+        vecs = np.array([Z.as_array(), -Z.as_array(), X.as_array()])
+        _, outcome_plus = channel.BobFilter(Z, stream(615)).process(np.arange(3), vecs)
+        assert outcome_plus.tolist() == [True, False, True]
 
 
 class TestRunChannel:

@@ -226,3 +226,35 @@ class TestAudit:
         )
         assert code == 0
         assert json.loads(out)["reciprocity"]["violation_mass"] == 0.0
+
+
+class TestBadInput:
+    """Bad input exits 2 with a one-line message, never a traceback with exit 1
+    (exit 1 means a statistical gate failed)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "gbrans", "--shots", "0"],
+            ["verify", "gbrans", "--trials", "0"],
+            ["verify", "gbrans", "--seed", "-1"],
+            ["verify", "gbrans", "--dim", "1"],
+            ["channel", "--accepted", "0"],
+            ["audit", "randomness", "gbrans", "--samples", "0"],
+        ],
+        ids=["shots", "trials", "seed", "dim", "accepted", "samples"],
+    )
+    def test_out_of_range_option_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "must be >=" in err.strip().splitlines()[-1]
+
+    def test_marginal_audit_of_non_singlet_model(self, capsys):
+        code = main(["audit", "marginal", "gbrans", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1

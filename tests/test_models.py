@@ -23,6 +23,7 @@ from mdhv.models import (
     singlet_context,
     stream,
 )
+from mdhv.models.base import categorical
 from mdhv.models.ks import KochenSpecker2
 from mdhv.quantum import (
     BlochVector,
@@ -30,6 +31,7 @@ from mdhv.quantum import (
     StateVector,
     ket_from_bloch,
     orthonormal_basis_containing,
+    random_basis,
     random_bloch,
     random_state,
 )
@@ -99,10 +101,50 @@ class TestInterfaceContracts:
                 err = abs(rep.estimates[label] - p)
                 assert err <= gate if gate > 0 else err == 0.0
 
+    @pytest.mark.parametrize("name", STATE_MODEL_NAMES)
+    def test_basis_context_is_valid(self, name):
+        model = create_model(name)
+        dims = (2, 3, 4) if name in ("gbrans", "interval") else (2,)
+        for dim in dims:
+            M = random_basis(dim, stream(109, dim))
+            for ket in M.kets:
+                model.validate_context(model.basis_context(ket, M))
+            psi = random_state(dim, stream(111, dim))
+            model.validate_context(model.basis_context(psi, M))
+
     def test_shots_must_be_positive(self, any_model):
         ctx = any_model.random_context(stream(113))
         with pytest.raises(ValueError):
             run_experiment(any_model, ctx, 0, seed=1)
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose random(n) returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u
+
+
+class TestCategoricalDraw:
+    @pytest.mark.parametrize(
+        "weights",
+        [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.3, 0.0, 0.7, 0.0]],
+        ids=["first", "middle", "last", "several"],
+    )
+    def test_zero_weight_is_never_drawn(self, weights):
+        weights = np.array(weights)
+        cum = np.cumsum(weights)
+        # 0, every CDF step below 1, the largest uniform below 1, then a random bulk
+        steps = cum[:-1] / cum[-1]
+        edges = np.concatenate([[0.0], steps[steps < 1.0], [np.nextafter(1.0, 0.0)]])
+        u = np.concatenate([edges, stream(121).random(100_000)])
+        idx = categorical(weights, u.size, _FixedUniforms(u))
+        counts = np.bincount(idx, minlength=weights.size)
+        assert np.all((counts == 0) == (weights == 0.0))
 
 
 class TestNormalization:
