@@ -223,10 +223,11 @@ def randomness(
     Monte Carlo estimate of the integral of p(outcome|lam) p(lam|psi, M) over
     the region 0 < p(outcome|lam) < 1.  Deterministic responses contribute
     exact 0/1 weights, so the result is literal 0.0 for deterministic models.
+    `outcome_label` is one of the model's labels for the context (ks2: +b, -b).
     """
     ctx = model.basis_context(psi, M)
     model.validate_context(ctx)
-    k = M.index(outcome_label)
+    k = model.outcome_labels(ctx).index(outcome_label)
     arrays = model.sample_arrays(ctx, samples, stream(seed, 0))
     r = model.respond_probability_arrays(arrays, ctx, k)
     fuzzy = (r > 0.0) & (r < 1.0)

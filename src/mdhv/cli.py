@@ -1,23 +1,28 @@
 """Command-line front end: verification suites, scans, protocol runs, audits.
 
-Every command echoes its fully resolved configuration (seed included) so any
-output can be reproduced byte-identically by re-running the echoed
-configuration.  Exit status: 0 = pass, 1 = a statistical gate failed,
-2 = usage error (argparse's own convention).
+Each command declares its inputs once, in its argparse subparser: model
+choices come from what the models declare, and value domains are argparse
+types or choices.  Every command echoes its configuration straight from the
+parsed arguments (command, seed, then the command's options in declaration
+order), so re-running the echoed configuration reproduces the output byte for
+byte.  Exit status: 0 = pass, 1 = a statistical gate failed, 2 = usage error,
+reported on one stderr line.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import secrets
 import sys
-from dataclasses import dataclass, field
 
 from . import analysis, channel
+from .constants import TOL
 from .models import (
     MODEL_REGISTRY,
+    OnticKind,
     SingletModel,
     create_model,
     run_experiment,
@@ -27,37 +32,38 @@ from .models import (
 )
 from .quantum import (
     BlochVector,
+    ProjectiveBasis,
     StateVector,
     orthonormal_basis_containing,
+    random_basis,
     random_state,
 )
 
-_CHAR_KETS = {
-    "0": [1.0, 0.0],
-    "1": [0.0, 1.0],
-    "+": [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)],
-    "-": [1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)],
+_S = 1.0 / math.sqrt(2.0)
+
+_CHAR_KETS = {"0": [1.0, 0.0], "1": [0.0, 1.0], "+": [_S, _S], "-": [_S, -_S]}
+
+# Two-qubit bases of the pi/compat audits, one ket per row.
+_NAMED_BASES = {
+    "product-zz": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    "bell": ((_S, 0, 0, _S), (_S, 0, 0, -_S), (0, _S, _S, 0), (0, _S, -_S, 0)),
+    "mixed-psi-plus": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, _S, _S), (0, 0, _S, -_S)),
+    "pbr": ((0, _S, _S, 0), (0.5, -0.5, 0.5, 0.5), (0.5, 0.5, -0.5, 0.5), (_S, 0, 0, -_S)),
 }
 
-
-@dataclass
-class RunConfig:
-    """Resolved invocation, echoed verbatim into every output."""
-
-    command: str
-    seed: int
-    options: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {"command": self.command, "seed": self.seed, **self.options}
+# Parsed values that select the output rather than the computation.
+_NOT_ECHOED = ("command", "seed", "output", "format", "func")
 
 
 def parse_direction(text: str) -> BlochVector:
-    """'theta,phi' in degrees, or 'x,y,z' components (normalized)."""
+    """'theta,phi' in degrees, or 'x,y,z' components (normalized unless already unit)."""
     parts = [float(p) for p in text.split(",")]
     if len(parts) == 2:
         return BlochVector.from_polar(math.radians(parts[0]), math.radians(parts[1]))
     if len(parts) == 3:
+        # a unit vector is taken as given, so an echoed direction re-parses to the same bits
+        if abs(math.hypot(*parts) - 1.0) <= TOL.structural:
+            return BlochVector(*parts)
         return BlochVector.normalized(*parts)
     raise argparse.ArgumentTypeError(f"expected 'theta,phi' or 'x,y,z', got {text!r}")
 
@@ -76,7 +82,10 @@ def _int_at_least(low: int):
 
 
 def parse_angles(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip()]
+    angles = [float(p) for p in text.split(",") if p.strip()]
+    if not angles:
+        raise argparse.ArgumentTypeError("expected at least one angle")
+    return angles
 
 
 def parse_product_state(text: str) -> list[StateVector]:
@@ -90,81 +99,52 @@ def parse_product_state(text: str) -> list[StateVector]:
     return factors
 
 
-def _ket(label: str) -> StateVector:
-    return StateVector(_CHAR_KETS[label])
+def _qubit_pair(text: str) -> str:
+    """argparse type for exactly two qubit labels, kept as text for the echo."""
+    if len(parse_product_state(text)) != 2:
+        raise argparse.ArgumentTypeError(f"expected two qubit labels, got {text!r}")
+    return text
 
 
-def _named_basis(name: str):
-    """Two-qubit bases used by the pi/compat audits."""
-    from .quantum import ProjectiveBasis
-
-    s = 1.0 / math.sqrt(2.0)
-    if name == "product-zz":
-        kets = [
-            _ket("0").tensor(_ket("0")),
-            _ket("0").tensor(_ket("1")),
-            _ket("1").tensor(_ket("0")),
-            _ket("1").tensor(_ket("1")),
-        ]
-    elif name == "bell":
-        kets = [
-            StateVector([s, 0, 0, s]),
-            StateVector([s, 0, 0, -s]),
-            StateVector([0, s, s, 0]),
-            StateVector([0, s, -s, 0]),
-        ]
-    elif name == "mixed-psi-plus":
-        kets = [
-            _ket("0").tensor(_ket("0")),
-            _ket("0").tensor(_ket("1")),
-            StateVector([0, 0, s, s]),
-            StateVector([0, 0, s, -s]),
-        ]
-    elif name == "pbr":
-        kets = [
-            StateVector([0, s, s, 0]),
-            StateVector([0.5, -0.5, 0.5, 0.5]),
-            StateVector([0.5, 0.5, -0.5, 0.5]),
-            StateVector([s, 0, 0, -s]),
-        ]
-    else:
-        raise argparse.ArgumentTypeError(f"unknown basis {name!r}")
-    return ProjectiveBasis(kets)
+def _named_basis(name: str) -> ProjectiveBasis:
+    return ProjectiveBasis([StateVector(row) for row in _NAMED_BASES[name]])
 
 
-def _emit(config: RunConfig, payload: dict, rows: list[dict], args) -> None:
+def _config(args) -> dict:
+    """The echo: command, seed, then the command's options in declaration order.
+
+    argparse sets every default in declaration order before it reads the
+    command line, so `vars(args)` is already in that order.
+    """
+    options = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
+    for key, value in options.items():
+        if isinstance(value, BlochVector):
+            options[key] = [value.x, value.y, value.z]
+    return {"command": args.command, "seed": args.seed, **options}
+
+
+def _emit(args, payload: dict, rows: list[dict] = ()) -> None:
     """Write the report in the requested format, config echoed first."""
-    fmt = args.format
+    config = _config(args)
     out = open(args.output, "w") if args.output else sys.stdout
     try:
-        if fmt == "json":
-            out.write(json.dumps({"config": config.as_dict(), **payload, "rows": rows}) + "\n")
-        elif fmt == "csv":
-            out.write("# config: " + json.dumps(config.as_dict()) + "\n")
+        if args.format == "json":
+            out.write(json.dumps({"config": config, **payload, "rows": rows}) + "\n")
+        else:  # csv carries the rows only; table also carries the payload
+            csv = args.format == "csv"
+            out.write(("# config: " if csv else "config: ") + json.dumps(config) + "\n")
+            if not csv:
+                for key, value in payload.items():
+                    out.write(f"{key}: {json.dumps(value)}\n")
+            sep = "," if csv else "  "
             if rows:
                 keys = list(rows[0])
-                out.write(",".join(keys) + "\n")
+                out.write(sep.join(keys) + "\n")
                 for row in rows:
-                    out.write(",".join(str(row[k]) for k in keys) + "\n")
-        else:  # table
-            out.write("config: " + json.dumps(config.as_dict()) + "\n")
-            for key, value in payload.items():
-                out.write(f"{key}: {json.dumps(value)}\n")
-            if rows:
-                keys = list(rows[0])
-                out.write("  ".join(keys) + "\n")
-                for row in rows:
-                    out.write("  ".join(str(row[k]) for k in keys) + "\n")
+                    out.write(sep.join(str(row[k]) for k in keys) + "\n")
     finally:
         if args.output:
             out.close()
-
-
-def _resolve_model(args) -> str:
-    name = getattr(args, "model", None) or getattr(args, "model_flag", None)
-    if not name:
-        raise SystemExit(2)
-    return name
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +153,7 @@ def _resolve_model(args) -> str:
 
 
 def cmd_verify(args) -> int:
-    name = _resolve_model(args)
-    model = create_model(name)
-    config = RunConfig(
-        "verify",
-        args.seed,
-        {
-            "model": name,
-            "shots": args.shots,
-            "trials": args.trials,
-            "dim": args.dim,
-            "threads": args.threads,
-        },
-    )
+    model = create_model(args.model)
     rows = []
     all_ok = True
     for trial in range(args.trials):
@@ -214,19 +182,12 @@ def cmd_verify(args) -> int:
                 row["corr_est"] = f"{corr:.9f}"
                 row["corr_expected"] = f"{corr_expected:.9f}"
             rows.append(row)
-    _emit(config, {"model": name, "all_within_5_stderr": all_ok}, rows, args)
+    _emit(args, {"model": args.model, "all_within_5_stderr": all_ok}, rows)
     return 0 if all_ok else 1
 
 
 def cmd_scan(args) -> int:
-    name = _resolve_model(args)
-    model = create_model(name)
-    if not isinstance(model, SingletModel):
-        print(f"scan requires a bipartite singlet model, got {name!r}", file=sys.stderr)
-        return 2
-    config = RunConfig(
-        "scan", args.seed, {"model": name, "shots": args.shots, "angles": args.angles}
-    )
+    model = create_model(args.model)
     a = BlochVector(0.0, 0.0, 1.0)
     rows = []
     all_ok = True
@@ -248,21 +209,11 @@ def cmd_scan(args) -> int:
                 "ok": int(ok),
             }
         )
-    _emit(config, {"model": name, "all_within_5_stderr": all_ok}, rows, args)
+    _emit(args, {"model": args.model, "all_within_5_stderr": all_ok}, rows)
     return 0 if all_ok else 1
 
 
 def cmd_channel(args) -> int:
-    config = RunConfig(
-        "channel",
-        args.seed,
-        {
-            "alice": [args.alice.x, args.alice.y, args.alice.z],
-            "bob": [args.bob.x, args.bob.y, args.bob.z],
-            "accepted": args.accepted,
-            "trace": args.trace,
-        },
-    )
     trace_file = open(args.trace, "w") if args.trace else None
     try:
         transcript = channel.run_channel(
@@ -278,74 +229,76 @@ def cmd_channel(args) -> int:
         "nominal_cost_bits": transcript.nominal_bits_per_round,
         "empirical_cost_bits": channel.communication_cost(transcript),
     }
-    _emit(config, payload, [], args)
+    _emit(args, payload)
     return 0
 
 
 def cmd_info(args) -> int:
-    config = RunConfig("info", args.seed, {"resolution": args.resolution})
     report = channel.mutual_information_report(args.resolution)
-    _emit(config, {"info": json.loads(report.to_json())}, [], args)
+    _emit(args, {"info": json.loads(report.to_json())})
     return 0
 
 
-def cmd_audit(args) -> int:
-    name = _resolve_model(args)
-    model = create_model(name)
-    check = args.check
-    config = RunConfig(
-        "audit",
-        args.seed,
-        {"check": check, "model": name, "dim": args.dim, "samples": args.samples},
-    )
-    rng = stream(args.seed, 99)
+def _emit_report(args, report) -> int:
+    """Emit an audit report under its check's name."""
+    _emit(args, {args.check: json.loads(report.to_json())})
+    return 0
 
-    if check == "epistemicity":
-        psi = random_state(args.dim, rng)
-        phi = random_state(args.dim, rng)
-        M = orthonormal_basis_containing(phi)
-        report = analysis.degree_of_epistemicity(model, psi, phi, M, args.samples, args.seed)
-        _emit(config, {"epistemicity": json.loads(report.to_json())}, [], args)
-        return 0
-    if check == "randomness":
-        ctx = model.random_context(rng, dim=args.dim)
-        values = {
-            label: analysis.randomness(
-                model, ctx.preparation, ctx.measurement, label, args.samples, args.seed
-            )
-            for label in model.outcome_labels(ctx)
-        }
-        _emit(config, {"randomness": values}, [], args)
-        return 0
-    if check == "reciprocity":
-        psi = random_state(args.dim, rng)
-        M = orthonormal_basis_containing(psi)
-        report = analysis.reciprocity_check(model, psi, M, args.samples, args.seed)
-        _emit(config, {"reciprocity": json.loads(report.to_json())}, [], args)
-        return 0
-    if check == "pi":
-        factors = parse_product_state(args.state)
-        M = _named_basis(args.basis)
-        report = analysis.preparation_independence_residual(model, factors, M)
-        _emit(config, {"pi": json.loads(report.to_json())}, [], args)
-        return 0
-    if check == "compat":
-        psi, phi = parse_product_state(args.states)
-        M = _named_basis(args.basis)
-        report = analysis.compatibility_audit(model, psi, phi, M)
-        _emit(config, {"compat": json.loads(report.to_json())}, [], args)
-        return 0
-    if check == "marginal":
-        if not isinstance(model, SingletModel):
-            print(f"marginal requires a bipartite singlet model, got {name!r}", file=sys.stderr)
-            return 2
-        report = analysis.setting_marginal_dependence(
-            model, args.particle, args.alice, args.bob, args.bob2, args.samples, args.seed
-        )
-        _emit(config, {"marginal": json.loads(report.to_json())}, [], args)
-        return 0
-    print(f"unknown audit check {check!r}", file=sys.stderr)
-    return 2
+
+def audit_epistemicity(args) -> int:
+    rng = stream(args.seed, 99)
+    psi = random_state(args.dim, rng)
+    phi = random_state(args.dim, rng)
+    M = orthonormal_basis_containing(phi)
+    model = create_model(args.model)
+    return _emit_report(
+        args, analysis.degree_of_epistemicity(model, psi, phi, M, args.samples, args.seed)
+    )
+
+
+def audit_randomness(args) -> int:
+    rng = stream(args.seed, 99)
+    psi = random_state(args.dim, rng)
+    M = random_basis(args.dim, rng)
+    model = create_model(args.model)
+    labels = model.outcome_labels(model.basis_context(psi, M))
+    values = {
+        label: analysis.randomness(model, psi, M, label, args.samples, args.seed)
+        for label in labels
+    }
+    _emit(args, {"randomness": values})
+    return 0
+
+
+def audit_reciprocity(args) -> int:
+    psi = random_state(args.dim, stream(args.seed, 99))
+    M = orthonormal_basis_containing(psi)
+    model = create_model(args.model)
+    return _emit_report(args, analysis.reciprocity_check(model, psi, M, args.samples, args.seed))
+
+
+def audit_pi(args) -> int:
+    factors = parse_product_state(args.state)
+    report = analysis.preparation_independence_residual(
+        create_model(args.model), factors, _named_basis(args.basis)
+    )
+    return _emit_report(args, report)
+
+
+def audit_compat(args) -> int:
+    psi, phi = parse_product_state(args.states)
+    report = analysis.compatibility_audit(
+        create_model(args.model), psi, phi, _named_basis(args.basis)
+    )
+    return _emit_report(args, report)
+
+
+def audit_marginal(args) -> int:
+    model = create_model(args.model)
+    report = analysis.setting_marginal_dependence(
+        model, args.particle, args.alice, args.bob, args.bob2, args.samples, args.seed
+    )
+    return _emit_report(args, report)
 
 
 # ---------------------------------------------------------------------------
@@ -353,76 +306,109 @@ def cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line, `<prog>: error: <message>`, and exit 2.
+
+    `--dim` above 2 is checked against the model's declared `any_dimension`
+    as part of parsing, so a qubit model never echoes a dimension it did not run.
+    """
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, extras = super().parse_known_args(args, namespace)
+        if getattr(ns, "dim", 2) != 2 and not MODEL_REGISTRY[ns.model].any_dimension:
+            self.error(f"argument --dim: model {ns.model!r} runs in dimension 2 only")
+        return ns, extras
+
+
+def _add_model(p: argparse.ArgumentParser, accepts=lambda cls: True) -> None:
+    """The model positional; its choices are the registered models `accepts` admits."""
+    p.add_argument("model", choices=sorted(n for n, c in MODEL_REGISTRY.items() if accepts(c)))
+
+
+def _add_common(p: argparse.ArgumentParser, func) -> None:
     p.add_argument(
         "--seed", type=_int_at_least(0), default=None, help="RNG seed (default: fresh entropy)"
     )
     p.add_argument("--output", default=None, help="write the report to this path")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    p.set_defaults(func=func)
 
 
+def _is_singlet(cls) -> bool:
+    return issubclass(cls, SingletModel)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The CLI parser; built once per process, since parsing does not change it."""
+    z, x = BlochVector(0.0, 0.0, 1.0), BlochVector(1.0, 0.0, 0.0)
+    parser = _Parser(
         prog="mdhv",
         description="Measurement-dependent hidden-variable models: verify, scan, simulate, audit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="Born-rule agreement over random contexts")
-    p.add_argument("model", nargs="?", choices=sorted(MODEL_REGISTRY))
-    p.add_argument("--model", dest="model_flag", choices=sorted(MODEL_REGISTRY))
+    _add_model(p)
     p.add_argument("--shots", type=_int_at_least(1), default=100_000)
     p.add_argument("--trials", type=_int_at_least(1), default=20)
     p.add_argument("--dim", type=_int_at_least(2), default=2)
-    p.add_argument("--threads", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
+    p.add_argument("--threads", type=_int_at_least(1), default=1)
+    _add_common(p, cmd_verify)
 
     p = sub.add_parser("scan", help="singlet correlation curve vs -cos(angle)")
-    p.add_argument("model", nargs="?", choices=sorted(MODEL_REGISTRY))
-    p.add_argument("--model", dest="model_flag", choices=sorted(MODEL_REGISTRY))
-    p.add_argument(
-        "--angles",
-        type=parse_angles,
-        default=[float(x) for x in range(0, 181, 15)],
-        help="comma-separated degrees",
-    )
+    _add_model(p, _is_singlet)
     p.add_argument("--shots", type=_int_at_least(1), default=100_000)
-    _add_common(p)
-    p.set_defaults(func=cmd_scan)
+    angles = tuple(float(x) for x in range(0, 181, 15))
+    p.add_argument("--angles", type=parse_angles, default=angles, help="comma-separated degrees")
+    _add_common(p, cmd_scan)
 
     p = sub.add_parser("channel", help="two-party qubit channel simulation")
-    p.add_argument("--alice", type=parse_direction, default=BlochVector(0.0, 0.0, 1.0))
-    p.add_argument("--bob", type=parse_direction, default=BlochVector(0.0, 0.0, 1.0))
+    p.add_argument("--alice", type=parse_direction, default=z)
+    p.add_argument("--bob", type=parse_direction, default=z)
     p.add_argument(
         "--accepted", type=_int_at_least(1), default=10_000, help="target accepted rounds"
     )
     p.add_argument("--trace", default=None, help="write a per-round CSV trace to this path")
-    _add_common(p)
-    p.set_defaults(func=cmd_channel)
+    _add_common(p, cmd_channel)
 
     p = sub.add_parser("info", help="entropy/mutual-information accounting")
-    p.add_argument("--resolution", type=int, default=512)
-    _add_common(p)
-    p.set_defaults(func=cmd_info)
+    p.add_argument("--resolution", type=_int_at_least(1), default=512)
+    _add_common(p, cmd_info)
 
-    p = sub.add_parser("audit", help="analysis-module audits")
-    p.add_argument(
-        "check", choices=("epistemicity", "randomness", "reciprocity", "pi", "compat", "marginal")
+    checks = sub.add_parser("audit", help="analysis-module audits").add_subparsers(
+        dest="check", required=True
     )
-    p.add_argument("model", nargs="?", choices=sorted(MODEL_REGISTRY))
-    p.add_argument("--model", dest="model_flag", choices=sorted(MODEL_REGISTRY))
-    p.add_argument("--dim", type=_int_at_least(2), default=2)
+    for check, func, summary in (
+        ("epistemicity", audit_epistemicity, "degree of epistemicity of two random states"),
+        ("randomness", audit_randomness, "ensemble mass with non-deterministic responses"),
+        ("reciprocity", audit_reciprocity, "does a state's ensemble sit in its outcome's core"),
+    ):
+        p = checks.add_parser(check, help=summary)
+        _add_model(p, lambda cls: not _is_singlet(cls))
+        p.add_argument("--dim", type=_int_at_least(2), default=2)
+        p.add_argument("--samples", type=_int_at_least(1), default=100_000)
+        _add_common(p, func)
+    for check, flag, default, func, summary in (
+        ("pi", "--state", "+,0", audit_pi, "preparation-independence residual of a product state"),
+        ("compat", "--states", "0,+", audit_compat, "support-implication audit of two states"),
+    ):
+        p = checks.add_parser(check, help=summary)
+        _add_model(p, lambda cls: cls.ontic_kind == OnticKind.DISCRETE)
+        p.add_argument(flag, type=_qubit_pair, default=default, help="two qubit labels, e.g. '+,0'")
+        p.add_argument("--basis", choices=tuple(_NAMED_BASES), default="mixed-psi-plus")
+        _add_common(p, func)
+    p = checks.add_parser("marginal", help="remote-setting dependence of a singlet marginal")
+    _add_model(p, _is_singlet)
     p.add_argument("--samples", type=_int_at_least(1), default=100_000)
-    p.add_argument("--state", default="+,0", help="product state for the pi check")
-    p.add_argument("--states", default="0,+", help="state pair for the compat check")
-    p.add_argument("--basis", default="mixed-psi-plus", help="named two-qubit basis")
     p.add_argument("--particle", type=int, choices=(1, 2), default=1)
-    p.add_argument("--alice", type=parse_direction, default=BlochVector(0.0, 0.0, 1.0))
-    p.add_argument("--bob", type=parse_direction, default=BlochVector(0.0, 0.0, 1.0))
-    p.add_argument("--bob2", type=parse_direction, default=BlochVector(1.0, 0.0, 0.0))
-    _add_common(p)
-    p.set_defaults(func=cmd_audit)
+    p.add_argument("--alice", type=parse_direction, default=z)
+    p.add_argument("--bob", type=parse_direction, default=z)
+    p.add_argument("--bob2", type=parse_direction, default=x)
+    _add_common(p, audit_marginal)
 
     return parser
 

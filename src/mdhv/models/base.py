@@ -204,15 +204,17 @@ def categorical(weights: np.ndarray, n: int, rng: np.random.Generator) -> np.nda
 class HiddenVariableModel(ABC):
     """Behavioral contract shared by all models in the registry.
 
-    Subclasses declare `name`, `reference_measure`, `ontic_kind`, and
-    `is_deterministic`, and implement the array-level operations.  Densities
-    are always stated with respect to the declared reference measure.
+    Subclasses declare `name`, `reference_measure`, `ontic_kind`,
+    `is_deterministic` and `any_dimension` (contexts in every Hilbert-space
+    dimension, not only qubits), and implement the array-level operations.
+    Densities are always stated with respect to the declared reference measure.
     """
 
     name: str = ""
     reference_measure: ReferenceMeasure
     ontic_kind: OnticKind
     is_deterministic: bool = True
+    any_dimension: bool = False
 
     # -- context handling ---------------------------------------------------
 

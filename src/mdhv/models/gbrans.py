@@ -36,6 +36,7 @@ class GeneralizedBrans(HiddenVariableModel):
     reference_measure = ReferenceMeasure.COUNTING
     ontic_kind = OnticKind.DISCRETE
     is_deterministic = True
+    any_dimension = True
 
     def validate_context(self, ctx: ModelContext) -> None:
         if not isinstance(ctx.preparation, (StateVector, DensityMatrix)):

@@ -27,6 +27,7 @@ class IntervalModel(HiddenVariableModel):
     reference_measure = ReferenceMeasure.LEBESGUE_INTERVAL
     ontic_kind = OnticKind.INTERVAL
     is_deterministic = True
+    any_dimension = True
 
     def validate_context(self, ctx: ModelContext) -> None:
         if not isinstance(ctx.preparation, StateVector):

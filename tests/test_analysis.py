@@ -222,7 +222,8 @@ class TestRandomness:
             model = create_model(name)
             psi = random_state(2, stream(517))
             M = orthonormal_basis_containing(random_state(2, stream(519)))
-            assert analysis.randomness(model, psi, M, M.labels[0], samples=5_000, seed=2) == 0.0
+            label = model.outcome_labels(model.basis_context(psi, M))[0]
+            assert analysis.randomness(model, psi, M, label, samples=5_000, seed=2) == 0.0
 
     def test_noisy_model_matches_closed_form(self):
         model = NoisyResponse(eta=0.1)

@@ -1,10 +1,14 @@
 """CLI surface: commands, formats, exit codes, byte-level reproducibility."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from mdhv.cli import main, parse_direction, parse_product_state
+from mdhv.cli import build_parser, main, parse_direction, parse_product_state
+from mdhv.models import MODEL_REGISTRY
 
 
 def run_cli(argv, capsys):
@@ -25,6 +29,14 @@ class TestParsing:
     def test_bad_direction(self):
         with pytest.raises(Exception):
             parse_direction("1")
+
+    def test_unit_cartesian_direction_taken_as_given(self):
+        # the echo writes x,y,z; every polar input must re-parse to the same bits
+        for theta in range(0, 181, 5):
+            for phi in range(0, 360, 15):
+                v = parse_direction(f"{theta},{phi}")
+                w = parse_direction(",".join(repr(float(c)) for c in (v.x, v.y, v.z)))
+                assert (w.x, w.y, w.z) == (v.x, v.y, v.z), (theta, phi)
 
     def test_product_state(self):
         factors = parse_product_state("+,0")
@@ -55,13 +67,6 @@ class TestVerify:
         assert doc["config"]["command"] == "verify"
         assert doc["all_within_5_stderr"] is True
 
-    def test_model_flag_alternative(self, capsys):
-        code, _ = run_cli(
-            ["verify", "--model", "gbrans", "--shots", "5000", "--trials", "2", "--seed", "3"],
-            capsys,
-        )
-        assert code == 0
-
 
 class TestScan:
     def test_exact_anticorrelation_row(self, capsys):
@@ -87,8 +92,9 @@ class TestScan:
         assert float(row0[1]) == -1.0
 
     def test_non_bipartite_rejected(self, capsys):
-        code, _ = run_cli(["scan", "gbrans", "--seed", "1"], capsys)
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "gbrans", "--seed", "1"])
+        assert exc.value.code == 2
 
     def test_reproducible_bytes(self, capsys):
         argv = ["scan", "hall", "--angles", "30,120", "--shots", "10000", "--seed", "5", "--format", "csv"]
@@ -219,6 +225,14 @@ class TestAudit:
         assert code == 0
         assert all(v == 0.0 for v in json.loads(out)["randomness"].values())
 
+    def test_randomness_ks2_uses_its_own_labels(self, capsys):
+        code, out = run_cli(
+            ["audit", "randomness", "ks2", "--samples", "2000", "--seed", "7", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["randomness"] == {"+b": 0.0, "-b": 0.0}
+
     def test_reciprocity(self, capsys):
         code, out = run_cli(
             ["audit", "reciprocity", "ks2", "--samples", "2000", "--seed", "7", "--format", "json"],
@@ -250,11 +264,116 @@ class TestBadInput:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert "must be >=" in err.strip().splitlines()[-1]
+        assert len(err.splitlines()) == 1
+        assert "must be >=" in err
 
     def test_marginal_audit_of_non_singlet_model(self, capsys):
-        code = main(["audit", "marginal", "gbrans", "--seed", "1"])
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "marginal", "gbrans", "--seed", "1"])
         captured = capsys.readouterr()
-        assert code == 2
+        assert exc.value.code == 2
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "marginal", "hall", "--state", "+,0"],
+            ["audit", "epistemicity", "brans"],
+            ["audit", "epistemicity", "hall"],
+            ["audit", "randomness", "hall"],
+            ["audit", "reciprocity", "brans"],
+            ["audit", "pi", "ks1"],
+            ["audit", "compat", "ks1"],
+            ["audit", "pi", "gbrans", "--state", "x"],
+            ["audit", "pi", "gbrans", "--state", "0,0,0"],
+            ["audit", "pi", "gbrans", "--basis", "foo"],
+            ["audit", "compat", "gbrans", "--states", "0"],
+            ["audit", "pi", "gbrans", "--samples", "10"],
+            ["audit", "epistemicity", "ks1", "--dim", "3"],
+            ["audit", "epistemicity", "ks2", "--dim", "3"],
+            ["audit", "marginal", "gbrans"],
+            ["audit"],
+            ["verify"],
+            ["verify", "gbrans", "--threads", "-3"],
+            ["verify", "ks1", "--dim", "3"],
+            ["verify", "brans", "--dim", "3"],
+            ["scan", "hall", "--angles", ""],
+            ["scan", "gbrans"],
+            ["info", "--resolution", "0"],
+            ["channel", "--bob", "0,0,0"],
+        ],
+        ids=" ".join,
+    )
+    def test_usage_error_is_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+        assert re.match(r"mdhv( [a-z]+)*: error: ", captured.err)
+
+    def test_dim_above_2_only_for_models_that_declare_it(self, capsys):
+        for name, cls in MODEL_REGISTRY.items():
+            argv = ["verify", name, "--dim", "3", "--shots", "200", "--trials", "1", "--seed", "1"]
+            if cls.any_dimension:
+                assert main(argv) == 0
+                assert '"dim": 3' in capsys.readouterr().out
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2
+        assert {n for n, c in MODEL_REGISTRY.items() if c.any_dimension} == {"gbrans", "interval"}
+
+
+def argv_from_config(config: dict) -> list[str]:
+    """Rebuild a command line from an echoed config; values go as --opt=VALUE."""
+    config = dict(config)
+    argv = [config.pop("command")]
+    argv += [config.pop(key) for key in ("check", "model") if key in config]
+    for key, value in config.items():
+        if isinstance(value, list):
+            value = ",".join(repr(float(v)) for v in value)
+        if value is not None:
+            argv.append(f"--{key}={value}")
+    return argv
+
+
+ECHO_RUNS = {
+    "verify": "verify interval --dim 3 --shots 3000 --trials 2 --threads 2",
+    "scan": "scan hall --angles 30,125.5 --shots 3000",
+    "channel": "channel --alice 140,285 --bob 0.6,0,0.8 --accepted 300 --trace t.csv",
+    "info": "info --resolution 16",
+    "epistemicity": "audit epistemicity gbrans --dim 3 --samples 2000",
+    "randomness": "audit randomness ks2 --samples 2000",
+    "reciprocity": "audit reciprocity ks1 --samples 2000",
+    "pi": "audit pi gbrans --state=-,1 --basis bell",
+    "compat": "audit compat gbrans --states 1,+ --basis pbr",
+    "marginal": "audit marginal hall --particle 2 --bob 140,285 --samples 4000",
+}
+
+
+@pytest.mark.parametrize("key", sorted(ECHO_RUNS))
+def test_echo_round_trip(key, tmp_path, monkeypatch, capsys):
+    """Re-running the echoed configuration reproduces stdout byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    argv = ECHO_RUNS[key].split() + ["--seed", "13"]
+    main(argv)
+    out = capsys.readouterr().out
+    config = json.loads(out.splitlines()[0].removeprefix("config: "))
+    assert list(config)[:2] == ["command", "seed"]
+    rebuilt = argv_from_config(config)
+    assert rebuilt != argv
+    main(rebuilt)
+    assert capsys.readouterr().out == out
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split(" #")[0] for line in block.splitlines() if line.startswith("mdhv ")]
+    assert len(lines) >= 8
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])

@@ -104,7 +104,8 @@ class TestInterfaceContracts:
     @pytest.mark.parametrize("name", STATE_MODEL_NAMES)
     def test_basis_context_is_valid(self, name):
         model = create_model(name)
-        dims = (2, 3, 4) if name in ("gbrans", "interval") else (2,)
+        # a model that declares any dimension must accept d = 3 and 4 too
+        dims = (2, 3, 4) if model.any_dimension else (2,)
         for dim in dims:
             M = random_basis(dim, stream(109, dim))
             for ket in M.kets:

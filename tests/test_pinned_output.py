@@ -51,7 +51,7 @@ RUNS = {
     ),
     "audit-marginal-hall": (
         ["audit", "marginal", "hall", "--bob", "60,0", "--samples", "20000", "--seed", "7"],
-        "83c2976d57032751ebf59d6b98d6319c8c68c5ff5be9034238eaefcbecec51e7",
+        "ed5357584109b9369f381294b5efae485d16abf945676011b43726c32b45bd40",
     ),
 }
 
