@@ -14,8 +14,7 @@ statistical one.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .models.base import (
     ModelContext,
     OnticKind,
     OnticPoint,
+    Report,
     singlet_context,
     stream,
 )
@@ -79,16 +79,13 @@ def _mc_mass(mask: np.ndarray) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class OverlapReport:
+class OverlapReport(Report):
     mass_psi_in_phi_support: float
     omega: float
     quantum_overlap_sq: float
     mc_stderr: float
     classification: str  # "disjoint" | "overlapping"
     method: str  # "analytic" | "monte-carlo"
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def support_overlap_mass(
@@ -235,13 +232,10 @@ def randomness(
 
 
 @dataclass(frozen=True)
-class ReciprocityReport:
+class ReciprocityReport(Report):
     reciprocal: bool
     violation_mass: float
     mc_stderr: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def reciprocity_check(
@@ -273,13 +267,10 @@ def reciprocity_check(
 
 
 @dataclass(frozen=True)
-class PiReport:
+class PiReport(Report):
     joint: dict[str, float]
     product_of_marginals: dict[str, float]
     max_residual: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def preparation_independence_residual(
@@ -349,7 +340,7 @@ def _padded(state: StateVector, slot: int) -> DensityMatrix:
 
 
 @dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(Report):
     support_psi_padded: tuple[int, ...]
     support_phi_padded: tuple[int, ...]
     premise: tuple[int, ...]
@@ -359,10 +350,6 @@ class CompatibilityReport:
     common_support: tuple[int, ...]
     local_single_supports: tuple[tuple[int, ...], tuple[int, ...]]
     locally_compatible: bool
-
-    def to_json(self) -> str:
-        d = asdict(self)
-        return json.dumps(d)
 
 
 def compatibility_audit(
@@ -441,14 +428,11 @@ def compatibility_audit(
 
 
 @dataclass(frozen=True)
-class MarginalDependenceReport:
+class MarginalDependenceReport(Report):
     tv_distance: float
     stderr: float
     particle: int
     method: str
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def setting_marginal_dependence(

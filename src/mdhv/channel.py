@@ -18,13 +18,12 @@ information in bits).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .models.base import stream
+from .models.base import Report, stream
 from .quantum import BlochVector
 from .sphere import uniform_hemisphere
 
@@ -40,11 +39,13 @@ __all__ = [
 ]
 
 NOMINAL_BITS_PER_ROUND = 2.0
+_BLOCK = 1 << 16  # rounds per Alice block; part of the stream layout
+_MI_RESOLUTION = 512  # quadrature nodes per axis of the mutual information in the cost
 TRACE_HEADER = ("round_id", "lambda_x", "lambda_y", "lambda_z", "accepted", "outcome")
 
 
 @dataclass(frozen=True)
-class ChannelTranscript:
+class ChannelTranscript(Report):
     """Per-run record of the protocol with exact send/accept accounting."""
 
     alice_axis: BlochVector
@@ -69,38 +70,15 @@ class ChannelTranscript:
             return {k: 0.0 for k in self.outcome_counts}
         return {k: v / self.accepted for k, v in self.outcome_counts.items()}
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alice_axis": [self.alice_axis.x, self.alice_axis.y, self.alice_axis.z],
-                "bob_axis": [self.bob_axis.x, self.bob_axis.y, self.bob_axis.z],
-                "sent": self.sent,
-                "accepted": self.accepted,
-                "outcome_counts": self.outcome_counts,
-                "nominal_bits_per_round": self.nominal_bits_per_round,
-                "seed": self.seed,
-            }
-        )
-
 
 @dataclass(frozen=True)
-class InfoReport:
+class InfoReport(Report):
     """Differential entropies (nats) of the axis/message pair under uniform priors."""
 
     h_a: float
     h_lambda: float
     h_joint: float
     mutual_information: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "h_a": self.h_a,
-                "h_lambda": self.h_lambda,
-                "h_joint": self.h_joint,
-                "mutual_information": self.mutual_information,
-            }
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +124,12 @@ def run_channel(
     target_accepted: int,
     seed: int,
     trace=None,
-    block: int = 1 << 16,
 ) -> ChannelTranscript:
     """Run rounds until `target_accepted` acceptances; exact cost accounting.
 
-    Deterministic given the seed (the block size is part of the stream
-    layout and is fixed by default).  `trace`, when given, is a writable
-    text stream receiving one CSV row per round.
+    Deterministic given the seed (the fixed block size is part of the stream
+    layout).  `trace`, when given, is a writable text stream receiving one
+    CSV row per round.
     """
     if target_accepted < 1:
         raise ValueError("target_accepted must be >= 1")
@@ -166,7 +143,7 @@ def run_channel(
     accepted = 0
     plus = 0
     while accepted < target_accepted:
-        ids, vecs = alice.emit(block)
+        ids, vecs = alice.emit(_BLOCK)
         accept, outcome_plus = bob.process(ids, vecs)
 
         cum = np.cumsum(accept)
@@ -233,9 +210,9 @@ def mutual_information_report(resolution: int = 512) -> InfoReport:
     )
 
 
-def communication_cost(t: ChannelTranscript, resolution: int = 512) -> float:
+def communication_cost(t: ChannelTranscript) -> float:
     """Empirical bits per accepted round: I(lam:a) in bits times sent/accepted."""
     if t.accepted < 1:
         raise ValueError("transcript has no accepted rounds")
-    bits = mutual_information_report(resolution).mutual_information / np.log(2.0)
+    bits = mutual_information_report(_MI_RESOLUTION).mutual_information / np.log(2.0)
     return float(bits * t.sent / t.accepted)

@@ -25,6 +25,7 @@ from .models import (
     OnticKind,
     SingletModel,
     create_model,
+    json_form,
     run_experiment,
     singlet_context,
     singlet_correlation,
@@ -117,25 +118,29 @@ def _config(args) -> dict:
     command line, so `vars(args)` is already in that order.
     """
     options = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
-    for key, value in options.items():
-        if isinstance(value, BlochVector):
-            options[key] = [value.x, value.y, value.z]
     return {"command": args.command, "seed": args.seed, **options}
 
 
+def _dumps(value) -> str:
+    return json.dumps(value, default=json_form)
+
+
 def _emit(args, payload: dict, rows: list[dict] = ()) -> None:
-    """Write the report in the requested format, config echoed first."""
+    """Write the report in the requested format, config echoed first.
+
+    Payload values may be report objects; they are written in their JSON form.
+    """
     config = _config(args)
     out = open(args.output, "w") if args.output else sys.stdout
     try:
         if args.format == "json":
-            out.write(json.dumps({"config": config, **payload, "rows": rows}) + "\n")
+            out.write(_dumps({"config": config, **payload, "rows": rows}) + "\n")
         else:  # csv carries the rows only; table also carries the payload
             csv = args.format == "csv"
-            out.write(("# config: " if csv else "config: ") + json.dumps(config) + "\n")
+            out.write(("# config: " if csv else "config: ") + _dumps(config) + "\n")
             if not csv:
                 for key, value in payload.items():
-                    out.write(f"{key}: {json.dumps(value)}\n")
+                    out.write(f"{key}: {_dumps(value)}\n")
             sep = "," if csv else "  "
             if rows:
                 keys = list(rows[0])
@@ -223,7 +228,7 @@ def cmd_channel(args) -> int:
         if trace_file:
             trace_file.close()
     payload = {
-        "transcript": json.loads(transcript.to_json()),
+        "transcript": transcript,
         "acceptance_rate": transcript.acceptance_rate(),
         "outcome_frequencies": transcript.outcome_frequencies(),
         "nominal_cost_bits": transcript.nominal_bits_per_round,
@@ -234,71 +239,67 @@ def cmd_channel(args) -> int:
 
 
 def cmd_info(args) -> int:
-    report = channel.mutual_information_report(args.resolution)
-    _emit(args, {"info": json.loads(report.to_json())})
+    _emit(args, {"info": channel.mutual_information_report(args.resolution)})
     return 0
 
 
-def _emit_report(args, report) -> int:
-    """Emit an audit report under its check's name."""
-    _emit(args, {args.check: json.loads(report.to_json())})
-    return 0
+def _audit(check):
+    """The command of an audit check: its report, emitted under the check's name."""
+
+    def run(args) -> int:
+        _emit(args, {args.check: check(args)})
+        return 0
+
+    return run
 
 
-def audit_epistemicity(args) -> int:
+def audit_epistemicity(args) -> analysis.OverlapReport:
     rng = stream(args.seed, 99)
     psi = random_state(args.dim, rng)
     phi = random_state(args.dim, rng)
     M = orthonormal_basis_containing(phi)
     model = create_model(args.model)
-    return _emit_report(
-        args, analysis.degree_of_epistemicity(model, psi, phi, M, args.samples, args.seed)
-    )
+    return analysis.degree_of_epistemicity(model, psi, phi, M, args.samples, args.seed)
 
 
-def audit_randomness(args) -> int:
+def audit_randomness(args) -> dict[str, float]:
     rng = stream(args.seed, 99)
     psi = random_state(args.dim, rng)
     M = random_basis(args.dim, rng)
     model = create_model(args.model)
     labels = model.outcome_labels(model.basis_context(psi, M))
-    values = {
+    return {
         label: analysis.randomness(model, psi, M, label, args.samples, args.seed)
         for label in labels
     }
-    _emit(args, {"randomness": values})
-    return 0
 
 
-def audit_reciprocity(args) -> int:
+def audit_reciprocity(args) -> analysis.ReciprocityReport:
     psi = random_state(args.dim, stream(args.seed, 99))
     M = orthonormal_basis_containing(psi)
     model = create_model(args.model)
-    return _emit_report(args, analysis.reciprocity_check(model, psi, M, args.samples, args.seed))
+    return analysis.reciprocity_check(model, psi, M, args.samples, args.seed)
 
 
-def audit_pi(args) -> int:
+def audit_pi(args) -> analysis.PiReport:
     factors = parse_product_state(args.state)
-    report = analysis.preparation_independence_residual(
+    return analysis.preparation_independence_residual(
         create_model(args.model), factors, _named_basis(args.basis)
     )
-    return _emit_report(args, report)
 
 
-def audit_compat(args) -> int:
+def audit_compat(args) -> analysis.CompatibilityReport:
     psi, phi = parse_product_state(args.states)
-    report = analysis.compatibility_audit(
+    return analysis.compatibility_audit(
         create_model(args.model), psi, phi, _named_basis(args.basis)
     )
-    return _emit_report(args, report)
 
 
-def audit_marginal(args) -> int:
+def audit_marginal(args) -> analysis.MarginalDependenceReport:
     model = create_model(args.model)
-    report = analysis.setting_marginal_dependence(
+    return analysis.setting_marginal_dependence(
         model, args.particle, args.alice, args.bob, args.bob2, args.samples, args.seed
     )
-    return _emit_report(args, report)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_model(p, lambda cls: not _is_singlet(cls))
         p.add_argument("--dim", type=_int_at_least(2), default=2)
         p.add_argument("--samples", type=_int_at_least(1), default=100_000)
-        _add_common(p, func)
+        _add_common(p, _audit(func))
     for check, flag, default, func, summary in (
         ("pi", "--state", "+,0", audit_pi, "preparation-independence residual of a product state"),
         ("compat", "--states", "0,+", audit_compat, "support-implication audit of two states"),
@@ -400,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_model(p, lambda cls: cls.ontic_kind == OnticKind.DISCRETE)
         p.add_argument(flag, type=_qubit_pair, default=default, help="two qubit labels, e.g. '+,0'")
         p.add_argument("--basis", choices=tuple(_NAMED_BASES), default="mixed-psi-plus")
-        _add_common(p, func)
+        _add_common(p, _audit(func))
     p = checks.add_parser("marginal", help="remote-setting dependence of a singlet marginal")
     _add_model(p, _is_singlet)
     p.add_argument("--samples", type=_int_at_least(1), default=100_000)
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alice", type=parse_direction, default=z)
     p.add_argument("--bob", type=parse_direction, default=z)
     p.add_argument("--bob2", type=parse_direction, default=x)
-    _add_common(p, audit_marginal)
+    _add_common(p, _audit(audit_marginal))
 
     return parser
 

@@ -19,6 +19,7 @@ from .base import (
     SingletFlag,
     SingletModel,
     SpherePoint,
+    json_form,
     mixture_density,
     run_experiment,
     singlet_context,
@@ -76,6 +77,7 @@ __all__ = [
     "SingletModel",
     "SpherePoint",
     "create_model",
+    "json_form",
     "mixture_density",
     "run_experiment",
     "singlet_context",

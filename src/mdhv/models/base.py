@@ -2,7 +2,7 @@
 
 A model is conditioned on a (preparation, measurement) pair and exposes four
 point operations: draw an ontic value, evaluate the ensemble density at a
-value (w.r.t. the model's declared reference measure), give the response
+value (w.r.t. the reference measure of the model's ontic kind), give the response
 distribution over outcome labels at a value, and test support membership.
 Vectorized array variants of the same operations back every Monte Carlo loop;
 the point API is a thin n=1 wrapper around them.
@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -50,6 +50,7 @@ __all__ = [
     "ModelContext",
     "ReferenceMeasure",
     "OnticKind",
+    "REFERENCE_MEASURES",
     "HiddenVariableModel",
     "QubitBasisModel",
     "SingletModel",
@@ -57,11 +58,14 @@ __all__ = [
     "OUTCOME_PAIRS",
     "singlet_context",
     "singlet_correlation",
+    "json_form",
+    "Report",
     "SimulationReport",
     "run_experiment",
     "mixture_density",
     "stream",
     "categorical",
+    "rejection_sample",
 ]
 
 
@@ -180,6 +184,20 @@ class OnticKind(str, Enum):
     SETTINGS_PAIR = "settings-outcome-pair"
 
 
+# The measure each ontic space's densities are stated against.  The
+# antipodal pair's delta is resolved analytically, leaving the sphere measure
+# of its first component; the settings pair's axes are fixed by the context,
+# leaving a count over the four outcome tags.
+REFERENCE_MEASURES = {
+    OnticKind.DISCRETE: ReferenceMeasure.COUNTING,
+    OnticKind.SETTINGS_PAIR: ReferenceMeasure.COUNTING,
+    OnticKind.INTERVAL: ReferenceMeasure.LEBESGUE_INTERVAL,
+    OnticKind.SPHERE: ReferenceMeasure.SPHERE_SURFACE,
+    OnticKind.ANTIPODAL: ReferenceMeasure.SPHERE_SURFACE,
+    OnticKind.LABELED_SPHERE: ReferenceMeasure.LABELED_SPHERE,
+}
+
+
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Independent counter-based stream keyed by (seed, index)."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(index)))))
@@ -196,6 +214,32 @@ def categorical(weights: np.ndarray, n: int, rng: np.random.Generator) -> np.nda
     return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
 
 
+def rejection_sample(
+    n: int,
+    rng: np.random.Generator,
+    batch: Callable[[int], float],
+    propose: Callable[[int], np.ndarray],
+    weight: Callable[[np.ndarray], np.ndarray],
+    envelope: float,
+) -> np.ndarray:
+    """n rows kept from proposal batches, each proposal with probability weight/envelope.
+
+    While rows are missing, draws max(32, int(batch(missing))) proposals,
+    then one uniform per proposal, and keeps the first accepted rows it needs.
+    """
+    out = np.empty((n, 3))
+    have = 0
+    while have < n:
+        todo = n - have
+        k = max(32, int(batch(todo)))
+        props = propose(k)
+        keep = rng.random(k) * envelope < weight(props)
+        took = min(int(keep.sum()), todo)
+        out[have : have + took] = props[keep][:took]
+        have += took
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Model interface
 # ---------------------------------------------------------------------------
@@ -204,17 +248,20 @@ def categorical(weights: np.ndarray, n: int, rng: np.random.Generator) -> np.nda
 class HiddenVariableModel(ABC):
     """Behavioral contract shared by all models in the registry.
 
-    Subclasses declare `name`, `reference_measure`, `ontic_kind`,
-    `is_deterministic` and `any_dimension` (contexts in every Hilbert-space
-    dimension, not only qubits), and implement the array-level operations.
-    Densities are always stated with respect to the declared reference measure.
+    Subclasses declare `name`, `ontic_kind`, `is_deterministic` and
+    `any_dimension` (contexts in every Hilbert-space dimension, not only
+    qubits), and implement the array-level operations.  Densities are always
+    stated with respect to the reference measure of the ontic kind.
     """
 
     name: str = ""
-    reference_measure: ReferenceMeasure
     ontic_kind: OnticKind
     is_deterministic: bool = True
     any_dimension: bool = False
+
+    @property
+    def reference_measure(self) -> ReferenceMeasure:
+        return REFERENCE_MEASURES[self.ontic_kind]
 
     # -- context handling ---------------------------------------------------
 
@@ -316,7 +363,6 @@ class QubitBasisModel(HiddenVariableModel):
     the label as response.  Subclasses supply the sampler and the density.
     """
 
-    reference_measure = ReferenceMeasure.LABELED_SPHERE
     ontic_kind = OnticKind.LABELED_SPHERE
     is_deterministic = True
 
@@ -394,6 +440,31 @@ class SingletModel(HiddenVariableModel):
 
 
 # ---------------------------------------------------------------------------
+# Results
+# ---------------------------------------------------------------------------
+
+
+def json_form(obj):
+    """The JSON form of a result, as the `default=` hook of `json.dumps`.
+
+    A BlochVector is [x, y, z]; any other dataclass is its fields in
+    declaration order.  Every report, transcript and CLI echo is written this way.
+    """
+    if isinstance(obj, BlochVector):
+        return [obj.x, obj.y, obj.z]
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"{type(obj).__name__} has no JSON form")
+
+
+class Report:
+    """Base of the result dataclasses: their JSON form is `json_form`'s."""
+
+    def to_json(self) -> str:
+        return json.dumps(self, default=json_form)
+
+
+# ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
 
@@ -401,7 +472,7 @@ _CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(Report):
     """Outcome counts of a seeded run together with the quantum reference."""
 
     shots: int
@@ -410,18 +481,6 @@ class SimulationReport:
     estimates: dict[str, float]
     stderr: dict[str, float]
     born_reference: dict[str, float]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "shots": self.shots,
-                "seed": self.seed,
-                "counts": self.counts,
-                "estimates": self.estimates,
-                "stderr": self.stderr,
-                "born_reference": self.born_reference,
-            }
-        )
 
 
 def _chunk_sizes(shots: int) -> list[int]:

@@ -21,7 +21,6 @@ from .base import (
     OUTCOME_PAIRS,
     ModelContext,
     OnticKind,
-    ReferenceMeasure,
     SettingsOutcomePair,
     SingletModel,
     categorical,
@@ -30,7 +29,6 @@ from .base import (
 
 class BransSinglet(SingletModel):
     name = "brans"
-    reference_measure = ReferenceMeasure.COUNTING
     ontic_kind = OnticKind.SETTINGS_PAIR
     is_deterministic = True
 

@@ -26,14 +26,12 @@ from .base import (
     HiddenVariableModel,
     ModelContext,
     OnticKind,
-    ReferenceMeasure,
     categorical,
 )
 
 
 class GeneralizedBrans(HiddenVariableModel):
     name = "gbrans"
-    reference_measure = ReferenceMeasure.COUNTING
     ontic_kind = OnticKind.DISCRETE
     is_deterministic = True
     any_dimension = True

@@ -6,8 +6,8 @@ s = sign((lam1.a)(lam1.b)), the density of lam1 over the sphere is
 
     (1/4pi) (1 + c s) / (1 + t s)
 
-(the antipodal delta is resolved analytically, so the declared reference
-measure is the sphere measure of the first component).  Responses are
+(the antipodal delta is resolved analytically, so the reference measure
+of this ontic kind is the sphere measure of the first component).  Responses are
 A = sign(lam1.a), B = sign(lam2.b); joint statistics equal the singlet's
 (1 - x y a.b)/4.  Unlike the tag-based singlet model, this marginal depends
 on both parties' axes for generic settings.
@@ -24,12 +24,12 @@ import numpy as np
 
 from ..constants import TOL, sign_pm
 from ..quantum import BlochVector
-from .base import AntipodalPair, ModelContext, OnticKind, ReferenceMeasure, SingletModel
+from ..sphere import uniform_sphere
+from .base import AntipodalPair, ModelContext, OnticKind, SingletModel, rejection_sample
 
 
 class HallSinglet(SingletModel):
     name = "hall"
-    reference_measure = ReferenceMeasure.SPHERE_SURFACE
     ontic_kind = OnticKind.ANTIPODAL
     is_deterministic = True
 
@@ -61,27 +61,23 @@ class HallSinglet(SingletModel):
     # -- model interface --------------------------------------------------------
 
     def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:
-        from ..sphere import uniform_sphere
-
         g_plus, g_minus, degenerate = self._branch_values(ctx)
         if degenerate:
             return {"vec": uniform_sphere(rng, n)}
         a = ctx.measurement.alice.as_array()
         b = ctx.measurement.bob.as_array()
         envelope = max(g_plus, g_minus)
-        out = np.empty((n, 3))
-        have = 0
-        while have < n:
-            todo = n - have
-            k = max(32, int(todo * envelope * 1.2))
-            props = uniform_sphere(rng, k)
-            s = sign_pm(props @ a) * sign_pm(props @ b)
-            g = np.where(s > 0, g_plus, g_minus)
-            keep = rng.random(k) * envelope < g
-            took = min(int(keep.sum()), todo)
-            out[have : have + took] = props[keep][:took]
-            have += took
-        return {"vec": out}
+        vec = rejection_sample(
+            n,
+            rng,
+            batch=lambda todo: todo * envelope * 1.2,
+            propose=lambda k: uniform_sphere(rng, k),
+            weight=lambda props: np.where(
+                sign_pm(props @ a) * sign_pm(props @ b) > 0, g_plus, g_minus
+            ),
+            envelope=envelope,
+        )
+        return {"vec": vec}
 
     def density_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         return self.marginal_values(np.asarray(arrays["vec"], dtype=float), ctx)

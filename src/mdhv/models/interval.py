@@ -17,14 +17,12 @@ from .base import (
     IntervalPoint,
     ModelContext,
     OnticKind,
-    ReferenceMeasure,
     categorical,
 )
 
 
 class IntervalModel(HiddenVariableModel):
     name = "interval"
-    reference_measure = ReferenceMeasure.LEBESGUE_INTERVAL
     ontic_kind = OnticKind.INTERVAL
     is_deterministic = True
     any_dimension = True

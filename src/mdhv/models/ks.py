@@ -31,9 +31,9 @@ from .base import (
     ModelContext,
     OnticKind,
     QubitBasisModel,
-    ReferenceMeasure,
     SpherePoint,
     _qubit_basis_axes,
+    rejection_sample,
 )
 
 
@@ -59,7 +59,6 @@ class KochenSpecker1(QubitBasisModel):
 
 class KochenSpecker2(HiddenVariableModel):
     name = "ks2"
-    reference_measure = ReferenceMeasure.SPHERE_SURFACE
     ontic_kind = OnticKind.SPHERE
     is_deterministic = True
 
@@ -96,17 +95,15 @@ class KochenSpecker2(HiddenVariableModel):
 
     def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:
         a, b = self._axes(ctx)
-        out = np.empty((n, 3))
-        have = 0
-        while have < n:
-            todo = n - have
-            k = max(32, int(todo * 2.2))
-            props = uniform_hemisphere(rng, k, a)
-            keep = rng.random(k) < np.abs(props @ b)
-            took = min(int(keep.sum()), todo)
-            out[have : have + took] = props[keep][:took]
-            have += took
-        return {"vec": out}
+        vec = rejection_sample(
+            n,
+            rng,
+            batch=lambda todo: todo * 2.2,
+            propose=lambda k: uniform_hemisphere(rng, k, a),
+            weight=lambda props: np.abs(props @ b),
+            envelope=1.0,
+        )
+        return {"vec": vec}
 
     def density_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         a, b = self._axes(ctx)

@@ -14,7 +14,7 @@ canonical global phase.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -99,10 +99,6 @@ class StateVector:
         self.amplitudes = amp
         self.dim = amp.size
 
-    def inner(self, other: "StateVector") -> complex:
-        """<self|other>."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def overlap_sq(self, other: "StateVector") -> float:
         """|<self|other>|^2, computed as re^2 + im^2 (symmetric in its arguments)."""
         z = np.vdot(self.amplitudes, other.amplitudes)
@@ -141,29 +137,6 @@ class DensityMatrix:
         m.setflags(write=False)
         self.entries = m
         self.dim = m.shape[0]
-
-    @classmethod
-    def from_state(cls, psi: StateVector) -> "DensityMatrix":
-        return cls(psi.projector())
-
-    @classmethod
-    def mixture(cls, pairs: Iterable[tuple[float, StateVector]]) -> "DensityMatrix":
-        """Convex combination sum_i w_i |a_i><a_i| of pure components."""
-        pairs = list(pairs)
-        if not pairs:
-            raise ValueError("mixture needs at least one component")
-        weights = np.array([w for w, _ in pairs], dtype=float)
-        if weights.min() < -TOL.structural:
-            raise ValueError("mixture weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > TOL.structural:
-            raise ValueError("mixture weights must sum to 1")
-        dim = pairs[0][1].dim
-        if any(s.dim != dim for _, s in pairs):
-            raise ValueError("mixture components must share one dimension")
-        acc = np.zeros((dim, dim), dtype=complex)
-        for w, s in pairs:
-            acc += w * s.projector()
-        return cls(acc)
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"
@@ -215,9 +188,6 @@ class Povm:
 
     def operator(self, label: str) -> np.ndarray:
         return self.operators[self.index(label)]
-
-    def items(self):
-        return zip(self.labels, self.operators)
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, labels={self.labels})"

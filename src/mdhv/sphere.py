@@ -21,6 +21,8 @@ __all__ = [
     "bootstrap_stderr",
 ]
 
+_RESAMPLES = 200
+
 
 def tangent_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two unit tangents orthogonal to `axis` (deterministic choice)."""
@@ -73,12 +75,13 @@ def uniform_cap(rng: np.random.Generator, n: int, axis: np.ndarray, zmin: np.nda
     return embed_local(axis, z, phi)
 
 
-def stratified_sphere_points(n: int, rng: np.random.Generator, antithetic: bool = True) -> np.ndarray:
-    """Jittered equal-area stratification of the sphere, optionally with antipodal mirrors.
+def stratified_sphere_points(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Jittered equal-area stratification of the sphere, with antipodal mirrors.
 
-    Returns m >= n points of equal weight 4*pi/m; integrate f via mean(f)*4*pi.
+    Returns an even number m <= max(n, 2) of points of equal weight 4*pi/m;
+    integrate f via mean(f)*4*pi.
     """
-    base = n // 2 if antithetic else n
+    base = n // 2
     k = max(1, int(np.sqrt(base)))
     kz, kphi = k, max(1, base // k)
     iz, iphi = np.meshgrid(np.arange(kz), np.arange(kphi), indexing="ij")
@@ -88,16 +91,14 @@ def stratified_sphere_points(n: int, rng: np.random.Generator, antithetic: bool 
     phi = 2.0 * np.pi * uphi
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     pts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    if antithetic:
-        pts = np.concatenate([pts, -pts], axis=0)
-    return pts
+    return np.concatenate([pts, -pts], axis=0)
 
 
-def bootstrap_stderr(values: np.ndarray, rng: np.random.Generator, resamples: int = 200) -> float:
-    """Bootstrap standard error of the mean of `values`."""
+def bootstrap_stderr(values: np.ndarray, rng: np.random.Generator) -> float:
+    """Bootstrap standard error of the mean of `values`, from _RESAMPLES resamples."""
     values = np.asarray(values, dtype=float)
     n = values.size
-    means = np.empty(resamples)
-    for b in range(resamples):
+    means = np.empty(_RESAMPLES)
+    for b in range(_RESAMPLES):
         means[b] = values[rng.integers(0, n, size=n)].mean()
     return float(means.std(ddof=1))

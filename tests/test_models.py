@@ -15,7 +15,9 @@ from mdhv.models import (
     DiscreteIndex,
     IntervalPoint,
     LabeledSphere,
+    MODEL_REGISTRY,
     ModelContext,
+    ReferenceMeasure,
     SettingsOutcomePair,
     create_model,
     mixture_density,
@@ -23,7 +25,7 @@ from mdhv.models import (
     singlet_context,
     stream,
 )
-from mdhv.models.base import categorical
+from mdhv.models.base import categorical, json_form
 from mdhv.models.ks import KochenSpecker2
 from mdhv.quantum import (
     BlochVector,
@@ -117,6 +119,31 @@ class TestInterfaceContracts:
         ctx = any_model.random_context(stream(113))
         with pytest.raises(ValueError):
             run_experiment(any_model, ctx, 0, seed=1)
+
+
+def test_reference_measure_follows_the_ontic_kind():
+    # the ontic spaces the README lists, one reference measure per model
+    expected = {
+        "brans": ReferenceMeasure.COUNTING,
+        "gbrans": ReferenceMeasure.COUNTING,
+        "interval": ReferenceMeasure.LEBESGUE_INTERVAL,
+        "ks2": ReferenceMeasure.SPHERE_SURFACE,
+        "hall": ReferenceMeasure.SPHERE_SURFACE,
+        "ks1": ReferenceMeasure.LABELED_SPHERE,
+        "bellmermin": ReferenceMeasure.LABELED_SPHERE,
+    }
+    assert {name: create_model(name).reference_measure for name in MODEL_REGISTRY} == expected
+
+
+def test_json_form_writes_fields_in_order_and_bloch_vectors_as_lists():
+    lam = SettingsOutcomePair(1, -1, BlochVector(0.0, 0.0, 1.0), DEG60)
+    assert json.dumps(lam, default=json_form) == json.dumps(
+        {"i": 1, "j": -1, "alice_axis": [0.0, 0.0, 1.0], "bob_axis": [DEG60.x, DEG60.y, DEG60.z]}
+    )
+    with pytest.raises(TypeError):
+        json.dumps(object(), default=json_form)
+    with pytest.raises(TypeError):
+        json.dumps(SettingsOutcomePair, default=json_form)
 
 
 class _FixedUniforms:

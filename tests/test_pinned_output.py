@@ -53,6 +53,55 @@ RUNS = {
         ["audit", "marginal", "hall", "--bob", "60,0", "--samples", "20000", "--seed", "7"],
         "ed5357584109b9369f381294b5efae485d16abf945676011b43726c32b45bd40",
     ),
+    # the JSON form of every report type, in table and json output
+    "info": (
+        ["info", "--seed", "7"],
+        "681a67587deadfa6372b95781ed010d1cab360b3a82559238bcbee31ac2566af",
+    ),
+    "audit-epistemicity-gbrans": (
+        ["audit", "epistemicity", "gbrans", "--samples", "20000", "--seed", "7"],
+        "b70fd2592f71b4c61a0bdbe23025465ee696a0da1ad4638a5070bdb1a57e71c8",
+    ),
+    "audit-epistemicity-ks1": (
+        ["audit", "epistemicity", "ks1", "--samples", "20000", "--seed", "7"],
+        "29d801085cf6ff2479dd3a071c8b58fe93c4968064853b331fdc441f2224abae",
+    ),
+    "audit-randomness-gbrans": (
+        ["audit", "randomness", "gbrans", "--samples", "20000", "--seed", "7"],
+        "187550d8b1293c196d261127b8eb78f79c25f0191596a4674eafe4c4e03c7e23",
+    ),
+    "audit-randomness-ks1": (
+        ["audit", "randomness", "ks1", "--samples", "20000", "--seed", "7"],
+        "fc60f523aa20f634395b2efdeb4669b1bfd0cdafc680ba6bcfe3824390454ce1",
+    ),
+    "audit-reciprocity-gbrans": (
+        ["audit", "reciprocity", "gbrans", "--samples", "20000", "--seed", "7"],
+        "8320ce789541996a19f0f2ccd9893844c08512ed2a7370ed36377d4331ff47f6",
+    ),
+    "audit-reciprocity-ks1": (
+        ["audit", "reciprocity", "ks1", "--samples", "20000", "--seed", "7"],
+        "f256d4da9faa8cb3e47028cd5448b794927b831861b7f1fc7833c9067f41db3b",
+    ),
+    "audit-pi": (
+        ["audit", "pi", "gbrans", "--seed", "7"],
+        "f473065c30950cf578c87a38c1f068f6a35b569325fa7af4fdeabe21f657ffa3",
+    ),
+    "audit-compat": (
+        ["audit", "compat", "gbrans", "--seed", "7"],
+        "059ca71d74e1f59637a98d0d237d567078989688ddbe35ea5162611a92e62f18",
+    ),
+    "audit-marginal-brans": (
+        ["audit", "marginal", "brans", "--bob", "60,0", "--seed", "7"],
+        "f0a6ca3c82b6b874365d80200f83a4530677716179880d27c0443fc3d14311fe",
+    ),
+    "verify-ks1-json": (
+        ["verify", "ks1", "--shots", "2000", "--trials", "2", "--seed", "7", "--format", "json"],
+        "233c4abd4260cae34b63b3f6859f3e5536b5d9262b4a97af3e742eee8ad5939d",
+    ),
+    "channel-json": (
+        ["channel", "--bob", "60,0", "--accepted", "500", "--seed", "7", "--format", "json"],
+        "bb10225c9d4075b476ef670e10e20f9ad2749f368fbf20c1eaeac6045a19ec42",
+    ),
 }
 
 
