@@ -40,7 +40,7 @@ __all__ = [
 
 NOMINAL_BITS_PER_ROUND = 2.0
 _BLOCK = 1 << 16  # rounds per Alice block; part of the stream layout
-_MI_RESOLUTION = 512  # quadrature nodes per axis of the mutual information in the cost
+MI_RESOLUTION = 512  # quadrature nodes per axis of the reported mutual information
 TRACE_HEADER = ("round_id", "lambda_x", "lambda_y", "lambda_z", "accepted", "outcome")
 
 
@@ -214,5 +214,5 @@ def communication_cost(t: ChannelTranscript) -> float:
     """Empirical bits per accepted round: I(lam:a) in bits times sent/accepted."""
     if t.accepted < 1:
         raise ValueError("transcript has no accepted rounds")
-    bits = mutual_information_report(_MI_RESOLUTION).mutual_information / np.log(2.0)
+    bits = mutual_information_report(MI_RESOLUTION).mutual_information / np.log(2.0)
     return float(bits * t.sent / t.accepted)

@@ -53,12 +53,14 @@ _NAMED_BASES = {
 }
 
 # Parsed values that select the output rather than the computation.
-_NOT_ECHOED = ("command", "seed", "output", "format", "func")
+_NOT_ECHOED = ("command", "seed", "output", "format", "func", "parser")
 
 
 def parse_direction(text: str) -> BlochVector:
     """'theta,phi' in degrees, or 'x,y,z' components (normalized unless already unit)."""
     parts = [float(p) for p in text.split(",")]
+    if not all(map(math.isfinite, parts)):
+        raise argparse.ArgumentTypeError(f"expected finite components, got {text!r}")
     if len(parts) == 2:
         return BlochVector.from_polar(math.radians(parts[0]), math.radians(parts[1]))
     if len(parts) == 3:
@@ -84,8 +86,8 @@ def _int_at_least(low: int):
 
 def parse_angles(text: str) -> list[float]:
     angles = [float(p) for p in text.split(",") if p.strip()]
-    if not angles:
-        raise argparse.ArgumentTypeError("expected at least one angle")
+    if not angles or not all(map(math.isfinite, angles)):
+        raise argparse.ArgumentTypeError(f"expected finite comma-separated degrees, got {text!r}")
     return angles
 
 
@@ -121,6 +123,15 @@ def _config(args) -> dict:
     return {"command": args.command, "seed": args.seed, **options}
 
 
+def _open(args, option: str):
+    """Open the path of a file option for writing; an unwritable path is a usage error."""
+    path = getattr(args, option)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        args.parser.error(f"argument --{option}: can't open {path!r}: {exc.strerror}")
+
+
 def _dumps(value) -> str:
     return json.dumps(value, default=json_form)
 
@@ -131,7 +142,7 @@ def _emit(args, payload: dict, rows: list[dict] = ()) -> None:
     Payload values may be report objects; they are written in their JSON form.
     """
     config = _config(args)
-    out = open(args.output, "w") if args.output else sys.stdout
+    out = _open(args, "output") if args.output else sys.stdout
     try:
         if args.format == "json":
             out.write(_dumps({"config": config, **payload, "rows": rows}) + "\n")
@@ -219,7 +230,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_channel(args) -> int:
-    trace_file = open(args.trace, "w") if args.trace else None
+    trace_file = _open(args, "trace") if args.trace else None
     try:
         transcript = channel.run_channel(
             args.alice, args.bob, args.accepted, args.seed, trace=trace_file
@@ -239,7 +250,7 @@ def cmd_channel(args) -> int:
 
 
 def cmd_info(args) -> int:
-    _emit(args, {"info": channel.mutual_information_report(args.resolution)})
+    _emit(args, {"info": channel.mutual_information_report(channel.MI_RESOLUTION)})
     return 0
 
 
@@ -335,7 +346,7 @@ def _add_common(p: argparse.ArgumentParser, func) -> None:
     )
     p.add_argument("--output", default=None, help="write the report to this path")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.set_defaults(func=func)
+    p.set_defaults(func=func, parser=p)
 
 
 def _is_singlet(cls) -> bool:
@@ -377,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, cmd_channel)
 
     p = sub.add_parser("info", help="entropy/mutual-information accounting")
-    p.add_argument("--resolution", type=_int_at_least(1), default=512)
     _add_common(p, cmd_info)
 
     checks = sub.add_parser("audit", help="analysis-module audits").add_subparsers(

@@ -248,10 +248,11 @@ def rejection_sample(
 class HiddenVariableModel(ABC):
     """Behavioral contract shared by all models in the registry.
 
-    Subclasses declare `name`, `ontic_kind`, `is_deterministic` and
-    `any_dimension` (contexts in every Hilbert-space dimension, not only
-    qubits), and implement the array-level operations.  Densities are always
-    stated with respect to the reference measure of the ontic kind.
+    Subclasses declare `name` and `ontic_kind`, override `is_deterministic`
+    or `any_dimension` (contexts in every Hilbert-space dimension, not only
+    qubits) where the default does not hold, and implement the array-level
+    operations.  Densities are always stated with respect to the reference
+    measure of the ontic kind.
     """
 
     name: str = ""
@@ -364,7 +365,6 @@ class QubitBasisModel(HiddenVariableModel):
     """
 
     ontic_kind = OnticKind.LABELED_SPHERE
-    is_deterministic = True
 
     def validate_context(self, ctx: ModelContext) -> None:
         if not isinstance(ctx.preparation, StateVector) or ctx.preparation.dim != 2:
@@ -544,7 +544,7 @@ def mixture_density(
     weights = np.array([w for w, _ in mixture], dtype=float)
     if weights.min() < -TOL.structural:
         raise ValueError("mixture weights must be nonnegative")
-    if abs(weights.sum() - 1.0) > TOL.structural:
+    if not abs(weights.sum() - 1.0) <= TOL.structural:
         raise ValueError("mixture weights must sum to 1")
     dims = {s.dim for _, s in mixture}
     if len(dims) != 1:

@@ -30,7 +30,6 @@ from .base import (
 class BransSinglet(SingletModel):
     name = "brans"
     ontic_kind = OnticKind.SETTINGS_PAIR
-    is_deterministic = True
 
     def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:
         return {"idx": categorical(self.joint_probabilities(ctx), n, rng)}

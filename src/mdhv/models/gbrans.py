@@ -33,7 +33,6 @@ from .base import (
 class GeneralizedBrans(HiddenVariableModel):
     name = "gbrans"
     ontic_kind = OnticKind.DISCRETE
-    is_deterministic = True
     any_dimension = True
 
     def validate_context(self, ctx: ModelContext) -> None:

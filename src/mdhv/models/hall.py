@@ -31,7 +31,6 @@ from .base import AntipodalPair, ModelContext, OnticKind, SingletModel, rejectio
 class HallSinglet(SingletModel):
     name = "hall"
     ontic_kind = OnticKind.ANTIPODAL
-    is_deterministic = True
 
     # -- marginal machinery ---------------------------------------------------
 

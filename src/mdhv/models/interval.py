@@ -24,7 +24,6 @@ from .base import (
 class IntervalModel(HiddenVariableModel):
     name = "interval"
     ontic_kind = OnticKind.INTERVAL
-    is_deterministic = True
     any_dimension = True
 
     def validate_context(self, ctx: ModelContext) -> None:

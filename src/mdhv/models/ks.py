@@ -60,7 +60,6 @@ class KochenSpecker1(QubitBasisModel):
 class KochenSpecker2(HiddenVariableModel):
     name = "ks2"
     ontic_kind = OnticKind.SPHERE
-    is_deterministic = True
 
     LABELS = ("+b", "-b")
 

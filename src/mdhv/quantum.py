@@ -7,8 +7,8 @@ package is audited against.  Dimensions stay small (tests need d <= 8), so
 everything is dense complex arithmetic.
 
 All values are validated at construction and treated as immutable afterwards;
-equality of states is only ever judged through |<a|b>|^2, never through a
-canonical global phase.
+each check is written `not x <= tol`, so a NaN fails it.  Equality of states
+is only ever judged through |<a|b>|^2, never through a canonical global phase.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class BlochVector:
 
     def __post_init__(self):
         norm = np.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        if abs(norm - 1.0) > TOL.structural:
+        if not abs(norm - 1.0) <= TOL.structural:
             raise ValueError(f"Bloch vector must have unit norm, got {norm!r}")
 
     @classmethod
@@ -93,7 +93,7 @@ class StateVector:
         if amp.size < 2:
             raise ValueError("state dimension must be at least 2")
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > TOL.structural:
+        if not abs(norm - 1.0) <= TOL.structural:
             raise ValueError(f"state vector must be normalized, got norm {norm!r}")
         amp.setflags(write=False)
         self.amplitudes = amp
@@ -126,13 +126,13 @@ class DensityMatrix:
         m = np.array(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise ValueError("density matrix must be square with dimension >= 2")
-        if np.max(np.abs(m - m.conj().T)) > TOL.structural:
+        if not np.max(np.abs(m - m.conj().T)) <= TOL.structural:
             raise ValueError("density matrix must be Hermitian")
         eigs = np.linalg.eigvalsh(m)
-        if eigs.min() < -TOL.structural:
+        if not eigs.min() >= -TOL.structural:
             raise ValueError(f"density matrix must be PSD, min eigenvalue {eigs.min()!r}")
         tr = np.trace(m).real
-        if abs(tr - 1.0) > TOL.structural:
+        if not abs(tr - 1.0) <= TOL.structural:
             raise ValueError(f"density matrix must have unit trace, got {tr!r}")
         m.setflags(write=False)
         self.entries = m
@@ -163,14 +163,14 @@ class Povm:
                 dim = m.shape[0]
             elif m.shape[0] != dim:
                 raise ValueError("POVM elements must share one dimension")
-            if np.max(np.abs(m - m.conj().T)) > TOL.structural:
+            if not np.max(np.abs(m - m.conj().T)) <= TOL.structural:
                 raise ValueError(f"element {label!r} is not Hermitian")
-            if np.linalg.eigvalsh(m).min() < -TOL.structural:
+            if not np.linalg.eigvalsh(m).min() >= -TOL.structural:
                 raise ValueError(f"element {label!r} is not PSD")
             m.setflags(write=False)
             ops.append(m)
         total = sum(ops)
-        if np.max(np.abs(total - np.eye(dim))) > TOL.structural:
+        if not np.max(np.abs(total - np.eye(dim))) <= TOL.structural:
             raise ValueError("POVM elements must sum to the identity")
         self.dim = dim
         self.labels = labels
@@ -209,11 +209,11 @@ class ProjectiveBasis(Povm):
         if len(kets) != self.dim:
             raise ValueError("projective basis must have exactly dim rank-1 elements")
         for k, p in enumerate(self.operators):
-            if np.max(np.abs(p @ p - p)) > TOL.structural:
+            if not np.max(np.abs(p @ p - p)) <= TOL.structural:
                 raise ValueError(f"element {self.labels[k]!r} is not idempotent")
         for a in range(len(kets)):
             for b in range(a + 1, len(kets)):
-                if np.max(np.abs(self.operators[a] @ self.operators[b])) > TOL.structural:
+                if not np.max(np.abs(self.operators[a] @ self.operators[b])) <= TOL.structural:
                     raise ValueError("projectors must be pairwise orthogonal")
         self.kets = kets
 

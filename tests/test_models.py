@@ -554,6 +554,8 @@ class TestMixtureDensity:
         model = create_model("gbrans")
         with pytest.raises(ValueError):
             mixture_density(model, [(0.7, ZERO), (0.7, ONE)], Z_BASIS, DiscreteIndex(0))
+        with pytest.raises(ValueError):
+            mixture_density(model, [(float("nan"), ZERO), (0.5, ONE)], Z_BASIS, DiscreteIndex(0))
 
     def test_dimension_mismatch_rejected(self):
         model = create_model("gbrans")

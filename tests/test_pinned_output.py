@@ -1,12 +1,21 @@
-"""Pinned seeded output: sha256 of the stdout of short CLI runs.
+"""Pinned seeded output: sha256 of the stdout of CLI runs, and the README's Claims.
 
 The hashes were taken with numpy 2.4.6.  A changed hash means the seeded bits
 changed (a different stream layout, draw order or float summation order), and
 such a change is recorded in CHANGES.md together with the new hash; it is
 never absorbed by re-pinning silently.
+
+Every row of the README's Claims table is a command, the values it prints and
+a claim of the paper.  `CLAIMS` holds, per command, the check of that claim
+and the hash of its stdout, which joins `RUNS`.
 """
 
 import hashlib
+import json
+import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -56,7 +65,7 @@ RUNS = {
     # the JSON form of every report type, in table and json output
     "info": (
         ["info", "--seed", "7"],
-        "681a67587deadfa6372b95781ed010d1cab360b3a82559238bcbee31ac2566af",
+        "d52514226f42bbf1a2a198157e5be104426361d181573f0be7531bd4136d946e",
     ),
     "audit-epistemicity-gbrans": (
         ["audit", "epistemicity", "gbrans", "--samples", "20000", "--seed", "7"],
@@ -105,8 +114,155 @@ RUNS = {
 }
 
 
+
+def _channel(doc) -> bool:
+    t = doc["transcript"]
+    p_plus = (1.0 + sum(a * b for a, b in zip(t["alice_axis"], t["bob_axis"]))) / 2.0
+    return (
+        abs(doc["acceptance_rate"] - 0.5) <= 5.0 * math.sqrt(0.25 / t["sent"])
+        and abs(doc["outcome_frequencies"]["+b"] - p_plus)
+        <= 5.0 * math.sqrt(p_plus * (1.0 - p_plus) / t["accepted"])
+        and doc["nominal_cost_bits"] == 2.0
+        and doc["empirical_cost_bits"] == pytest.approx(t["sent"] / t["accepted"], rel=1e-12)
+    )
+
+
+def _gbrans_omega(doc) -> bool:
+    return doc["epistemicity"]["omega"] == 1.0 and doc["epistemicity"]["method"] == "analytic"
+
+
+def _omega_within_2_sigma(doc) -> bool:
+    # mc_stderr is the error of the sampled mass, so |omega - 1| <= 2 sigma
+    # reads |mass - |<psi|phi>|^2| <= 2 mc_stderr
+    e = doc["epistemicity"]
+    return abs(e["mass_psi_in_phi_support"] - e["quantum_overlap_sq"]) <= 2.0 * e["mc_stderr"]
+
+
+def _hall_tv(doc) -> bool:
+    return abs(doc["marginal"]["tv_distance"] - 1.0 / 12.0) <= 1e-3
+
+
+def _gate(doc) -> bool:
+    return doc["all_within_5_stderr"] is True
+
+
+# README Claims command (without `mdhv`) -> (check of the printed report, stdout sha256)
+CLAIMS = {
+    "scan brans --shots 100000 --seed 1": (
+        _gate,
+        "3e55622568f47021234fc4f7d262c889b15fc755eddd37b900fadc32835a6e97",
+    ),
+    "scan hall --shots 100000 --seed 1": (
+        _gate,
+        "82a1d05f93ff73ae8b4d464ca9dfaba5124a3e519096d517d670c5e6a224f5dd",
+    ),
+    "channel --bob 60,0 --accepted 100000 --seed 3 --format json": (
+        _channel,
+        "e524a0907324ddce573c8af34c2edcc494736a681862d859cb068bc0bd805c49",
+    ),
+    "info --seed 1 --format json": (
+        lambda doc: abs(doc["info"]["mutual_information"] - math.log(2.0)) <= 2e-15,
+        "bb44a37bab3cc4b8855a577719c4db059537865b104be83747a331ffa8e28ce8",
+    ),
+    "audit epistemicity gbrans --dim 2 --seed 2 --format json": (
+        _gbrans_omega,
+        "e3694b2c24bad68a477fed87a87c1afcd1c3f248c3558394bf2681d2fcc14572",
+    ),
+    "audit epistemicity gbrans --dim 3 --seed 2 --format json": (
+        _gbrans_omega,
+        "4cbc1ec437f3a2535cbd69709f06c25d0b571d49c73c721bec05d247e21ea789",
+    ),
+    "audit epistemicity gbrans --dim 4 --seed 2 --format json": (
+        _gbrans_omega,
+        "d0557268c0e4633a1c3c428f28fa19e1913b8cfb0ef2c97d97f5e4df1da85688",
+    ),
+    "audit epistemicity gbrans --dim 5 --seed 2 --format json": (
+        _gbrans_omega,
+        "01971b8fa3e7359cbb0a4422064435c5be5b5105d00b720762733dbfabacf79e",
+    ),
+    "audit epistemicity ks1 --samples 500000 --seed 11": (
+        _omega_within_2_sigma,
+        "76d33d4a8ce890eca60ac6154dca2e4f1a78246498a7811c9b9cfa472dde9ab1",
+    ),
+    "audit epistemicity ks2 --samples 500000 --seed 11": (
+        _omega_within_2_sigma,
+        "0aaaaf6898df127922c806050511f14257f90035701e3dfc08eb1fad5c4a6a01",
+    ),
+    "audit epistemicity bellmermin --samples 500000 --seed 11": (
+        _omega_within_2_sigma,
+        "cfbbec916a40f4659b7262d205e92f78b621351aca1c9e691017bcb129879c09",
+    ),
+    "audit marginal hall --alice 0,0 --bob 60,0 --bob2 90,0 --seed 1": (
+        _hall_tv,
+        "951d07066b183e5aaf7d3b7371fb1fbd116341db1f995382c6cf36157e3c4a5f",
+    ),
+    "audit marginal hall --alice 0,0 --bob 60,0 --bob2 90,0 --particle 2 --seed 1": (
+        _hall_tv,
+        "0cf9af7a298e23e9cf080cb1cec062ac509f0dab42b8a20bb9df970c6d94258c",
+    ),
+    "audit marginal brans --alice 0,0 --bob 60,0 --bob2 90,0 --seed 1": (
+        lambda doc: doc["marginal"]["tv_distance"] == 0.0,
+        "2109090935d2e41b628fe682708523caf49ea6898f1cddf08cf447ac416e9b1d",
+    ),
+    "audit pi gbrans --state +,0 --basis mixed-psi-plus --seed 4 --format json": (
+        lambda doc: abs(doc["pi"]["max_residual"] - 0.125) < 1e-12,
+        "c8ff257338ddbdd7db7099636ca45982f17c8e00e1162d2c0baf960a8f35a6ed",
+    ),
+    "audit randomness gbrans --dim 3 --seed 1": (
+        lambda doc: list(doc["randomness"].values()) == [0.0, 0.0, 0.0],
+        "da02871b574407ed9fa5fb5128cc33fdad8b86fc3a5b07298f10bde2fdf65912",
+    ),
+    "audit reciprocity gbrans --dim 3 --seed 1": (
+        lambda doc: doc["reciprocity"]["violation_mass"] == 0.0,
+        "12fb4bad8256b025f775ab567dc8b9dccb07cf9331ab9a50d8522ebec0555e76",
+    ),
+    "verify gbrans --shots 100000 --trials 100 --seed 7": (
+        _gate,
+        "deb794f2e56c45b75aee860610bfa935ca377cff2895626f76252ac7688f51bc",
+    ),
+}
+
+RUNS.update({command: (shlex.split(command), digest) for command, (_, digest) in CLAIMS.items()})
+
+
+def readme_claims() -> dict[str, list[str]]:
+    """The README's Claims table: command (without `mdhv`) -> the values it prints."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n## Claims\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        cells = line.split(" | ")
+        if len(cells) == 3 and cells[1].startswith("`mdhv "):
+            rows[cells[1].strip("`").removeprefix("mdhv ")] = re.findall(r"`([^`]+)`", cells[2])
+    return rows
+
+
+README_CLAIMS = readme_claims()
+
+
+def printed_report(out: str) -> dict:
+    """The printed report: the JSON document, or a table's `key: value` lines."""
+    if out.startswith("{"):
+        return json.loads(out)
+    lines = (line.partition(": ") for line in out.splitlines())
+    return {key: json.loads(value) for key, sep, value in lines if sep}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(README_CLAIMS.keys() | CLAIMS.keys()))
+def test_claim(command, capsys):
+    assert command in README_CLAIMS, "checked here but not a row of the README's Claims table"
+    assert command in CLAIMS, "a row of the README's Claims table without a check here"
+    assert main(shlex.split(command)) == 0
+    out = capsys.readouterr().out
+    for value in README_CLAIMS[command]:
+        # a whole token: a digit dropped from the README's value does not match
+        assert re.search(rf"(?<![\w.]){re.escape(value)}(?![\w.])", out), value
+    check, _ = CLAIMS[command]
+    assert check(printed_report(out))
 
 
 @pytest.mark.parametrize("key", sorted(RUNS))

@@ -62,6 +62,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(2))  # trace 2
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: BlochVector(np.nan, 0.0, 0.0),
+            lambda: StateVector([np.nan, 1.0]),
+            lambda: DensityMatrix([[np.nan, 0.0], [0.0, 0.0]]),
+            lambda: Povm([("a", [[np.nan, 0.0], [0.0, 0.0]]), ("b", [[0.0, 0.0], [0.0, 1.0]])]),
+        ],
+        ids=["BlochVector", "StateVector", "DensityMatrix", "Povm"],
+    )
+    def test_nan_is_rejected(self, build):
+        # a NaN compares false with every tolerance, so each check must fail on it
+        with pytest.raises(ValueError):
+            build()
+
     def test_povm_checks(self):
         with pytest.raises(ValueError):
             Povm([("a", np.eye(2)), ("a", np.zeros((2, 2)))])  # duplicate labels
