@@ -40,6 +40,7 @@ __all__ = [
 
 NOMINAL_BITS_PER_ROUND = 2.0
 _BLOCK = 1 << 16  # rounds per Alice block; part of the stream layout
+_TRACE_SLICE = 4096  # trace rows formatted and written per write call
 MI_RESOLUTION = 512  # quadrature nodes per axis of the reported mutual information
 TRACE_HEADER = ("round_id", "lambda_x", "lambda_y", "lambda_z", "accepted", "outcome")
 
@@ -129,7 +130,8 @@ def run_channel(
 
     Deterministic given the seed (the fixed block size is part of the stream
     layout).  `trace`, when given, is a writable text stream receiving one
-    CSV row per round.
+    CSV row per round; the rows go out in slices of _TRACE_SLICE rounds, one
+    write call per slice.
     """
     if target_accepted < 1:
         raise ValueError("target_accepted must be >= 1")
@@ -159,12 +161,11 @@ def run_channel(
         plus += int(np.count_nonzero(accept & outcome_plus))
 
         if trace is not None:
-            for k in range(ids.size):
-                outcome = ("+b" if outcome_plus[k] else "-b") if accept[k] else ""
-                trace.write(
-                    f"{ids[k]},{float(vecs[k, 0])!r},{float(vecs[k, 1])!r},{float(vecs[k, 2])!r},"
-                    f"{int(accept[k])},{outcome}\n"
-                )
+            tails = np.where(accept, np.where(outcome_plus, "1,+b\n", "1,-b\n"), "0,\n")
+            for lo in range(0, ids.size, _TRACE_SLICE):
+                hi = lo + _TRACE_SLICE
+                rows = zip(ids[lo:hi].tolist(), vecs[lo:hi].tolist(), tails[lo:hi].tolist())
+                trace.write("".join([f"{i},{x!r},{y!r},{z!r},{tail}" for i, (x, y, z), tail in rows]))
 
     return ChannelTranscript(
         alice_axis=a,

@@ -52,8 +52,9 @@ _NAMED_BASES = {
     "pbr": ((0, _S, _S, 0), (0.5, -0.5, 0.5, 0.5), (0.5, 0.5, -0.5, 0.5), (_S, 0, 0, -_S)),
 }
 
-# Parsed values that select the output rather than the computation.
-_NOT_ECHOED = ("command", "seed", "output", "format", "func", "parser")
+# Parsed values that select the output rather than the computation, and the
+# report stream `main` opens.
+_NOT_ECHOED = ("command", "seed", "output", "format", "func", "parser", "out")
 
 
 def parse_direction(text: str) -> BlochVector:
@@ -137,30 +138,26 @@ def _dumps(value) -> str:
 
 
 def _emit(args, payload: dict, rows: list[dict] = ()) -> None:
-    """Write the report in the requested format, config echoed first.
+    """Write the report to `args.out` in the requested format, config echoed first.
 
     Payload values may be report objects; they are written in their JSON form.
     """
     config = _config(args)
-    out = _open(args, "output") if args.output else sys.stdout
-    try:
-        if args.format == "json":
-            out.write(_dumps({"config": config, **payload, "rows": rows}) + "\n")
-        else:  # csv carries the rows only; table also carries the payload
-            csv = args.format == "csv"
-            out.write(("# config: " if csv else "config: ") + _dumps(config) + "\n")
-            if not csv:
-                for key, value in payload.items():
-                    out.write(f"{key}: {_dumps(value)}\n")
-            sep = "," if csv else "  "
-            if rows:
-                keys = list(rows[0])
-                out.write(sep.join(keys) + "\n")
-                for row in rows:
-                    out.write(sep.join(str(row[k]) for k in keys) + "\n")
-    finally:
-        if args.output:
-            out.close()
+    out = args.out
+    if args.format == "json":
+        out.write(_dumps({"config": config, **payload, "rows": rows}) + "\n")
+    else:  # csv carries the rows only; table also carries the payload
+        csv = args.format == "csv"
+        out.write(("# config: " if csv else "config: ") + _dumps(config) + "\n")
+        if not csv:
+            for key, value in payload.items():
+                out.write(f"{key}: {_dumps(value)}\n")
+        sep = "," if csv else "  "
+        if rows:
+            keys = list(rows[0])
+            out.write(sep.join(keys) + "\n")
+            for row in rows:
+                out.write(sep.join(str(row[k]) for k in keys) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +425,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.seed is None:
         args.seed = secrets.randbits(32)
-    return args.func(args)
+    # opened before the run, as --trace is, so an unwritable path costs no work
+    args.out = _open(args, "output") if args.output else sys.stdout
+    try:
+        return args.func(args)
+    finally:
+        if args.output:
+            args.out.close()
 
 
 if __name__ == "__main__":

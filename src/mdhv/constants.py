@@ -1,4 +1,4 @@
-"""Shared numeric conventions: tolerances and total step/sign functions.
+"""Shared numeric conventions: tolerances and a total step function.
 
 Every structural validity check (norms, hermiticity, POVM completeness) and
 every closed-form identity comparison in the package reads its tolerance from
@@ -25,8 +25,3 @@ TOL = Tolerances()
 def step(x):
     """Heaviside step with the fixed convention step(0) = 1 (elementwise)."""
     return np.where(np.asarray(x) >= 0.0, 1.0, 0.0)
-
-
-def sign_pm(x):
-    """Sign in {-1, +1} with the fixed convention sign_pm(0) = +1 (elementwise)."""
-    return np.where(np.asarray(x) >= 0.0, 1, -1)

@@ -26,14 +26,14 @@ class BellMermin(QubitBasisModel):
         axes = _qubit_basis_axes(ctx.measurement)
         p0 = ctx.measurement.kets[0].overlap_sq(ctx.preparation)
         label = (rng.random(n) >= p0).astype(int)
-        # cap {lam : lam.k >= -psi.k}, area-uniform, per sampled label
-        d = np.einsum("ij,j->i", axes[label], psi_hat)
+        # cap {lam : lam.k >= -psi.k}, area-uniform, per sampled label; the bound
+        # is an einsum because axes @ psi_hat rounds differently, moving seeded draws
+        d = np.einsum("ij,j->i", axes, psi_hat)
         vec = np.empty((n, 3))
         for tag in (0, 1):
-            mask = label == tag
-            m = int(mask.sum())
-            if m:
-                vec[mask] = uniform_cap(rng, m, axes[tag], -d[mask])
+            rows = np.flatnonzero(label == tag)
+            if rows.size:
+                vec[rows] = uniform_cap(rng, rows.size, axes[tag], -d[tag])
         return {"label": label, "vec": vec}
 
     def density_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:

@@ -22,10 +22,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..constants import TOL, sign_pm
+from ..constants import TOL
 from ..quantum import BlochVector
 from ..sphere import uniform_sphere
 from .base import AntipodalPair, ModelContext, OnticKind, SingletModel, rejection_sample
+
+
+def _same_sign(vecs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """s = sign(lam.a) sign(lam.b) > 0 per row, with sign(0) = +1."""
+    return (vecs @ a >= 0.0) == (vecs @ b >= 0.0)
 
 
 class HallSinglet(SingletModel):
@@ -54,8 +59,7 @@ class HallSinglet(SingletModel):
         a = ctx.measurement.alice.as_array()
         b = ctx.measurement.bob.as_array()
         vecs = np.asarray(vecs, dtype=float)
-        s = sign_pm(vecs @ a) * sign_pm(vecs @ b)
-        return np.where(s > 0, g_plus, g_minus) / (4.0 * np.pi)
+        return np.where(_same_sign(vecs, a, b), g_plus, g_minus) / (4.0 * np.pi)
 
     # -- model interface --------------------------------------------------------
 
@@ -71,9 +75,7 @@ class HallSinglet(SingletModel):
             rng,
             batch=lambda todo: todo * envelope * 1.2,
             propose=lambda k: uniform_sphere(rng, k),
-            weight=lambda props: np.where(
-                sign_pm(props @ a) * sign_pm(props @ b) > 0, g_plus, g_minus
-            ),
+            weight=lambda props: np.where(_same_sign(props, a, b), g_plus, g_minus),
             envelope=envelope,
         )
         return {"vec": vec}
@@ -85,9 +87,9 @@ class HallSinglet(SingletModel):
         vec = np.asarray(arrays["vec"], dtype=float)
         a = ctx.measurement.alice.as_array()
         b = ctx.measurement.bob.as_array()
-        x = sign_pm(vec @ a)  # A = sign(lam1 . a)
-        y = sign_pm(-vec @ b)  # B = sign(lam2 . b), lam2 = -lam1
-        return (x < 0).astype(int) * 2 + (y < 0).astype(int)
+        # A = sign(lam1.a) and B = sign(lam2.b) = sign(-lam1.b), with sign(0) = +1:
+        # A is -1 iff lam1.a < 0, and B is -1 iff lam1.b > 0
+        return (vec @ a < 0.0) * 2 + (vec @ b > 0.0)
 
     def point_from_arrays(self, arrays: dict, i: int, ctx: ModelContext) -> AntipodalPair:
         return AntipodalPair.from_first(BlochVector.from_array(arrays["vec"][i]))

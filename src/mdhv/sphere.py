@@ -4,9 +4,18 @@ All samplers consume a numpy Generator and return (n, 3) arrays of unit
 vectors.  Directional samplers take the target axis as the local +z and embed
 through a deterministic orthonormal frame, so identical streams give
 identical draws.
+
+The embedding's float order is part of the seeded output.  With
+r = sqrt(1 - z^2), c = r cos(phi) and s = r sin(phi), world column j is the
+left-to-right sum c*t1[j] + s*t2[j] + z*axis[j], which is the sum that
+np.outer(c, t1) + np.outer(s, t2) + np.outer(z, axis) forms.  A
+(n,3)@(3,3) frame matmul sums in another order and moves generic-axis draws
+by one ulp.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -25,31 +34,48 @@ _RESAMPLES = 200
 
 
 def tangent_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two unit tangents orthogonal to `axis` (deterministic choice)."""
-    a = np.asarray(axis, dtype=float)
-    helper = np.array([1.0, 0.0, 0.0]) if abs(a[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    t1 = np.cross(a, helper)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(a, t1)
-    return t1, t2
+    """Two unit tangents orthogonal to `axis` (deterministic choice).
+
+    t1 = axis x helper / |axis x helper| and t2 = axis x t1.  Each component
+    is formed as np.cross forms it, zero helper terms included so that signed
+    zeros match, and the norm is sqrt(t1 @ t1) as np.linalg.norm takes it.
+    """
+    ax, ay, az = (float(v) for v in axis)
+    hx, hy = (1.0, 0.0) if abs(ax) < 0.9 else (0.0, 1.0)
+    t1 = np.array([ay * 0.0 - az * hy, az * hx - ax * 0.0, ax * hy - ay * hx])
+    t1 /= math.sqrt(t1 @ t1)
+    ux, uy, uz = t1.tolist()
+    return t1, np.array([ay * uz - az * uy, az * ux - ax * uz, ax * uy - ay * ux])
 
 
 def embed_local(axis: np.ndarray, z: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Map local cylindrical coordinates (z along `axis`, azimuth phi) to world vectors."""
     t1, t2 = tangent_frame(axis)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return (
-        np.outer(r * np.cos(phi), t1)
-        + np.outer(r * np.sin(phi), t2)
-        + np.outer(z, np.asarray(axis, dtype=float))
-    )
+    a = np.asarray(axis, dtype=float)
+    r = 1.0 - z * z
+    np.sqrt(np.maximum(0.0, r, out=r), out=r)
+    c = np.cos(phi)
+    c *= r
+    s = np.sin(phi)
+    s *= r
+    out = np.empty((z.size, 3))
+    for j in range(3):  # the module docstring's sum order
+        col = c * t1[j]
+        col += s * t2[j]
+        col += z * a[j]
+        out[:, j] = col
+    return out
 
 
 def uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.uniform(-1.0, 1.0, size=n)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    out = np.empty((n, 3))
+    np.multiply(r, np.cos(phi), out=out[:, 0])
+    np.multiply(r, np.sin(phi), out=out[:, 1])
+    out[:, 2] = z
+    return out
 
 
 def uniform_hemisphere(rng: np.random.Generator, n: int, axis: np.ndarray) -> np.ndarray:

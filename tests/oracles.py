@@ -81,3 +81,17 @@ def hemisphere_mean(a: np.ndarray, nz: int = 800, nphi: int = 800) -> np.ndarray
     pts, area = sphere_grid(nz, nphi)
     w = ((pts @ a) >= 0.0) / (2.0 * np.pi)
     return (pts * w[:, None]).sum(axis=0) * area
+
+
+def sphere_cell_index(pts: np.ndarray, nz: int, nphi: int) -> np.ndarray:
+    """Index iz * nphi + iphi of the equal-area cell of sphere_grid(nz, nphi) holding each point."""
+    iz = np.minimum(((pts[:, 2] + 1.0) / 2.0 * nz).astype(int), nz - 1)
+    phi = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
+    iphi = np.minimum((phi / (2.0 * np.pi) * nphi).astype(int), nphi - 1)
+    return iz * nphi + iphi
+
+
+def sphere_cell_masses(f, nz: int, nphi: int, refine: int) -> np.ndarray:
+    """Integral of f over each cell of sphere_grid(nz, nphi), by midpoints of a grid `refine` times finer."""
+    pts, area = sphere_grid(nz * refine, nphi * refine)
+    return f(pts).reshape(nz, refine, nphi, refine).sum(axis=(1, 3)).ravel() * area

@@ -300,6 +300,24 @@ class TestBadInput:
         assert len(captured.err.splitlines()) == 1
         assert re.match(r"mdhv [a-z]+: error: argument --(output|trace): can't open ", captured.err)
 
+    def test_unwritable_output_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def run_experiment(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("the run started before --output was opened")
+
+        monkeypatch.setattr("mdhv.cli.run_experiment", run_experiment)
+        argv = ["verify", "ks2", "--shots", "200000", "--trials", "20", "--seed", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output", str(tmp_path / "missing" / "x.txt")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "argument --output: can't open" in captured.err
+        assert calls == []
+
     def test_dim_above_2_only_for_models_that_declare_it(self, capsys):
         for name, cls in MODEL_REGISTRY.items():
             argv = ["verify", name, "--dim", "3", "--shots", "200", "--trials", "1", "--seed", "1"]

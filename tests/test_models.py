@@ -25,19 +25,21 @@ from mdhv.models import (
     singlet_context,
     stream,
 )
-from mdhv.models.base import categorical, json_form
+from mdhv.models import hall as hall_model
+from mdhv.models.base import _qubit_basis_axes, categorical, json_form
 from mdhv.models.ks import KochenSpecker2
 from mdhv.quantum import (
     BlochVector,
     ProjectiveBasis,
     StateVector,
+    bloch_from_ket,
     ket_from_bloch,
     orthonormal_basis_containing,
     random_basis,
     random_bloch,
     random_state,
 )
-from mdhv.sphere import stratified_sphere_points, uniform_sphere
+from mdhv.sphere import stratified_sphere_points, uniform_cap, uniform_sphere
 
 S = 1.0 / np.sqrt(2.0)
 ZERO = StateVector([1, 0])
@@ -235,6 +237,61 @@ class TestDisjointSupports:
         ctx_a, ctx_b = orthogonal_pair_contexts(model, stream(313))
         arrays = model.sample_arrays(ctx_a, 20_000, stream(317))
         assert bool(np.all(model.in_support_arrays(arrays, ctx_b)))
+
+
+def wilson_hilferty_z(chi2: float, dof: int) -> float:
+    """Normal deviate of a chi-square value (Wilson-Hilferty cube-root approximation)."""
+    v = 2.0 / (9.0 * dof)
+    return ((chi2 / dof) ** (1.0 / 3.0) - (1.0 - v)) / np.sqrt(v)
+
+
+class TestSamplerMatchesDensity:
+    """Each sphere sampler draws its own declared density, not just the right
+    outcome frequencies: a pinned-seed Pearson chi-square of sampled counts
+    against the density's integrals over equal-area cells, one set per label."""
+
+    NZ, NPHI, REFINE = 8, 16, 50
+    SHOTS = 200_000
+
+    @classmethod
+    def chi_square(cls, model, ctx, arrays) -> tuple[float, int]:
+        labeled = "label" in arrays
+        tags = (0, 1) if labeled else (0,)
+        cells = cls.NZ * cls.NPHI
+        vec = np.asarray(arrays["vec"], dtype=float)
+        cell = arrays.get("label", 0) * cells + oracles.sphere_cell_index(vec, cls.NZ, cls.NPHI)
+        counts = np.bincount(cell, minlength=len(tags) * cells)
+
+        def density(tag):
+            def at(pts):
+                point = {"label": np.full(pts.shape[0], tag), "vec": pts} if labeled else {"vec": pts}
+                return model.density_arrays(point, ctx)
+
+            return at
+
+        expected = cls.SHOTS * np.concatenate(
+            [
+                oracles.sphere_cell_masses(density(tag), cls.NZ, cls.NPHI, cls.REFINE)
+                for tag in tags
+            ]
+        )
+        # cells expecting under 5 draws pool into one, which counts once it expects 5
+        full = expected >= 5.0
+        observed, expect = counts[full], expected[full]
+        if expected[~full].sum() >= 5.0:
+            observed = np.append(observed, counts[~full].sum())
+            expect = np.append(expect, expected[~full].sum())
+        return float(np.sum((observed - expect) ** 2 / expect)), observed.size - 1
+
+    @pytest.mark.parametrize("name", ["ks1", "ks2", "hall", "bellmermin"])
+    def test_pearson_chi_square(self, name):
+        model = create_model(name)
+        for trial in range(3):
+            ctx = model.random_context(stream(331, trial))
+            arrays = model.sample_arrays(ctx, self.SHOTS, stream(337, trial))
+            chi2, dof = self.chi_square(model, ctx, arrays)
+            assert dof > 50
+            assert wilson_hilferty_z(chi2, dof) < 4.0, (trial, chi2, dof)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +532,31 @@ class TestHallSinglet:
         assert self.model.marginal_values(inside, ctx)[0] != self.model.marginal_values(outside, ctx)[0]
 
 
+    @pytest.mark.parametrize(
+        "a, b, want_index",
+        [
+            # lam = +-x is exactly perpendicular to a = z, and lam = +-y to both axes
+            ((0.0, 0.0, 1.0), (0.6, 0.0, 0.8), [1, 0, 0, 0]),
+            # lam = +-x is exactly perpendicular to b = z, and lam = +-y to both axes
+            ((0.6, 0.0, 0.8), (0.0, 0.0, 1.0), [0, 2, 0, 0]),
+        ],
+        ids=["lam-perp-a", "lam-perp-b"],
+    )
+    def test_sign_at_zero_reads_plus(self, a, b, want_index):
+        # outcome index 2*(A < 0) + (B < 0), A = sign(lam.a), B = sign(-lam.b), sign(0) = +1;
+        # s = sign(lam.a) sign(lam.b) is -1 only for lam = -x, whose other dot is -0.6
+        ctx = singlet_context(BlochVector(*a), BlochVector(*b))
+        lam = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+        assert self.model.outcome_index_arrays({"vec": lam}, ctx).tolist() == want_index
+        want_same = [True, False, True, True]
+        # the branch the rejection weight and the marginal both read
+        assert hall_model._same_sign(lam, np.array(a), np.array(b)).tolist() == want_same
+        g_plus, g_minus, degenerate = self.model._branch_values(ctx)
+        assert not degenerate and g_plus != g_minus
+        want = np.where(want_same, g_plus, g_minus) / (4.0 * np.pi)
+        assert self.model.marginal_values(lam, ctx).tolist() == want.tolist()
+
+
 class TestBellMermin:
     def setup_method(self):
         self.model = create_model("bellmermin")
@@ -504,6 +586,25 @@ class TestBellMermin:
         assert self.model.density(lam, ctx) == pytest.approx(1.0 / (4 * np.pi), abs=TOL.arithmetic)
         lam_neg = LabeledSphere("0", BlochVector.normalized(0.0, 0.8, -0.6))
         assert self.model.density(lam_neg, ctx) == 0.0
+
+    def test_sampler_matches_per_row_reference_bit_for_bit(self):
+        # the cap bound per row and a boolean-mask scatter, as the seeded output was first written
+        for trial in range(20):
+            ctx = self.model.random_context(stream(87, trial))
+            n = 500 + 97 * trial
+            rng = stream(89, trial)
+            psi_hat = bloch_from_ket(ctx.preparation).as_array()
+            axes = _qubit_basis_axes(ctx.measurement)
+            label = (rng.random(n) >= ctx.measurement.kets[0].overlap_sq(ctx.preparation)).astype(int)
+            d = np.einsum("ij,j->i", axes[label], psi_hat)
+            vec = np.empty((n, 3))
+            for tag in (0, 1):
+                mask = label == tag
+                if mask.any():
+                    vec[mask] = uniform_cap(rng, int(mask.sum()), axes[tag], -d[mask])
+            got = self.model.sample_arrays(ctx, n, stream(89, trial))
+            assert np.array_equal(got["label"], label)
+            assert got["vec"].tobytes() == vec.tobytes()
 
     def test_born_agreement_at_scale(self):
         rng = stream(85)

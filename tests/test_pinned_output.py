@@ -272,12 +272,28 @@ def test_stdout_hash(key, capsys):
     assert sha256(capsys.readouterr().out.encode()) == expected
 
 
-def test_channel_stdout_and_trace_hash(tmp_path, monkeypatch, capsys):
+def traced_channel_hashes(argv, tmp_path, monkeypatch, capsys) -> tuple[str, str]:
+    """sha256 of the stdout and of the trace of `channel <argv> --trace t.csv`."""
     # the trace path is echoed in the config, so it is relative and fixed
     monkeypatch.chdir(tmp_path)
-    argv = ["channel", "--bob", "60,0", "--accepted", "500", "--seed", "7", "--trace", "t.csv"]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert sha256(out.encode()) == "f1ded55edd1c9ebf04aeeb7ebbed1ee21ce8c73b656ffed6d3ff5dc07762255a"
-    trace = (tmp_path / "t.csv").read_bytes()
-    assert sha256(trace) == "bb010eae532346117701583e71913a9dbdc6db9e3549bbe5f8558ddc96714463"
+    assert main(["channel", *argv, "--trace", "t.csv"]) == 0
+    return sha256(capsys.readouterr().out.encode()), sha256((tmp_path / "t.csv").read_bytes())
+
+
+def test_channel_stdout_and_trace_hash(tmp_path, monkeypatch, capsys):
+    argv = ["--bob", "60,0", "--accepted", "500", "--seed", "7"]
+    assert traced_channel_hashes(argv, tmp_path, monkeypatch, capsys) == (
+        "f1ded55edd1c9ebf04aeeb7ebbed1ee21ce8c73b656ffed6d3ff5dc07762255a",
+        "bb010eae532346117701583e71913a9dbdc6db9e3549bbe5f8558ddc96714463",
+    )
+
+
+def test_generic_axis_channel_stdout_and_trace_hash(tmp_path, monkeypatch, capsys):
+    # Alice on z embeds with one nonzero term per column, so no sum rounds;
+    # here two of the three columns sum three nonzero terms, so a change of
+    # the embedding's float order shows in the trace
+    argv = ["--alice=0.3,-0.5,0.8", "--bob=-0.6,0.2,0.7", "--accepted", "500", "--seed", "7"]
+    assert traced_channel_hashes(argv, tmp_path, monkeypatch, capsys) == (
+        "f0bafd70760de890edf67929c465a53bb02c026240be7f4ecab7eddcac620454",
+        "b6249014a3f574919fd3f351a6c08ef179b000588a6d1f99687087e6ec50b1bc",
+    )

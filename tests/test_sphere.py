@@ -27,6 +27,63 @@ def test_tangent_frame_orthonormal():
     assert abs(t1 @ t2) < 1e-12
 
 
+def reference_frame(axis):
+    """tangent_frame as np.cross writes it."""
+    a = np.asarray(axis, dtype=float)
+    helper = np.array([1.0, 0.0, 0.0]) if abs(a[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    t1 = np.cross(a, helper)
+    t1 /= np.linalg.norm(t1)
+    return t1, np.cross(a, t1)
+
+
+def reference_embed(axis, z, phi):
+    """embed_local as three np.outer terms, the float order of the seeded output."""
+    t1, t2 = reference_frame(axis)
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.outer(r * np.cos(phi), t1) + np.outer(r * np.sin(phi), t2) + np.outer(z, axis)
+
+
+def kernel_axes():
+    """Random unit axes in both helper branches (|a_x| < 0.9 and >= 0.9), and the signed coordinate axes."""
+    rng = stream(8)
+    generic = rng.normal(size=(200, 3))
+    generic /= np.linalg.norm(generic, axis=1)[:, None]
+    x = rng.choice([-1.0, 1.0], 100) * rng.uniform(0.9, 1.0, 100)
+    theta = rng.uniform(0.0, 2.0 * np.pi, 100)
+    rho = np.sqrt(1.0 - x * x)
+    near_x = np.column_stack([x, rho * np.cos(theta), rho * np.sin(theta)])
+    coordinate = np.concatenate([np.eye(3), -np.eye(3)])
+    axes = np.concatenate([generic, near_x, coordinate])
+    assert (np.abs(axes[:, 0]) < 0.9).sum() > 100 and (np.abs(axes[:, 0]) >= 0.9).sum() > 100
+    return axes
+
+
+def test_tangent_frame_matches_cross_product_reference_bit_for_bit():
+    for axis in kernel_axes():
+        got, want = tangent_frame(axis), reference_frame(axis)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want], axis
+
+
+def test_embed_local_matches_outer_product_reference_bit_for_bit():
+    # tobytes compares signed zeros too; the fixed z and phi values give exact zeros
+    rng = stream(9)
+    z = np.concatenate([rng.uniform(-1.0, 1.0, 300), [-1.0, 0.0, 1.0, 1.0, 0.0]])
+    phi = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 300), [0.0, 0.0, np.pi / 2, np.pi, np.pi]])
+    for axis in kernel_axes():
+        got = embed_local(axis, z, phi)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == reference_embed(axis, z, phi).tobytes(), axis
+
+
+def test_uniform_sphere_matches_stacked_reference_bit_for_bit():
+    got = uniform_sphere(stream(10), 1000)
+    rng = stream(10)
+    z = rng.uniform(-1.0, 1.0, size=1000)
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=1000)
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    assert got.tobytes() == np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1).tobytes()
+
+
 def test_embed_preserves_unit_norm():
     rng = stream(1)
     z = rng.uniform(-1, 1, 100)
