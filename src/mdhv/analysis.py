@@ -450,8 +450,9 @@ def setting_marginal_dependence(
 
     For particle 1 the contexts are (alice=a, bob=b) vs (alice=a, bob=b_alt);
     for particle 2 the roles mirror.  Exact for the tag-based singlet model
-    (two-point counting marginal); stratified antithetic Monte Carlo
-    quadrature with bootstrap stderr for the antipodal-pair model.
+    (two-point counting marginal); stratified antithetic quadrature for the
+    antipodal-pair model, whose ideal-bootstrap stderr treats the points as
+    iid and so overstates the design's error (see mdhv.sphere).
     """
     if particle == 1:
         ctx1, ctx2 = singlet_context(a, b), singlet_context(a, b_alt)
@@ -469,11 +470,10 @@ def setting_marginal_dependence(
         )
         return MarginalDependenceReport(float(tv), 0.0, particle, "exact")
     if model.ontic_kind == OnticKind.ANTIPODAL:
-        rng = stream(seed, 0)
-        pts = stratified_sphere_points(resolution, rng)
+        pts = stratified_sphere_points(resolution, stream(seed, 0))
         diff = np.abs(model.marginal_values(pts, ctx1) - model.marginal_values(pts, ctx2))
         tv = 0.5 * 4.0 * np.pi * float(diff.mean())
-        err = 0.5 * 4.0 * np.pi * bootstrap_stderr(diff, rng)
+        err = 0.5 * 4.0 * np.pi * bootstrap_stderr(diff)
         return MarginalDependenceReport(tv, err, particle, "quadrature")
     raise TypeError("setting-marginal dependence is defined for the bipartite singlet models")
 

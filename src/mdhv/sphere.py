@@ -11,6 +11,11 @@ left-to-right sum c*t1[j] + s*t2[j] + z*axis[j], which is the sum that
 np.outer(c, t1) + np.outer(s, t2) + np.outer(z, axis) forms.  A
 (n,3)@(3,3) frame matmul sums in another order and moves generic-axis draws
 by one ulp.
+
+bootstrap_stderr is the ideal bootstrap of a mean, sqrt(mean((x - mean x)^2) / n),
+the limit of resampling without its noise.  It treats the mirrored, stratified
+points as iid, so it overstates their error: for Hall's TV at z / 60 deg / x
+with 100k points it reports 9.3e-5, against a 1.4e-5 spread over 30 seeds.
 """
 
 from __future__ import annotations
@@ -29,8 +34,6 @@ __all__ = [
     "stratified_sphere_points",
     "bootstrap_stderr",
 ]
-
-_RESAMPLES = 200
 
 
 def tangent_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,24 +110,19 @@ def stratified_sphere_points(n: int, rng: np.random.Generator) -> np.ndarray:
     Returns an even number m <= max(n, 2) of points of equal weight 4*pi/m;
     integrate f via mean(f)*4*pi.
     """
-    base = n // 2
-    k = max(1, int(np.sqrt(base)))
-    kz, kphi = k, max(1, base // k)
-    iz, iphi = np.meshgrid(np.arange(kz), np.arange(kphi), indexing="ij")
-    uz = (iz.ravel() + rng.uniform(size=iz.size)) / kz
-    uphi = (iphi.ravel() + rng.uniform(size=iphi.size)) / kphi
-    z = 2.0 * uz - 1.0
-    phi = 2.0 * np.pi * uphi
+    k = max(1, int(np.sqrt(n // 2)))
+    kz, kphi = k, max(1, n // 2 // k)
+    z = 2.0 * ((np.repeat(np.arange(kz), kphi) + rng.uniform(size=kz * kphi)) / kz) - 1.0
+    phi = 2.0 * np.pi * ((np.tile(np.arange(kphi), kz) + rng.uniform(size=kz * kphi)) / kphi)
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    pts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    return np.concatenate([pts, -pts], axis=0)
+    out = np.empty((2, z.size, 3))  # the points, then their mirrors
+    np.multiply(r, np.cos(phi), out=out[0, :, 0])
+    np.multiply(r, np.sin(phi), out=out[0, :, 1])
+    out[0, :, 2] = z
+    np.negative(out[0], out=out[1])
+    return out.reshape(-1, 3)
 
 
-def bootstrap_stderr(values: np.ndarray, rng: np.random.Generator) -> float:
-    """Bootstrap standard error of the mean of `values`, from _RESAMPLES resamples."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    means = np.empty(_RESAMPLES)
-    for b in range(_RESAMPLES):
-        means[b] = values[rng.integers(0, n, size=n)].mean()
-    return float(means.std(ddof=1))
+def bootstrap_stderr(values: np.ndarray) -> float:
+    """Ideal-bootstrap stderr of the mean of `values`, taken as iid (see the module docstring)."""
+    return math.sqrt(np.var(values) / np.size(values))

@@ -95,3 +95,11 @@ def sphere_cell_masses(f, nz: int, nphi: int, refine: int) -> np.ndarray:
     """Integral of f over each cell of sphere_grid(nz, nphi), by midpoints of a grid `refine` times finer."""
     pts, area = sphere_grid(nz * refine, nphi * refine)
     return f(pts).reshape(nz, refine, nphi, refine).sum(axis=(1, 3)).ravel() * area
+
+
+def bootstrap_stderr_resampled(values: np.ndarray, rng: np.random.Generator, resamples: int) -> float:
+    """Standard error of the mean as the spread of `resamples` explicit bootstrap resample means."""
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    means = np.array([values[rng.integers(0, n, size=n)].mean() for _ in range(resamples)])
+    return float(means.std(ddof=1))

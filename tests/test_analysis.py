@@ -427,6 +427,17 @@ class TestSettingMarginalDependence:
         r2 = analysis.setting_marginal_dependence(model, 1, Z_AXIS, X_AXIS, DEG60, 200_000, 4)
         assert r1.tv_distance == pytest.approx(r2.tv_distance, abs=5e-4)
 
+    def test_hall_stderr_covers_the_spread_over_seeds(self):
+        # the iid stderr overstates the stratified design's error (about 4.7e-4
+        # against a spread of 1.4e-4 here); it must never understate it
+        model = create_model("hall")
+        reps = [
+            analysis.setting_marginal_dependence(model, 1, Z_AXIS, DEG60, X_AXIS, 4000, seed)
+            for seed in range(30)
+        ]
+        spread = np.std([r.tv_distance for r in reps], ddof=1)
+        assert spread < min(r.stderr for r in reps)
+
     def test_rejects_other_models(self):
         with pytest.raises(TypeError):
             analysis.setting_marginal_dependence(create_model("gbrans"), 1, Z_AXIS, Z_AXIS, X_AXIS)

@@ -1,9 +1,9 @@
 """Pinned seeded output: sha256 of the stdout of CLI runs, and the README's Claims.
 
-The hashes were taken with numpy 2.4.6.  A changed hash means the seeded bits
-changed (a different stream layout, draw order or float summation order), and
-such a change is recorded in CHANGES.md together with the new hash; it is
-never absorbed by re-pinning silently.
+The hashes were taken with numpy 2.4.6 built with scipy-openblas 0.3.31.  A
+changed hash means the seeded bits changed (a different stream layout, draw
+order or float summation order), and such a change is recorded in CHANGES.md
+together with the new hash; it is never absorbed by re-pinning silently.
 
 Every row of the README's Claims table is a command, the values it prints and
 a claim of the paper.  `CLAIMS` holds, per command, the check of that claim
@@ -60,7 +60,7 @@ RUNS = {
     ),
     "audit-marginal-hall": (
         ["audit", "marginal", "hall", "--bob", "60,0", "--samples", "20000", "--seed", "7"],
-        "ed5357584109b9369f381294b5efae485d16abf945676011b43726c32b45bd40",
+        "64e48fc762c77a5c469f3477325cc2e351db8eafe5917c1b97cde32da72cc3eb",
     ),
     # the JSON form of every report type, in table and json output
     "info": (
@@ -194,11 +194,11 @@ CLAIMS = {
     ),
     "audit marginal hall --alice 0,0 --bob 60,0 --bob2 90,0 --seed 1": (
         _hall_tv,
-        "951d07066b183e5aaf7d3b7371fb1fbd116341db1f995382c6cf36157e3c4a5f",
+        "2f5abe03bed954b7548b35d036cd4cb9459f55fc4fbb55af8edae6f184202dfe",
     ),
     "audit marginal hall --alice 0,0 --bob 60,0 --bob2 90,0 --particle 2 --seed 1": (
         _hall_tv,
-        "0cf9af7a298e23e9cf080cb1cec062ac509f0dab42b8a20bb9df970c6d94258c",
+        "2f8f819a62b888f7c62c57b6e31fa0ef9c3d47c668cbca1f65e9f2755ec5084d",
     ),
     "audit marginal brans --alice 0,0 --bob 60,0 --bob2 90,0 --seed 1": (
         lambda doc: doc["marginal"]["tv_distance"] == 0.0,

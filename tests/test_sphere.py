@@ -1,11 +1,14 @@
 """Sphere sampler contracts: supports, moments, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
 import oracles
 from mdhv.models import stream
 from mdhv.sphere import (
+    bootstrap_stderr,
     cosine_hemisphere,
     embed_local,
     stratified_sphere_points,
@@ -128,6 +131,40 @@ def test_stratified_points_are_antithetic():
     assert np.array_equal(pts[:half], -pts[half:])
     # equal-weight cells integrate constants exactly
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
+
+
+def reference_stratified(n, rng):
+    """stratified_sphere_points as meshgrid, stack and concatenate write it."""
+    base = n // 2
+    k = max(1, int(np.sqrt(base)))
+    kz, kphi = k, max(1, base // k)
+    iz, iphi = np.meshgrid(np.arange(kz), np.arange(kphi), indexing="ij")
+    uz = (iz.ravel() + rng.uniform(size=iz.size)) / kz
+    uphi = (iphi.ravel() + rng.uniform(size=iphi.size)) / kphi
+    z = 2.0 * uz - 1.0
+    phi = 2.0 * np.pi * uphi
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    pts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    return np.concatenate([pts, -pts], axis=0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 10, 4001, 100_000])
+def test_stratified_points_match_stacked_reference_bit_for_bit(n):
+    got = stratified_sphere_points(n, stream(11, n))
+    assert got.flags.c_contiguous
+    assert got.tobytes() == reference_stratified(n, stream(11, n)).tobytes()
+
+
+def test_bootstrap_stderr_is_the_plug_in_stderr_of_the_mean():
+    x = stream(12).exponential(size=2000)
+    assert bootstrap_stderr(x) == math.sqrt(np.mean((x - x.mean()) ** 2) / x.size)
+
+
+def test_bootstrap_stderr_matches_resampling_bootstrap():
+    # the resampled reference carries about 1/sqrt(2 * 4000) = 1.1% noise of its own
+    x = stream(13).exponential(size=2000)
+    reference = oracles.bootstrap_stderr_resampled(x, stream(14), 4000)
+    assert bootstrap_stderr(x) == pytest.approx(reference, rel=0.05)
 
 
 def test_samplers_are_deterministic():
