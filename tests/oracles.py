@@ -103,3 +103,15 @@ def bootstrap_stderr_resampled(values: np.ndarray, rng: np.random.Generator, res
     n = values.size
     means = np.array([values[rng.integers(0, n, size=n)].mean() for _ in range(resamples)])
     return float(means.std(ddof=1))
+
+
+def categorical_searchsorted(weights: np.ndarray, n: int, rng) -> np.ndarray:
+    """Inverse-CDF draw by binary search: the right insertion index of u into the CDF, clamped to K-1."""
+    cum = np.cumsum(weights)
+    u = rng.random(n) * cum[-1]
+    return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+
+
+def interval_bin_searchsorted(pos: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bin of each position by binary search: the left insertion index into edges[1:], clamped to K-1."""
+    return np.minimum(np.searchsorted(edges[1:], pos, side="left"), edges.size - 2)

@@ -159,22 +159,62 @@ class _FixedUniforms:
         return self.u
 
 
+def _step_uniforms(weights: np.ndarray) -> np.ndarray:
+    """0, every CDF step below 1, the largest uniform below 1, then a random bulk."""
+    cum = np.cumsum(weights)
+    steps = cum[:-1] / cum[-1]
+    edges = np.concatenate([[0.0], steps[steps < 1.0], [np.nextafter(1.0, 0.0)]])
+    return np.concatenate([edges, stream(121).random(100_000)])
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray):
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+ZERO_WEIGHTS = {
+    "first": [0.0, 0.5, 0.5],
+    "middle": [0.5, 0.0, 0.5],
+    "last": [0.5, 0.5, 0.0],
+    "several": [0.0, 0.3, 0.0, 0.7, 0.0],
+    "repeated": [0.25, 0.0, 0.0, 0.75],
+}
+
+
+def _dyadic_weights(k: int) -> np.ndarray:
+    """k weights that are multiples of 2**-20 summing to exactly 1.0, some of them 0."""
+    rng = stream(123, k)
+    ints = rng.integers(0, 1000, k)
+    ints[rng.integers(k)] += 2**20 - ints.sum()
+    return ints / 2.0**20
+
+
 class TestCategoricalDraw:
-    @pytest.mark.parametrize(
-        "weights",
-        [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.3, 0.0, 0.7, 0.0]],
-        ids=["first", "middle", "last", "several"],
-    )
+    @pytest.mark.parametrize("weights", ZERO_WEIGHTS.values(), ids=ZERO_WEIGHTS.keys())
     def test_zero_weight_is_never_drawn(self, weights):
         weights = np.array(weights)
-        cum = np.cumsum(weights)
-        # 0, every CDF step below 1, the largest uniform below 1, then a random bulk
-        steps = cum[:-1] / cum[-1]
-        edges = np.concatenate([[0.0], steps[steps < 1.0], [np.nextafter(1.0, 0.0)]])
-        u = np.concatenate([edges, stream(121).random(100_000)])
+        u = _step_uniforms(weights)
         idx = categorical(weights, u.size, _FixedUniforms(u))
         counts = np.bincount(idx, minlength=weights.size)
         assert np.all((counts == 0) == (weights == 0.0))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [*ZERO_WEIGHTS.values(), *(_dyadic_weights(k) for k in range(2, 66))],
+        ids=[*ZERO_WEIGHTS.keys(), *(f"k{k}" for k in range(2, 66))],
+    )
+    def test_matches_binary_search_bit_for_bit(self, weights):
+        weights = np.array(weights)
+        # 1.0 is no output of random(), but u * cum[-1] == cum[-1] takes the clamp
+        u = np.append(_step_uniforms(weights), 1.0)
+        # the weights sum to exactly 1.0, so every CDF step is itself a scaled
+        # uniform and the ties are really taken
+        cum = np.cumsum(weights)
+        assert cum[-1] == 1.0 and set(cum[:-1]) <= set(u)
+        _assert_same_bits(
+            categorical(weights, u.size, _FixedUniforms(u)),
+            oracles.categorical_searchsorted(weights, u.size, _FixedUniforms(u)),
+        )
 
 
 class TestNormalization:
@@ -339,6 +379,11 @@ class TestGeneralizedBrans:
         assert rep.counts == {"0": 100, "1": 0}
 
 
+def _interval_edges(dim: int) -> np.ndarray:
+    model = create_model("interval")
+    return model.bin_edges(model.random_context(stream(125, dim), dim=dim))[1]
+
+
 class TestIntervalModel:
     def setup_method(self):
         self.model = create_model("interval")
@@ -371,6 +416,35 @@ class TestIntervalModel:
         ctx = ModelContext(PLUS, Z_BASIS)
         assert self.model.density(IntervalPoint(-0.1), ctx) == 0.0
         assert self.model.density(IntervalPoint(97.0), ctx) == 0.0
+
+    def test_nan_position_has_zero_density_and_is_out_of_support(self):
+        ctx = self.model.random_context(stream(1, 1), dim=3)
+        assert self.model.density(IntervalPoint(float("nan")), ctx) == 0.0
+        assert not self.model.in_support(IntervalPoint(float("nan")), ctx)
+        assert self.model.in_support(IntervalPoint(-0.0), ctx)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            *(_interval_edges(d) for d in range(2, 7)),
+            # four bins of widths 0.5, 0, 0, 0.5: a zero amplitude repeats an edge
+            np.array([0.0, 0.5, 0.5, 0.5, 1.0]),
+        ],
+        ids=[*(f"d{d}" for d in range(2, 7)), "empty-bins"],
+    )
+    def test_bin_lookup_matches_binary_search_bit_for_bit(self, edges):
+        # every edge and its two neighbours, -0.0, below 0, above the last
+        # edge, +-inf and NaN, then a random bulk over the interval
+        pos = np.concatenate(
+            [
+                edges,
+                np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf),
+                [-0.0, -1e-300, -1.0, edges[-1] + 1.0, np.inf, -np.inf, np.nan],
+                stream(126, edges.size).random(100_000) * edges[-1],
+            ]
+        )
+        _assert_same_bits(self.model._bin_of(pos, edges), oracles.interval_bin_searchsorted(pos, edges))
 
 
 class TestKochenSpecker1:

@@ -34,6 +34,15 @@ RUNS = {
         ["verify", "interval", "--shots", "2000", "--trials", "2", "--seed", "7"],
         "bd792c04c06c1e6af3ac4e6b98a6bb7c40aab0981ffa8eb971f9ae3da2a57ba9",
     ),
+    # several outcomes over four chunks of shots, split over two threads
+    "verify-gbrans-dim5": (
+        ["verify", "gbrans", "--dim", "5", "--shots", "200000", "--trials", "3", "--threads", "2", "--seed", "7"],
+        "40d188775138230d0ad3ea80d55889f7384c9b8d33dc2ce8ec220fb26d94898a",
+    ),
+    "verify-interval-dim4": (
+        ["verify", "interval", "--dim", "4", "--shots", "200000", "--trials", "3", "--threads", "2", "--seed", "7"],
+        "4b4a0ee6b02d4a026fd1b46595b76ecb92303a59da0decbcd83ce91dc5f07874",
+    ),
     "verify-ks1": (
         ["verify", "ks1", "--shots", "2000", "--trials", "2", "--seed", "7"],
         "688735ba04ff223b2faea1c325b11b5fd7ab66fabb35fcb6b592716069de8360",
