@@ -23,7 +23,6 @@ from .models.base import (
     HiddenVariableModel,
     ModelContext,
     OnticKind,
-    OnticPoint,
     Report,
     singlet_context,
     stream,
@@ -45,7 +44,6 @@ __all__ = [
     "randomness",
     "reciprocity_check",
     "preparation_independence_residual",
-    "supports",
     "compatibility_audit",
     "setting_marginal_dependence",
     "product_measurement_factorization_test",
@@ -83,7 +81,7 @@ class OverlapReport(Report):
     mass_psi_in_phi_support: float
     omega: float
     quantum_overlap_sq: float
-    mc_stderr: float
+    mass_stderr: float  # of mass_psi_in_phi_support; omega's is mass_stderr / quantum_overlap_sq
     classification: str  # "disjoint" | "overlapping"
     method: str  # "analytic" | "monte-carlo"
 
@@ -138,12 +136,12 @@ def degree_of_epistemicity(
         used = "monte-carlo"
     else:
         mass, err, used = support_overlap_mass(model, ctx_psi, ctx_phi, samples, seed)
-    disjoint = mass == 0.0 if used == "analytic" else mass <= 5.0 * err
+    disjoint = mass <= 5.0 * err  # an analytic mass has err 0: disjoint exactly when 0
     return OverlapReport(
         mass_psi_in_phi_support=mass,
         omega=mass / q,
         quantum_overlap_sq=q,
-        mc_stderr=err,
+        mass_stderr=err,
         classification="disjoint" if disjoint else "overlapping",
         method=used,
     )
@@ -322,16 +320,6 @@ def preparation_independence_residual(
 # ---------------------------------------------------------------------------
 
 
-def supports(
-    lam: OnticPoint,
-    rho: StateVector | DensityMatrix,
-    M: Povm,
-    model: HiddenVariableModel,
-) -> bool:
-    """Whether lam lies in the support of the (mixture-extended) density of rho."""
-    return model.in_support(lam, ModelContext(rho, M))
-
-
 def _padded(state: StateVector, slot: int) -> DensityMatrix:
     """|state><state| on one qubit slot, maximally mixed completion on the other."""
     proj = state.projector()
@@ -471,7 +459,9 @@ def setting_marginal_dependence(
         return MarginalDependenceReport(float(tv), 0.0, particle, "exact")
     if model.ontic_kind == OnticKind.ANTIPODAL:
         pts = stratified_sphere_points(resolution, stream(seed, 0))
-        diff = np.abs(model.marginal_values(pts, ctx1) - model.marginal_values(pts, ctx2))
+        diff = np.abs(
+            model.density_arrays({"vec": pts}, ctx1) - model.density_arrays({"vec": pts}, ctx2)
+        )
         tv = 0.5 * 4.0 * np.pi * float(diff.mean())
         err = 0.5 * 4.0 * np.pi * bootstrap_stderr(diff)
         return MarginalDependenceReport(tv, err, particle, "quadrature")

@@ -56,6 +56,9 @@ _NAMED_BASES = {
 # report stream `main` opens.
 _NOT_ECHOED = ("command", "seed", "output", "format", "func", "parser", "out")
 
+# Output formats of the commands that print rows (verify, scan); csv carries the rows only.
+_ROW_FORMATS = ("table", "csv", "json")
+
 
 def parse_direction(text: str) -> BlochVector:
     """'theta,phi' in degrees, or 'x,y,z' components (normalized unless already unit)."""
@@ -337,12 +340,12 @@ def _add_model(p: argparse.ArgumentParser, accepts=lambda cls: True) -> None:
     p.add_argument("model", choices=sorted(n for n, c in MODEL_REGISTRY.items() if accepts(c)))
 
 
-def _add_common(p: argparse.ArgumentParser, func) -> None:
+def _add_common(p: argparse.ArgumentParser, func, formats=("table", "json")) -> None:
     p.add_argument(
         "--seed", type=_int_at_least(0), default=None, help="RNG seed (default: fresh entropy)"
     )
     p.add_argument("--output", default=None, help="write the report to this path")
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    p.add_argument("--format", choices=formats, default="table")
     p.set_defaults(func=func, parser=p)
 
 
@@ -366,14 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_int_at_least(1), default=20)
     p.add_argument("--dim", type=_int_at_least(2), default=2)
     p.add_argument("--threads", type=_int_at_least(1), default=1)
-    _add_common(p, cmd_verify)
+    _add_common(p, cmd_verify, _ROW_FORMATS)
 
     p = sub.add_parser("scan", help="singlet correlation curve vs -cos(angle)")
     _add_model(p, _is_singlet)
     p.add_argument("--shots", type=_int_at_least(1), default=100_000)
     angles = tuple(float(x) for x in range(0, 181, 15))
     p.add_argument("--angles", type=parse_angles, default=angles, help="comma-separated degrees")
-    _add_common(p, cmd_scan)
+    _add_common(p, cmd_scan, _ROW_FORMATS)
 
     p = sub.add_parser("channel", help="two-party qubit channel simulation")
     p.add_argument("--alice", type=parse_direction, default=z)

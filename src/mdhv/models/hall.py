@@ -49,18 +49,6 @@ class HallSinglet(SingletModel):
         t = 1.0 - 2.0 * phi / np.pi
         return (1.0 + c) / (1.0 + t), (1.0 - c) / (1.0 - t), False
 
-    def marginal_values(self, vecs: np.ndarray, ctx: ModelContext) -> np.ndarray:
-        """Density of one particle's ontic vector at each row of vecs.
-
-        The density is antipodally even, so both particles share the same
-        marginal as a function on the sphere.
-        """
-        g_plus, g_minus, _ = self._branch_values(ctx)
-        a = ctx.measurement.alice.as_array()
-        b = ctx.measurement.bob.as_array()
-        vecs = np.asarray(vecs, dtype=float)
-        return np.where(_same_sign(vecs, a, b), g_plus, g_minus) / (4.0 * np.pi)
-
     # -- model interface --------------------------------------------------------
 
     def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:
@@ -81,7 +69,16 @@ class HallSinglet(SingletModel):
         return {"vec": vec}
 
     def density_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
-        return self.marginal_values(np.asarray(arrays["vec"], dtype=float), ctx)
+        """Density of one particle's ontic vector at each row of arrays["vec"].
+
+        The density is antipodally even, so both particles share the same
+        marginal as a function on the sphere.
+        """
+        g_plus, g_minus, _ = self._branch_values(ctx)
+        a = ctx.measurement.alice.as_array()
+        b = ctx.measurement.bob.as_array()
+        vecs = np.asarray(arrays["vec"], dtype=float)
+        return np.where(_same_sign(vecs, a, b), g_plus, g_minus) / (4.0 * np.pi)
 
     def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         vec = np.asarray(arrays["vec"], dtype=float)

@@ -163,12 +163,9 @@ class Povm:
                 dim = m.shape[0]
             elif m.shape[0] != dim:
                 raise ValueError("POVM elements must share one dimension")
-            if not np.max(np.abs(m - m.conj().T)) <= TOL.structural:
-                raise ValueError(f"element {label!r} is not Hermitian")
-            if not np.linalg.eigvalsh(m).min() >= -TOL.structural:
-                raise ValueError(f"element {label!r} is not PSD")
             m.setflags(write=False)
             ops.append(m)
+        self._check_elements(labels, ops)
         total = sum(ops)
         if not np.max(np.abs(total - np.eye(dim))) <= TOL.structural:
             raise ValueError("POVM elements must sum to the identity")
@@ -176,6 +173,14 @@ class Povm:
         self.labels = labels
         self.operators = tuple(ops)
         self._index = {label: k for k, label in enumerate(labels)}
+
+    def _check_elements(self, labels: tuple[str, ...], ops: list[np.ndarray]) -> None:
+        """Each element is Hermitian and PSD."""
+        for label, m in zip(labels, ops):
+            if not np.max(np.abs(m - m.conj().T)) <= TOL.structural:
+                raise ValueError(f"element {label!r} is not Hermitian")
+            if not np.linalg.eigvalsh(m).min() >= -TOL.structural:
+                raise ValueError(f"element {label!r} is not PSD")
 
     def __len__(self):
         return len(self.labels)
@@ -194,28 +199,28 @@ class Povm:
 
 
 class ProjectiveBasis(Povm):
-    """POVM whose elements are rank-1 orthonormal projectors |e_i><e_i|.
+    """POVM of the rank-1 projectors |e_i><e_i| of orthonormal kets, labelled "0".."d-1".
 
     Keeps the defining kets so callers can work with amplitudes directly.
     """
 
     __slots__ = ("kets",)
 
-    def __init__(self, kets: Sequence[StateVector], labels: Sequence[str] | None = None):
-        kets = tuple(kets)
-        if labels is None:
-            labels = tuple(str(k) for k in range(len(kets)))
-        super().__init__([(label, ket.projector()) for label, ket in zip(labels, kets)])
-        if len(kets) != self.dim:
-            raise ValueError("projective basis must have exactly dim rank-1 elements")
-        for k, p in enumerate(self.operators):
-            if not np.max(np.abs(p @ p - p)) <= TOL.structural:
-                raise ValueError(f"element {self.labels[k]!r} is not idempotent")
-        for a in range(len(kets)):
-            for b in range(a + 1, len(kets)):
-                if not np.max(np.abs(self.operators[a] @ self.operators[b])) <= TOL.structural:
-                    raise ValueError("projectors must be pairwise orthogonal")
-        self.kets = kets
+    def __init__(self, kets: Sequence[StateVector]):
+        self.kets = tuple(kets)
+        super().__init__([(str(k), ket.projector()) for k, ket in enumerate(self.kets)])
+
+    def _check_elements(self, labels: tuple[str, ...], ops: list[np.ndarray]) -> None:
+        """Orthonormal kets: max|K K^dagger - I| <= tol, the kets K as rows.
+
+        This implies the POVM and projector checks: off-diagonal |<a|b>| bounds
+        max|P_a P_b| = |<a|b>| max|a_i b_j|, the diagonal bounds the idempotence
+        error (|a|^2 - 1) P_a, and a unit ket's outer product is Hermitian and PSD.
+        More than dim kets cannot be orthonormal, and fewer fail completeness.
+        """
+        k = np.array([ket.amplitudes for ket in self.kets])
+        if not np.max(np.abs(k @ k.conj().T - np.eye(len(k)))) <= TOL.structural:
+            raise ValueError("projective basis kets must be orthonormal")
 
 
 def born_probability(prep: DensityMatrix | StateVector, M: Povm, label: str) -> float:
@@ -277,9 +282,7 @@ def singlet_expectation(a: BlochVector, b: BlochVector) -> float:
     return -a.dot(b)
 
 
-def orthonormal_basis_containing(
-    phi: StateVector, labels: Sequence[str] | None = None
-) -> ProjectiveBasis:
+def orthonormal_basis_containing(phi: StateVector) -> ProjectiveBasis:
     """Deterministic orthonormal basis whose first ket is exactly `phi`.
 
     The completion Gram-Schmidts the canonical basis against phi (two passes
@@ -299,9 +302,7 @@ def orthonormal_basis_containing(
         norm = np.linalg.norm(cand)
         if norm > 1e-6:
             collected.append(cand / norm)
-    if len(collected) < d:
-        raise RuntimeError("orthonormal completion failed")  # unreachable for unit phi
-    return ProjectiveBasis([StateVector(v) for v in collected], labels)
+    return ProjectiveBasis([StateVector(v) for v in collected])
 
 
 def random_state(dim: int, rng: np.random.Generator) -> StateVector:

@@ -115,3 +115,21 @@ def categorical_searchsorted(weights: np.ndarray, n: int, rng) -> np.ndarray:
 def interval_bin_searchsorted(pos: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Bin of each position by binary search: the left insertion index into edges[1:], clamped to K-1."""
     return np.minimum(np.searchsorted(edges[1:], pos, side="left"), edges.size - 2)
+
+
+def projector_checks_accept(kets: list[np.ndarray], tol: float) -> bool:
+    """Whether the projectors |k><k| pass every per-projector check of a projective basis.
+
+    The checks are: exactly dim of them, each Hermitian, PSD, idempotent,
+    pairwise orthogonal, and together summing to the identity.
+    """
+    projs = [np.outer(k, np.conj(k)) for k in kets]
+    dim = projs[0].shape[0]
+    checks = [len(projs) == dim, np.max(np.abs(sum(projs) - np.eye(dim))) <= tol]
+    for p in projs:
+        checks.append(np.max(np.abs(p - p.conj().T)) <= tol)
+        checks.append(np.linalg.eigvalsh(p).min() >= -tol)
+        checks.append(np.max(np.abs(p @ p - p)) <= tol)
+    for a in range(len(projs)):
+        checks.extend(np.max(np.abs(projs[a] @ projs[b])) <= tol for b in range(a + 1, len(projs)))
+    return bool(all(checks))

@@ -136,7 +136,7 @@ class TestDegreeOfEpistemicity:
         M = orthonormal_basis_containing(phi)
         rep = analysis.degree_of_epistemicity(model, psi, phi, M, samples=1_000_000, seed=2)
         assert rep.method == "monte-carlo"
-        assert abs(rep.omega - 1.0) <= 5.0 * rep.mc_stderr / rep.quantum_overlap_sq + 1e-9
+        assert abs(rep.omega - 1.0) <= 5.0 * rep.mass_stderr / rep.quantum_overlap_sq + 1e-9
 
     def test_analytic_and_monte_carlo_paths_agree(self):
         model = create_model("gbrans")
@@ -148,7 +148,7 @@ class TestDegreeOfEpistemicity:
             mc = analysis.degree_of_epistemicity(
                 model, psi, phi, M, samples=200_000, seed=dim, method="monte-carlo"
             )
-            gate = 5.0 * mc.mc_stderr / mc.quantum_overlap_sq
+            gate = 5.0 * mc.mass_stderr / mc.quantum_overlap_sq
             assert abs(mc.omega - exact.omega) <= max(gate, 1e-9)
 
     def test_requires_phi_projector_in_measurement(self):
@@ -333,9 +333,9 @@ class TestSupports:
     def test_distinguishing_povm_overlap_entry(self):
         model = create_model("gbrans")
         M = distinguishing_povm()
-        assert analysis.supports(DiscreteIndex(2), ZERO, M, model)
-        assert analysis.supports(DiscreteIndex(2), PLUS, M, model)
-        assert not analysis.supports(DiscreteIndex(0), ZERO, M, model)
+        assert model.in_support(DiscreteIndex(2), ModelContext(ZERO, M))
+        assert model.in_support(DiscreteIndex(2), ModelContext(PLUS, M))
+        assert not model.in_support(DiscreteIndex(0), ModelContext(ZERO, M))
 
     def test_sampled_points_are_supported(self, any_model):
         ctx = any_model.random_context(stream(537))

@@ -269,6 +269,15 @@ class TestBadInput:
             ["audit", "marginal", "hall", "--bob", "nan,0"],
             ["scan", "hall", "--angles", "inf"],
             ["scan", "brans", "--angles", "nan"],
+            # csv carries rows only, and only verify and scan print rows
+            ["channel", "--accepted", "10", "--format", "csv"],
+            ["info", "--format", "csv"],
+            ["audit", "epistemicity", "gbrans", "--format", "csv"],
+            ["audit", "randomness", "gbrans", "--format", "csv"],
+            ["audit", "reciprocity", "gbrans", "--format", "csv"],
+            ["audit", "pi", "gbrans", "--format", "csv"],
+            ["audit", "compat", "gbrans", "--format", "csv"],
+            ["audit", "marginal", "brans", "--format", "csv"],
         ],
         ids=" ".join,
     )

@@ -594,7 +594,7 @@ class TestHallSinglet:
         a, b = random_bloch(rng), random_bloch(rng)
         ctx = singlet_context(a, b)
         pts = uniform_sphere(rng, 500)
-        got = self.model.marginal_values(pts, ctx)
+        got = self.model.density_arrays({"vec": pts}, ctx)
         want = oracles.hall_marginal(pts, a.as_array(), b.as_array())
         assert np.allclose(got, want, atol=TOL.arithmetic)
 
@@ -603,7 +603,8 @@ class TestHallSinglet:
         ctx = singlet_context(Z_AXIS, DEG60)
         inside = np.array([[np.sin(2.0), 0.0, np.cos(2.0)]])  # between the great circles
         outside = np.array([[0.0, 0.0, 1.0]])
-        assert self.model.marginal_values(inside, ctx)[0] != self.model.marginal_values(outside, ctx)[0]
+        density = self.model.density_arrays
+        assert density({"vec": inside}, ctx)[0] != density({"vec": outside}, ctx)[0]
 
 
     @pytest.mark.parametrize(
@@ -628,7 +629,7 @@ class TestHallSinglet:
         g_plus, g_minus, degenerate = self.model._branch_values(ctx)
         assert not degenerate and g_plus != g_minus
         want = np.where(want_same, g_plus, g_minus) / (4.0 * np.pi)
-        assert self.model.marginal_values(lam, ctx).tolist() == want.tolist()
+        assert self.model.density_arrays({"vec": lam}, ctx).tolist() == want.tolist()
 
 
 class TestBellMermin:

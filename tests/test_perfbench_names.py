@@ -5,18 +5,26 @@ deleted reads NaN in perfbench and fails its run.  These tests catch the
 rename here instead.  perfbench/tracing.py imports only the standard
 library, so it is loaded by file path, and nothing under perfbench/ is
 changed.
+
+perfbench/workloads.py also calls mdhv outside its tracer: analysis
+functions, report fields, a basis constructor and CLI argv.  A change to
+one of those fails a perfbench operation, so the last tests here mirror
+each call, naming the line of perfbench/workloads.py it copies.
 """
 
 import importlib
 import importlib.util
 import inspect
+import shlex
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from mdhv import channel
+from mdhv import analysis, channel
+from mdhv.cli import build_parser
 from mdhv.models import MODEL_REGISTRY
+from mdhv.quantum import ProjectiveBasis
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -62,3 +70,68 @@ def test_traced_model_method_resolves(model_name, method):
 @pytest.mark.parametrize("cls_name, method", tracing.CHANNEL_METHODS)
 def test_traced_channel_method_resolves(cls_name, method):
     assert callable(getattr(getattr(channel, cls_name, None), method, None))
+
+
+# (callable, a stand-in positional-argument count, keyword names) of each call
+# perfbench/workloads.py makes outside its tracer
+UNTRACED_CALLS = {
+    "workloads.py:110 ProjectiveBasis([StateVector(...), ...])": (ProjectiveBasis, 1, ()),
+    "workloads.py:417 classical_overlap(*args, resolution=, seed=)": (
+        analysis.classical_overlap,
+        4,
+        ("resolution", "seed"),
+    ),
+    "workloads.py:439 degree_of_epistemicity(*args, samples=, seed=, method=)": (
+        analysis.degree_of_epistemicity,
+        4,
+        ("samples", "seed", "method"),
+    ),
+    "workloads.py:470 support_overlap_mass(model, ctx_from, ctx_support, points, seed)": (
+        analysis.support_overlap_mass,
+        5,
+        (),
+    ),
+    "workloads.py:524 mutual_information_report(512)": (channel.mutual_information_report, 1, ()),
+}
+
+
+@pytest.mark.parametrize("call", sorted(UNTRACED_CALLS))
+def test_untraced_call_binds(call):
+    fn, positional, keywords = UNTRACED_CALLS[call]
+    inspect.signature(fn).bind(*range(positional), **{k: None for k in keywords})
+
+
+def test_overlap_report_fields_perfbench_reads():
+    # workloads.py:447-451 read these three fields of degree_of_epistemicity's report
+    fields = analysis.OverlapReport.__dataclass_fields__
+    assert {"mass_psi_in_phi_support", "quantum_overlap_sq", "omega"} <= fields.keys()
+
+
+# perfbench's CLI argv shapes, and the parsed values each relies on
+PERFBENCH_ARGV = {
+    "workloads.py:268-272 verify-bulk": (
+        "verify ks2 --shots 1000000 --trials 1 --seed 5 --threads 2",
+        {"model": "ks2", "threads": 2},
+    ),
+    "workloads.py:307-309 verify-small": (
+        "verify interval --shots 1000 --trials 50 --seed 5 --dim 4",
+        {"model": "interval", "dim": 4},
+    ),
+    "workloads.py:387-389 audit-quadrature": (
+        "audit marginal hall --samples 200000 --seed 5 --particle 2"
+        " --alice=-0.6,0.0,0.8 --bob=0.0,-1.0,0.0 --bob2=0.36,-0.48,0.8 --format json",
+        {"check": "marginal", "samples": 200000, "particle": 2, "format": "json"},
+    ),
+    "workloads.py:538-541 channel": (
+        "channel --alice=-0.6,0.0,0.8 --bob=0.0,-1.0,0.0 --accepted 20000 --seed 5"
+        " --format json --trace trace.csv",
+        {"accepted": 20000, "format": "json", "trace": "trace.csv"},
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PERFBENCH_ARGV))
+def test_perfbench_argv_parses(shape):
+    argv, expected = PERFBENCH_ARGV[shape]
+    ns = build_parser().parse_args(shlex.split(argv))
+    assert {key: getattr(ns, key) for key in expected} == expected

@@ -78,11 +78,11 @@ RUNS = {
     ),
     "audit-epistemicity-gbrans": (
         ["audit", "epistemicity", "gbrans", "--samples", "20000", "--seed", "7"],
-        "b70fd2592f71b4c61a0bdbe23025465ee696a0da1ad4638a5070bdb1a57e71c8",
+        "e0fde9a4a3fa7c671383d7a792a33a256a058dcb7e24a4cdd8ecb0c975d0b234",
     ),
     "audit-epistemicity-ks1": (
         ["audit", "epistemicity", "ks1", "--samples", "20000", "--seed", "7"],
-        "29d801085cf6ff2479dd3a071c8b58fe93c4968064853b331fdc441f2224abae",
+        "ed3b7ec741ab5cc4adbb854c13ac1a1f12bc2fee40cb722292c5e077938a6519",
     ),
     "audit-randomness-gbrans": (
         ["audit", "randomness", "gbrans", "--samples", "20000", "--seed", "7"],
@@ -141,10 +141,10 @@ def _gbrans_omega(doc) -> bool:
 
 
 def _omega_within_2_sigma(doc) -> bool:
-    # mc_stderr is the error of the sampled mass, so |omega - 1| <= 2 sigma
-    # reads |mass - |<psi|phi>|^2| <= 2 mc_stderr
+    # sigma = mass_stderr / quantum_overlap_sq, so |omega - 1| <= 2 sigma
+    # reads |mass - |<psi|phi>|^2| <= 2 mass_stderr
     e = doc["epistemicity"]
-    return abs(e["mass_psi_in_phi_support"] - e["quantum_overlap_sq"]) <= 2.0 * e["mc_stderr"]
+    return abs(e["mass_psi_in_phi_support"] - e["quantum_overlap_sq"]) <= 2.0 * e["mass_stderr"]
 
 
 def _hall_tv(doc) -> bool:
@@ -175,31 +175,31 @@ CLAIMS = {
     ),
     "audit epistemicity gbrans --dim 2 --seed 2 --format json": (
         _gbrans_omega,
-        "e3694b2c24bad68a477fed87a87c1afcd1c3f248c3558394bf2681d2fcc14572",
+        "2b1aaab9daa31171df4f9b76979cb7c9083f8a1170d4d72c11ac45a613943848",
     ),
     "audit epistemicity gbrans --dim 3 --seed 2 --format json": (
         _gbrans_omega,
-        "4cbc1ec437f3a2535cbd69709f06c25d0b571d49c73c721bec05d247e21ea789",
+        "dbcd0c17cfeff482ee1b6b96dac1c09d7f725f0af39c4f28cc22a5193444ebe2",
     ),
     "audit epistemicity gbrans --dim 4 --seed 2 --format json": (
         _gbrans_omega,
-        "d0557268c0e4633a1c3c428f28fa19e1913b8cfb0ef2c97d97f5e4df1da85688",
+        "f1e19b7be5cc76af855af832d7c3188df6ba5a3ff64b314dde8399daeee951c6",
     ),
     "audit epistemicity gbrans --dim 5 --seed 2 --format json": (
         _gbrans_omega,
-        "01971b8fa3e7359cbb0a4422064435c5be5b5105d00b720762733dbfabacf79e",
+        "02ec7f271622fe7bfeb6a4c042a3bf60d0570da5fe8f0f6c57e879bfb9a0b4ff",
     ),
     "audit epistemicity ks1 --samples 500000 --seed 11": (
         _omega_within_2_sigma,
-        "76d33d4a8ce890eca60ac6154dca2e4f1a78246498a7811c9b9cfa472dde9ab1",
+        "1425ac4a4607e3591b03350a1937f571a4dc2dd70b7db6e6e44d3fb988372c36",
     ),
     "audit epistemicity ks2 --samples 500000 --seed 11": (
         _omega_within_2_sigma,
-        "0aaaaf6898df127922c806050511f14257f90035701e3dfc08eb1fad5c4a6a01",
+        "36c0f46daf7a796e3cb0c6b7854cbb34630bc8263134c3c094e3b8fe023fb4ce",
     ),
     "audit epistemicity bellmermin --samples 500000 --seed 11": (
         _omega_within_2_sigma,
-        "cfbbec916a40f4659b7262d205e92f78b621351aca1c9e691017bcb129879c09",
+        "bd21ab7342ce49f80409f22108ab60e0101898db10758fe2daa6ba125b515cbf",
     ),
     "audit marginal hall --alice 0,0 --bob 60,0 --bob2 90,0 --seed 1": (
         _hall_tv,

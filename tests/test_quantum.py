@@ -234,3 +234,78 @@ class TestBasisCompletion:
             phi = random_state(dim, rng)
             M = orthonormal_basis_containing(phi)  # ProjectiveBasis validates on build
             assert len(M) == dim
+
+
+def haar_kets(dim: int, rng) -> list[np.ndarray]:
+    """The columns of a Haar-random unitary, as random_basis draws them."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return [q[:, k] for k in range(dim)]
+
+
+def basis_accepts(kets: list[np.ndarray]) -> bool:
+    try:
+        ProjectiveBasis([StateVector(k) for k in kets])
+    except ValueError:
+        return False
+    return True
+
+
+def overlapping(kets: list[np.ndarray], eps: float) -> list[np.ndarray]:
+    """kets with the second one tilted toward the first, so |<k0|k1>| = eps to first order."""
+    tilted = kets[1] + eps * kets[0]
+    return [kets[0], tilted / np.linalg.norm(tilted), *kets[2:]]
+
+
+def stretched(kets: list[np.ndarray], delta: float) -> list[np.ndarray]:
+    """kets with the first one's norm 1 + delta."""
+    return [kets[0] * (1.0 + delta), *kets[1:]]
+
+
+DIMS = (2, 3, 4, 8, 16)
+
+
+class TestBasisCheck:
+    """The one orthonormality check of ProjectiveBasis accepts nothing that the
+    per-projector checks (oracles.projector_checks_accept) reject."""
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_random_bases_pass_both_checks_with_unchanged_projectors(self, dim):
+        kets = haar_kets(dim, stream(41, dim))
+        assert oracles.projector_checks_accept(kets, TOL.structural)
+        M = ProjectiveBasis([StateVector(k) for k in kets])
+        assert M.labels == tuple(str(k) for k in range(dim))
+        for ket, op in zip(M.kets, M.operators):
+            assert op.dtype == ket.projector().dtype
+            assert op.tobytes() == ket.projector().tobytes()
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_near_boundary_inputs_the_basis_check_accepts_pass_the_projector_checks(self, dim):
+        kets = haar_kets(dim, stream(43, dim))
+        cases = {
+            **{f"overlap {eps:.2g}": overlapping(kets, eps) for eps in (0.5e-9, 2e-9, dim * 1e-9)},
+            **{f"norm off by {delta:.2g}": stretched(kets, delta) for delta in (0.45e-9, 0.9e-9)},
+        }
+        accepted = {name for name, case in cases.items() if basis_accepts(case)}
+        for name in accepted:
+            assert oracles.projector_checks_accept(cases[name], TOL.structural), name
+        # neither side of the comparison is empty
+        assert accepted == {"overlap 5e-10", "norm off by 4.5e-10"}
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_wrong_count_or_nonorthogonal_kets_are_rejected(self, dim):
+        kets = haar_kets(dim, stream(47, dim))
+        for case in (kets[:-1], [*kets, kets[0]], overlapping(kets, 1e-6)):
+            with pytest.raises(ValueError):
+                ProjectiveBasis([StateVector(k) for k in case])
+
+    def test_building_a_basis_computes_no_eigenvalues(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        rng = stream(53)
+        for dim in DIMS:
+            random_basis(dim, rng)
+            orthonormal_basis_containing(random_state(dim, rng))
+        assert calls == []
+        random_povm(3, 4, rng)  # a general POVM still checks each element's eigenvalues
+        assert len(calls) == 4
