@@ -288,7 +288,7 @@ class TestBasisCheck:
         accepted = {name for name, case in cases.items() if basis_accepts(case)}
         for name in accepted:
             assert oracles.projector_checks_accept(cases[name], TOL.structural), name
-        # neither side of the comparison is empty
+        # the check sits at TOL.structural: it takes the small perturbations and refuses the rest
         assert accepted == {"overlap 5e-10", "norm off by 4.5e-10"}
 
     @pytest.mark.parametrize("dim", DIMS)
