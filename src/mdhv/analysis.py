@@ -20,10 +20,15 @@ import numpy as np
 
 from .constants import TOL
 from .models.base import (
+    AntipodalPair,
+    DiscreteIndex,
     HiddenVariableModel,
+    IntervalPoint,
+    LabeledSphere,
     ModelContext,
-    OnticKind,
     Report,
+    SettingsOutcomePair,
+    SpherePoint,
     singlet_context,
     stream,
 )
@@ -171,12 +176,12 @@ def classical_overlap(
     model.validate_context(ctx_b)
     kind = model.ontic_kind
 
-    if kind == OnticKind.DISCRETE:
+    if kind is DiscreteIndex:
         idx = {"j": np.arange(len(M))}
         diff = np.abs(model.density_arrays(idx, ctx_a) - model.density_arrays(idx, ctx_b))
         return 1.0 - 0.5 * float(diff.sum())
 
-    if kind == OnticKind.INTERVAL:
+    if kind is IntervalPoint:
         _, edges_a = model.bin_edges(ctx_a)
         _, edges_b = model.bin_edges(ctx_b)
         edges = np.unique(np.concatenate([edges_a, edges_b]))
@@ -186,17 +191,17 @@ def classical_overlap(
 
     pts = stratified_sphere_points(resolution, stream(seed, 0))
     total = 0.0
-    if kind == OnticKind.LABELED_SPHERE:
+    if kind is LabeledSphere:
         for tag in range(len(M)):
             arrays = {"label": np.full(pts.shape[0], tag, dtype=int), "vec": pts}
             diff = np.abs(model.density_arrays(arrays, ctx_a) - model.density_arrays(arrays, ctx_b))
             total += diff.mean() * 4.0 * np.pi
-    elif kind == OnticKind.SPHERE:
+    elif kind is SpherePoint:
         arrays = {"vec": pts}
         diff = np.abs(model.density_arrays(arrays, ctx_a) - model.density_arrays(arrays, ctx_b))
         total = diff.mean() * 4.0 * np.pi
     else:
-        raise TypeError(f"classical overlap is undefined for {kind.value} models")
+        raise TypeError(f"classical overlap is undefined for {kind.__name__} models")
     return 1.0 - 0.5 * float(total)
 
 
@@ -282,7 +287,7 @@ def preparation_independence_residual(
     measurement outcomes map to ontic bit-tuples lexicographically (outcome
     index in binary, most significant bit = subsystem 1).
     """
-    if model.ontic_kind != OnticKind.DISCRETE:
+    if model.ontic_kind is not DiscreteIndex:
         raise TypeError("the tuple decomposition needs a discrete ontic space")
     n = len(factors)
     if n < 2:
@@ -355,7 +360,7 @@ def compatibility_audit(
     intersection across all four and the separable-tuple check on product
     preparations.  Only discrete ontic spaces are enumerable.
     """
-    if model.ontic_kind != OnticKind.DISCRETE:
+    if model.ontic_kind is not DiscreteIndex:
         raise TypeError("compatibility enumeration is undefined for continuous ontic spaces")
     if psi.dim != 2 or phi.dim != 2:
         raise ValueError("the audit covers two-qubit product spaces")
@@ -448,7 +453,7 @@ def setting_marginal_dependence(
         ctx1, ctx2 = singlet_context(b, a), singlet_context(b_alt, a)
     else:
         raise ValueError("particle must be 1 or 2")
-    if model.ontic_kind == OnticKind.SETTINGS_PAIR:
+    if model.ontic_kind is SettingsOutcomePair:
         tv = 0.5 * sum(
             abs(
                 model.marginal_density(particle, i, ctx1)
@@ -457,7 +462,7 @@ def setting_marginal_dependence(
             for i in (+1, -1)
         )
         return MarginalDependenceReport(float(tv), 0.0, particle, "exact")
-    if model.ontic_kind == OnticKind.ANTIPODAL:
+    if model.ontic_kind is AntipodalPair:
         pts = stratified_sphere_points(resolution, stream(seed, 0))
         diff = np.abs(
             model.density_arrays({"vec": pts}, ctx1) - model.density_arrays({"vec": pts}, ctx2)

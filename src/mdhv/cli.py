@@ -22,7 +22,7 @@ from . import analysis, channel
 from .constants import TOL
 from .models import (
     MODEL_REGISTRY,
-    OnticKind,
+    DiscreteIndex,
     SingletModel,
     create_model,
     json_form,
@@ -38,6 +38,7 @@ from .quantum import (
     orthonormal_basis_containing,
     random_basis,
     random_state,
+    singlet_expectation,
 )
 
 _S = 1.0 / math.sqrt(2.0)
@@ -178,7 +179,7 @@ def cmd_verify(args) -> int:
         corr = None
         if isinstance(model, SingletModel):
             corr = singlet_correlation(report.estimates)
-            corr_expected = -ctx.measurement.alice.dot(ctx.measurement.bob)
+            corr_expected = singlet_expectation(ctx.measurement.alice, ctx.measurement.bob)
         for label in model.outcome_labels(ctx):
             p = report.born_reference[label]
             gate = 5.0 * math.sqrt(p * (1.0 - p) / args.shots)
@@ -408,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("compat", "--states", "0,+", audit_compat, "support-implication audit of two states"),
     ):
         p = checks.add_parser(check, help=summary)
-        _add_model(p, lambda cls: cls.ontic_kind == OnticKind.DISCRETE)
+        _add_model(p, lambda cls: cls.ontic_kind is DiscreteIndex)
         p.add_argument(flag, type=_qubit_pair, default=default, help="two qubit labels, e.g. '+,0'")
         p.add_argument("--basis", choices=tuple(_NAMED_BASES), default="mixed-psi-plus")
         _add_common(p, _audit(func))

@@ -11,7 +11,6 @@ from .base import (
     IntervalPoint,
     LabeledSphere,
     ModelContext,
-    OnticKind,
     OnticPoint,
     ReferenceMeasure,
     SettingsOutcomePair,
@@ -68,7 +67,6 @@ __all__ = [
     "LabeledSphere",
     "MODEL_REGISTRY",
     "ModelContext",
-    "OnticKind",
     "OnticPoint",
     "ReferenceMeasure",
     "SettingsOutcomePair",

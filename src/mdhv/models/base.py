@@ -18,7 +18,7 @@ import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -49,8 +49,7 @@ __all__ = [
     "AxisPair",
     "ModelContext",
     "ReferenceMeasure",
-    "OnticKind",
-    "REFERENCE_MEASURES",
+    "ONTIC_KINDS",
     "HiddenVariableModel",
     "QubitBasisModel",
     "SingletModel",
@@ -134,6 +133,9 @@ class SettingsOutcomePair:
             raise ValueError("outcome tags must be +1 or -1")
 
 
+JOINT_LABELS = ("++", "+-", "-+", "--")
+OUTCOME_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+
 OnticPoint = Union[
     DiscreteIndex, IntervalPoint, SpherePoint, LabeledSphere, AntipodalPair, SettingsOutcomePair
 ]
@@ -175,26 +177,66 @@ class ReferenceMeasure(str, Enum):
     LABELED_SPHERE = "counting*sphere-surface"
 
 
-class OnticKind(str, Enum):
-    DISCRETE = "discrete"
-    INTERVAL = "interval"
-    SPHERE = "sphere"
-    LABELED_SPHERE = "labeled-sphere"
-    ANTIPODAL = "antipodal-pair"
-    SETTINGS_PAIR = "settings-outcome-pair"
+class _Kind(NamedTuple):
+    """What an ontic kind fixes: the measure its densities are stated against,
+    how row i of a model's arrays decodes to a point, and how one point
+    encodes as length-1 arrays."""
+
+    measure: ReferenceMeasure
+    decode: Callable[[dict, int, ModelContext], OnticPoint]
+    encode: Callable[[OnticPoint, ModelContext], dict]
 
 
-# The measure each ontic space's densities are stated against.  The
-# antipodal pair's delta is resolved analytically, leaving the sphere measure
-# of its first component; the settings pair's axes are fixed by the context,
-# leaving a count over the four outcome tags.
-REFERENCE_MEASURES = {
-    OnticKind.DISCRETE: ReferenceMeasure.COUNTING,
-    OnticKind.SETTINGS_PAIR: ReferenceMeasure.COUNTING,
-    OnticKind.INTERVAL: ReferenceMeasure.LEBESGUE_INTERVAL,
-    OnticKind.SPHERE: ReferenceMeasure.SPHERE_SURFACE,
-    OnticKind.ANTIPODAL: ReferenceMeasure.SPHERE_SURFACE,
-    OnticKind.LABELED_SPHERE: ReferenceMeasure.LABELED_SPHERE,
+def _vec(arrays: dict, i: int) -> BlochVector:
+    return BlochVector.from_array(arrays["vec"][i])
+
+
+def _outcome_index(j: int, ctx: ModelContext) -> np.ndarray:
+    if not 0 <= j < len(ctx.measurement):
+        raise IndexError(f"ontic index {j} out of range for {len(ctx.measurement)} outcomes")
+    return np.array([j], dtype=int)
+
+
+# Each ontic kind, keyed by its point class.  The antipodal pair's delta is
+# resolved analytically, leaving the sphere measure of its first component;
+# the settings pair's axes are fixed by the context, leaving a count over the
+# four outcome tags.
+ONTIC_KINDS: dict[type, _Kind] = {
+    DiscreteIndex: _Kind(
+        ReferenceMeasure.COUNTING,
+        lambda a, i, ctx: DiscreteIndex(int(a["j"][i])),
+        lambda lam, ctx: {"j": _outcome_index(lam.j, ctx)},
+    ),
+    SettingsOutcomePair: _Kind(
+        ReferenceMeasure.COUNTING,
+        lambda a, i, ctx: SettingsOutcomePair(
+            *OUTCOME_PAIRS[int(a["idx"][i])], ctx.measurement.alice, ctx.measurement.bob
+        ),
+        lambda lam, ctx: {"idx": np.array([OUTCOME_PAIRS.index((lam.i, lam.j))], dtype=int)},
+    ),
+    IntervalPoint: _Kind(
+        ReferenceMeasure.LEBESGUE_INTERVAL,
+        lambda a, i, ctx: IntervalPoint(float(a["x"][i])),
+        lambda lam, ctx: {"x": np.array([lam.x], dtype=float)},
+    ),
+    SpherePoint: _Kind(
+        ReferenceMeasure.SPHERE_SURFACE,
+        lambda a, i, ctx: SpherePoint(_vec(a, i)),
+        lambda lam, ctx: {"vec": lam.vec.as_array()[None, :]},
+    ),
+    AntipodalPair: _Kind(
+        ReferenceMeasure.SPHERE_SURFACE,
+        lambda a, i, ctx: AntipodalPair.from_first(_vec(a, i)),
+        lambda lam, ctx: {"vec": lam.first.as_array()[None, :]},
+    ),
+    LabeledSphere: _Kind(
+        ReferenceMeasure.LABELED_SPHERE,
+        lambda a, i, ctx: LabeledSphere(ctx.measurement.labels[int(a["label"][i])], _vec(a, i)),
+        lambda lam, ctx: {
+            "label": np.array([ctx.measurement.index(lam.label)], dtype=int),
+            "vec": lam.vec.as_array()[None, :],
+        },
+    ),
 }
 
 
@@ -256,21 +298,22 @@ def rejection_sample(
 class HiddenVariableModel(ABC):
     """Behavioral contract shared by all models in the registry.
 
-    Subclasses declare `name` and `ontic_kind`, override `is_deterministic`
-    or `any_dimension` (contexts in every Hilbert-space dimension, not only
+    Subclasses declare `name` and `ontic_kind` (the point class of their
+    ontic space, a key of ONTIC_KINDS), override `is_deterministic` or
+    `any_dimension` (contexts in every Hilbert-space dimension, not only
     qubits) where the default does not hold, and implement the array-level
     operations.  Densities are always stated with respect to the reference
     measure of the ontic kind.
     """
 
     name: str = ""
-    ontic_kind: OnticKind
+    ontic_kind: type
     is_deterministic: bool = True
     any_dimension: bool = False
 
     @property
     def reference_measure(self) -> ReferenceMeasure:
-        return REFERENCE_MEASURES[self.ontic_kind]
+        return ONTIC_KINDS[self.ontic_kind].measure
 
     # -- context handling ---------------------------------------------------
 
@@ -278,9 +321,9 @@ class HiddenVariableModel(ABC):
     def validate_context(self, ctx: ModelContext) -> None:
         """Raise TypeError/ValueError if the context is malformed for this model."""
 
-    @abstractmethod
     def outcome_labels(self, ctx: ModelContext) -> tuple[str, ...]:
         """Outcome labels, in a fixed order shared with born_reference."""
+        return ctx.measurement.labels
 
     @abstractmethod
     def born_reference(self, ctx: ModelContext) -> dict[str, float]:
@@ -308,13 +351,15 @@ class HiddenVariableModel(ABC):
     def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         """Index into outcome_labels of the (deterministic) response at each value."""
 
-    @abstractmethod
     def point_from_arrays(self, arrays: dict, i: int, ctx: ModelContext) -> OnticPoint:
-        """Materialize sample i as an OnticPoint."""
+        """Materialize sample i as a point of the model's ontic kind."""
+        return ONTIC_KINDS[self.ontic_kind].decode(arrays, i, ctx)
 
-    @abstractmethod
     def arrays_from_point(self, lam: OnticPoint, ctx: ModelContext) -> dict:
-        """Encode a single OnticPoint as length-1 arrays (TypeError on wrong variant)."""
+        """Encode a single point as length-1 arrays (TypeError on wrong variant)."""
+        if not isinstance(lam, self.ontic_kind):
+            raise TypeError(f"expected {self.ontic_kind.__name__}, got {type(lam).__name__}")
+        return ONTIC_KINDS[self.ontic_kind].encode(lam, ctx)
 
     # -- point API (wrappers) -------------------------------------------------
 
@@ -372,16 +417,13 @@ class QubitBasisModel(HiddenVariableModel):
     the label as response.  Subclasses supply the sampler and the density.
     """
 
-    ontic_kind = OnticKind.LABELED_SPHERE
+    ontic_kind = LabeledSphere
 
     def validate_context(self, ctx: ModelContext) -> None:
         if not isinstance(ctx.preparation, StateVector) or ctx.preparation.dim != 2:
             raise TypeError("preparation must be a qubit StateVector")
         if not isinstance(ctx.measurement, ProjectiveBasis) or ctx.measurement.dim != 2:
             raise TypeError("measurement must be a qubit ProjectiveBasis")
-
-    def outcome_labels(self, ctx: ModelContext) -> tuple[str, ...]:
-        return ctx.measurement.labels
 
     def born_reference(self, ctx: ModelContext) -> dict[str, float]:
         psi, M = ctx.preparation, ctx.measurement
@@ -392,24 +434,6 @@ class QubitBasisModel(HiddenVariableModel):
 
     def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         return np.asarray(arrays["label"], dtype=int)
-
-    def point_from_arrays(self, arrays: dict, i: int, ctx: ModelContext) -> LabeledSphere:
-        return LabeledSphere(
-            label=ctx.measurement.labels[int(arrays["label"][i])],
-            vec=BlochVector.from_array(arrays["vec"][i]),
-        )
-
-    def arrays_from_point(self, lam, ctx: ModelContext) -> dict:
-        if not isinstance(lam, LabeledSphere):
-            raise TypeError(f"expected LabeledSphere, got {type(lam).__name__}")
-        return {
-            "label": np.array([ctx.measurement.index(lam.label)], dtype=int),
-            "vec": lam.vec.as_array()[None, :],
-        }
-
-
-JOINT_LABELS = ("++", "+-", "-+", "--")
-OUTCOME_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 
 
 def singlet_context(a: BlochVector, b: BlochVector) -> ModelContext:

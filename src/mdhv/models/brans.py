@@ -17,19 +17,12 @@ import numpy as np
 
 from ..constants import TOL
 from ..quantum import singlet_state, spin_eigenket
-from .base import (
-    OUTCOME_PAIRS,
-    ModelContext,
-    OnticKind,
-    SettingsOutcomePair,
-    SingletModel,
-    categorical,
-)
+from .base import ModelContext, SettingsOutcomePair, SingletModel, categorical
 
 
 class BransSinglet(SingletModel):
     name = "brans"
-    ontic_kind = OnticKind.SETTINGS_PAIR
+    ontic_kind = SettingsOutcomePair
 
     def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:
         return {"idx": categorical(self.joint_probabilities(ctx), n, rng)}
@@ -44,23 +37,16 @@ class BransSinglet(SingletModel):
     def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         return np.asarray(arrays["idx"], dtype=int)
 
-    def point_from_arrays(self, arrays: dict, i: int, ctx: ModelContext) -> SettingsOutcomePair:
-        oi, oj = OUTCOME_PAIRS[int(arrays["idx"][i])]
-        return SettingsOutcomePair(oi, oj, ctx.measurement.alice, ctx.measurement.bob)
-
     def arrays_from_point(self, lam, ctx: ModelContext) -> dict:
-        if not isinstance(lam, SettingsOutcomePair):
-            raise TypeError(f"expected SettingsOutcomePair, got {type(lam).__name__}")
+        arrays = super().arrays_from_point(lam, ctx)
         a, b = ctx.measurement.alice, ctx.measurement.bob
         # delta factors resolved analytically: settings from another context carry no mass
         match = (
             abs(lam.alice_axis.dot(a) - 1.0) <= TOL.arithmetic
             and abs(lam.bob_axis.dot(b) - 1.0) <= TOL.arithmetic
         )
-        return {
-            "idx": np.array([OUTCOME_PAIRS.index((lam.i, lam.j))], dtype=int),
-            "settings_match": np.array([match]),
-        }
+        arrays["settings_match"] = np.array([match])
+        return arrays
 
     def marginal_density(self, particle: int, outcome: int, ctx: ModelContext) -> float:
         """Weight of one particle's tag: tr(P_singlet Pi_i (x) I) resp. (I (x) Pi_j).

@@ -21,18 +21,12 @@ from ..quantum import (
     random_povm,
     random_state,
 )
-from .base import (
-    DiscreteIndex,
-    HiddenVariableModel,
-    ModelContext,
-    OnticKind,
-    categorical,
-)
+from .base import DiscreteIndex, HiddenVariableModel, ModelContext, categorical
 
 
 class GeneralizedBrans(HiddenVariableModel):
     name = "gbrans"
-    ontic_kind = OnticKind.DISCRETE
+    ontic_kind = DiscreteIndex
     any_dimension = True
 
     def validate_context(self, ctx: ModelContext) -> None:
@@ -42,9 +36,6 @@ class GeneralizedBrans(HiddenVariableModel):
             raise TypeError("measurement must be a Povm")
         if ctx.preparation.dim != ctx.measurement.dim:
             raise ValueError("preparation and measurement dimensions differ")
-
-    def outcome_labels(self, ctx: ModelContext) -> tuple[str, ...]:
-        return ctx.measurement.labels
 
     def outcome_probabilities(self, ctx: ModelContext) -> np.ndarray:
         """Born weights of all outcomes, in label order.
@@ -79,14 +70,6 @@ class GeneralizedBrans(HiddenVariableModel):
 
     def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         return np.asarray(arrays["j"], dtype=int)
-
-    def point_from_arrays(self, arrays: dict, i: int, ctx: ModelContext) -> DiscreteIndex:
-        return DiscreteIndex(int(arrays["j"][i]))
-
-    def arrays_from_point(self, lam, ctx: ModelContext) -> dict:
-        if not isinstance(lam, DiscreteIndex):
-            raise TypeError(f"expected DiscreteIndex, got {type(lam).__name__}")
-        return {"j": np.array([lam.j], dtype=int)}
 
     def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float:
         """Mass of p(.|ctx_from) on the support of p(.|ctx_support), exactly.

@@ -23,9 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..constants import TOL
-from ..quantum import BlochVector
 from ..sphere import uniform_sphere
-from .base import AntipodalPair, ModelContext, OnticKind, SingletModel, rejection_sample
+from .base import AntipodalPair, ModelContext, SingletModel, rejection_sample
 
 
 def _same_sign(vecs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -35,7 +34,7 @@ def _same_sign(vecs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class HallSinglet(SingletModel):
     name = "hall"
-    ontic_kind = OnticKind.ANTIPODAL
+    ontic_kind = AntipodalPair
 
     # -- marginal machinery ---------------------------------------------------
 
@@ -87,11 +86,3 @@ class HallSinglet(SingletModel):
         # A = sign(lam1.a) and B = sign(lam2.b) = sign(-lam1.b), with sign(0) = +1:
         # A is -1 iff lam1.a < 0, and B is -1 iff lam1.b > 0
         return (vec @ a < 0.0) * 2 + (vec @ b > 0.0)
-
-    def point_from_arrays(self, arrays: dict, i: int, ctx: ModelContext) -> AntipodalPair:
-        return AntipodalPair.from_first(BlochVector.from_array(arrays["vec"][i]))
-
-    def arrays_from_point(self, lam, ctx: ModelContext) -> dict:
-        if not isinstance(lam, AntipodalPair):
-            raise TypeError(f"expected AntipodalPair, got {type(lam).__name__}")
-        return {"vec": lam.first.as_array()[None, :]}

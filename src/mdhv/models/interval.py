@@ -12,18 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..quantum import ProjectiveBasis, StateVector, random_basis, random_state
-from .base import (
-    HiddenVariableModel,
-    IntervalPoint,
-    ModelContext,
-    OnticKind,
-    categorical,
-)
+from .base import HiddenVariableModel, IntervalPoint, ModelContext, categorical
 
 
 class IntervalModel(HiddenVariableModel):
     name = "interval"
-    ontic_kind = OnticKind.INTERVAL
+    ontic_kind = IntervalPoint
     any_dimension = True
 
     def validate_context(self, ctx: ModelContext) -> None:
@@ -39,9 +33,6 @@ class IntervalModel(HiddenVariableModel):
         psi, M = ctx.preparation, ctx.measurement
         x = np.array([np.sqrt(ket.overlap_sq(psi)) for ket in M.kets])
         return x, np.concatenate([[0.0], np.cumsum(x)])
-
-    def outcome_labels(self, ctx: ModelContext) -> tuple[str, ...]:
-        return ctx.measurement.labels
 
     def born_reference(self, ctx: ModelContext) -> dict[str, float]:
         x, _ = self.bin_edges(ctx)
@@ -84,11 +75,3 @@ class IntervalModel(HiddenVariableModel):
         pos = np.asarray(arrays["x"], dtype=float)
         _, edges = self.bin_edges(ctx)
         return self._bin_of(pos, edges)
-
-    def point_from_arrays(self, arrays: dict, i: int, ctx: ModelContext) -> IntervalPoint:
-        return IntervalPoint(float(arrays["x"][i]))
-
-    def arrays_from_point(self, lam, ctx: ModelContext) -> dict:
-        if not isinstance(lam, IntervalPoint):
-            raise TypeError(f"expected IntervalPoint, got {type(lam).__name__}")
-        return {"x": np.array([lam.x], dtype=float)}

@@ -29,7 +29,6 @@ from ..sphere import cosine_hemisphere, uniform_hemisphere
 from .base import (
     HiddenVariableModel,
     ModelContext,
-    OnticKind,
     QubitBasisModel,
     SpherePoint,
     _qubit_basis_axes,
@@ -59,7 +58,7 @@ class KochenSpecker1(QubitBasisModel):
 
 class KochenSpecker2(HiddenVariableModel):
     name = "ks2"
-    ontic_kind = OnticKind.SPHERE
+    ontic_kind = SpherePoint
 
     LABELS = ("+b", "-b")
 
@@ -113,11 +112,3 @@ class KochenSpecker2(HiddenVariableModel):
         _, b = self._axes(ctx)
         vec = np.asarray(arrays["vec"], dtype=float)
         return np.where(vec @ b >= 0.0, 0, 1)
-
-    def point_from_arrays(self, arrays: dict, i: int, ctx: ModelContext) -> SpherePoint:
-        return SpherePoint(BlochVector.from_array(arrays["vec"][i]))
-
-    def arrays_from_point(self, lam, ctx: ModelContext) -> dict:
-        if not isinstance(lam, SpherePoint):
-            raise TypeError(f"expected SpherePoint, got {type(lam).__name__}")
-        return {"vec": lam.vec.as_array()[None, :]}

@@ -19,6 +19,7 @@ from mdhv.models import (
     ModelContext,
     ReferenceMeasure,
     SettingsOutcomePair,
+    SpherePoint,
     create_model,
     mixture_density,
     run_experiment,
@@ -26,7 +27,7 @@ from mdhv.models import (
     stream,
 )
 from mdhv.models import hall as hall_model
-from mdhv.models.base import _qubit_basis_axes, categorical, json_form
+from mdhv.models.base import ONTIC_KINDS, _qubit_basis_axes, categorical, json_form
 from mdhv.models.ks import KochenSpecker2
 from mdhv.quantum import (
     BlochVector,
@@ -135,6 +136,52 @@ def test_reference_measure_follows_the_ontic_kind():
         "bellmermin": ReferenceMeasure.LABELED_SPHERE,
     }
     assert {name: create_model(name).reference_measure for name in MODEL_REGISTRY} == expected
+
+
+_V = BlochVector(0.0, 0.0, 1.0)
+# one point of each ontic kind
+POINT_OF_KIND = {
+    DiscreteIndex: DiscreteIndex(0),
+    SettingsOutcomePair: SettingsOutcomePair(+1, -1, _V, _V),
+    IntervalPoint: IntervalPoint(0.5),
+    SpherePoint: SpherePoint(_V),
+    AntipodalPair: AntipodalPair.from_first(_V),
+    LabeledSphere: LabeledSphere("0", _V),
+}
+
+
+class TestPointCodec:
+    def test_round_trip_gives_back_the_sampled_row(self, any_model):
+        dims = (2, 3, 5) if any_model.any_dimension else (2,)
+        for dim in dims:
+            for trial in range(3):
+                ctx = any_model.random_context(stream(131, 10 * dim + trial), dim=dim)
+                arrays = any_model.sample_arrays(ctx, 6, stream(133, 10 * dim + trial))
+                for i in range(6):
+                    lam = any_model.point_from_arrays(arrays, i, ctx)
+                    assert type(lam) is any_model.ontic_kind
+                    enc = any_model.arrays_from_point(lam, ctx)
+                    if any_model.name == "brans":
+                        # the sampled settings are the context's own, so they carry mass
+                        assert enc.pop("settings_match").tolist() == [True]
+                    assert set(enc) == set(arrays)
+                    for key, col in arrays.items():
+                        row = col[i : i + 1]
+                        assert enc[key].dtype == row.dtype and enc[key].shape == row.shape
+                        assert enc[key].tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("name", MODEL_REGISTRY)
+    def test_point_of_another_kind_is_a_type_error(self, name):
+        assert set(POINT_OF_KIND) == set(ONTIC_KINDS)
+        model = create_model(name)
+        ctx = model.random_context(stream(135))
+        expected = model.ontic_kind.__name__
+        for kind, lam in POINT_OF_KIND.items():
+            if kind is model.ontic_kind:
+                continue
+            for call in (model.arrays_from_point, model.density, model.respond, model.in_support):
+                with pytest.raises(TypeError, match=f"expected {expected}, got {kind.__name__}"):
+                    call(lam, ctx)
 
 
 def test_json_form_writes_fields_in_order_and_bloch_vectors_as_lists():
@@ -367,8 +414,14 @@ class TestGeneralizedBrans:
         assert self.model.density(DiscreteIndex(1), ctx) == 1.0
 
     def test_index_out_of_range(self):
+        ctx = ModelContext(ZERO, Z_BASIS)
+        for j in (5, 2, -1):
+            for call in (self.model.density, self.model.respond, self.model.in_support):
+                with pytest.raises(IndexError):
+                    call(DiscreteIndex(j), ctx)
+        # array callers keep the density's own check
         with pytest.raises(IndexError):
-            self.model.density(DiscreteIndex(5), ModelContext(ZERO, Z_BASIS))
+            self.model.density_arrays({"j": np.array([0, 2])}, ctx)
 
     def test_respond_is_kronecker_delta(self):
         ctx = ModelContext(PLUS, Z_BASIS)
