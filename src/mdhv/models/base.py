@@ -284,9 +284,9 @@ def rejection_sample(
         k = max(32, int(batch(todo)))
         props = propose(k)
         keep = rng.random(k) * envelope < weight(props)
-        took = min(int(keep.sum()), todo)
-        out[have : have + took] = props[keep][:took]
-        have += took
+        rows = np.flatnonzero(keep)[:todo]
+        np.take(props, rows, axis=0, out=out[have : have + rows.size])
+        have += rows.size
     return out
 
 
@@ -390,6 +390,14 @@ class HiddenVariableModel(ABC):
         return self.density_arrays(arrays, ctx) > TOL.support
 
     def sample_outcomes(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Outcome indices of n fresh draws: outcome_index_arrays of sample_arrays.
+
+        `run_experiment` counts these.  A model may override this only where
+        its response reads a prefix of the draw (values drawn before anything
+        else from rng), and the override must equal this composition bit for
+        bit: same dtype, shape and values from the same stream.  It still
+        goes through outcome_index_arrays, so the response is stated once.
+        """
         arrays = self.sample_arrays(ctx, n, rng)
         return self.outcome_index_arrays(arrays, ctx)
 

@@ -5,7 +5,10 @@ ontic value is (lambda_k, lam_hat) with joint density
 (1/4pi) step(k_hat.(psi_hat + lam_hat)): a uniform density on the spherical
 cap lam.k >= -psi.k, whose area gives the label exactly its Born weight.
 Response is the point mass on the tag's label.  Sampling draws the label with
-its Born weight and then lam_hat area-uniformly on the matching cap.
+its Born weight and then lam_hat area-uniformly on the matching cap.  The
+labels come first, from the first n uniforms of the stream, so `verify`
+draws the labels alone: its counts read nothing else, and the label-only
+draw gives the same labels bit for bit.
 """
 
 from __future__ import annotations
@@ -18,14 +21,19 @@ from ..sphere import uniform_cap
 from .base import ModelContext, QubitBasisModel, _qubit_basis_axes
 
 
+def _labels(ctx: ModelContext, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n outcome tags, tag 0 with its Born weight, from the next n uniforms."""
+    p0 = ctx.measurement.kets[0].overlap_sq(ctx.preparation)
+    return (rng.random(n) >= p0).astype(int)
+
+
 class BellMermin(QubitBasisModel):
     name = "bellmermin"
 
     def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:
         psi_hat = bloch_from_ket(ctx.preparation).as_array()
         axes = _qubit_basis_axes(ctx.measurement)
-        p0 = ctx.measurement.kets[0].overlap_sq(ctx.preparation)
-        label = (rng.random(n) >= p0).astype(int)
+        label = _labels(ctx, n, rng)
         # cap {lam : lam.k >= -psi.k}, area-uniform, per sampled label; the bound
         # is an einsum because axes @ psi_hat rounds differently, moving seeded draws
         d = np.einsum("ij,j->i", axes, psi_hat)
@@ -35,6 +43,9 @@ class BellMermin(QubitBasisModel):
             if rows.size:
                 vec[rows] = uniform_cap(rng, rows.size, axes[tag], -d[tag])
         return {"label": label, "vec": vec}
+
+    def sample_outcomes(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.outcome_index_arrays({"label": _labels(ctx, n, rng)}, ctx)
 
     def density_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         psi_hat = bloch_from_ket(ctx.preparation).as_array()

@@ -27,7 +27,7 @@ from mdhv.models import (
     stream,
 )
 from mdhv.models import hall as hall_model
-from mdhv.models.base import ONTIC_KINDS, _qubit_basis_axes, categorical, json_form
+from mdhv.models.base import ONTIC_KINDS, _qubit_basis_axes, categorical, json_form, rejection_sample
 from mdhv.models.ks import KochenSpecker2
 from mdhv.quantum import (
     BlochVector,
@@ -123,6 +123,18 @@ class TestInterfaceContracts:
         with pytest.raises(ValueError):
             run_experiment(any_model, ctx, 0, seed=1)
 
+    @pytest.mark.parametrize("n", [1, 1000, 65537])
+    def test_sample_outcomes_is_the_response_of_sample_arrays(self, any_model, n):
+        # run_experiment counts sample_outcomes; a model may draw less for it,
+        # but never different bits
+        dims = (2, 3, 5) if any_model.any_dimension else (2, 2, 2)
+        for trial, dim in enumerate(dims):
+            ctx = any_model.random_context(stream(115, trial), dim=dim)
+            got = any_model.sample_outcomes(ctx, n, stream(117, trial))
+            want = any_model.outcome_index_arrays(any_model.sample_arrays(ctx, n, stream(117, trial)), ctx)
+            assert got.dtype == want.dtype and got.shape == want.shape == (n,)
+            assert got.tobytes() == want.tobytes()
+
 
 def test_reference_measure_follows_the_ontic_kind():
     # the ontic spaces the README lists, one reference measure per model
@@ -196,14 +208,19 @@ def test_json_form_writes_fields_in_order_and_bloch_vectors_as_lists():
 
 
 class _FixedUniforms:
-    """Stands in for a Generator whose random(n) returns the given uniforms."""
+    """Stands in for a Generator whose random(n) returns the given uniforms;
+    its other draws, if any, come from rng."""
 
-    def __init__(self, u):
+    def __init__(self, u, rng: np.random.Generator | None = None):
         self.u = np.asarray(u, dtype=float)
+        self.rng = rng
 
     def random(self, n):
         assert n == self.u.size
         return self.u
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 def _step_uniforms(weights: np.ndarray) -> np.ndarray:
@@ -262,6 +279,42 @@ class TestCategoricalDraw:
             categorical(weights, u.size, _FixedUniforms(u)),
             oracles.categorical_searchsorted(weights, u.size, _FixedUniforms(u)),
         )
+
+
+class TestRejectionSample:
+    """Proposal i is the row [i, 0, 0], so a kept row names its place in the proposal order."""
+
+    @staticmethod
+    def _proposer():
+        drawn = []
+
+        def propose(k):
+            start = sum(drawn)
+            drawn.append(k)
+            return np.column_stack([np.arange(start, start + k, dtype=float), np.zeros((k, 2))])
+
+        return propose, drawn
+
+    @pytest.mark.parametrize("n", [1, 33, 5000])
+    def test_keeps_the_first_accepted_rows_in_proposal_order(self, n):
+        kwargs = dict(batch=lambda todo: todo * 10, weight=lambda props: np.full(len(props), 0.05), envelope=1.0)
+        propose, drawn = self._proposer()
+        # at seed 129 no proposal of the first round of 32 is kept for n = 1
+        got = rejection_sample(n, stream(129, n), propose=propose, **kwargs)
+
+        # the same loop with boolean-mask compaction
+        rng, ref_propose, kept = stream(129, n), self._proposer()[0], []
+        while len(kept) < n:
+            k = max(32, int(kwargs["batch"](n - len(kept))))
+            props = ref_propose(k)
+            keep = rng.random(k) * kwargs["envelope"] < kwargs["weight"](props)
+            kept.extend(props[keep])
+        want = np.array(kept[:n])
+
+        assert len(drawn) >= 2, "one round would not test the compaction across rounds"
+        assert got.shape == want.shape == (n, 3)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(np.diff(got[:, 0]) > 0)
 
 
 class TestNormalization:
@@ -733,6 +786,18 @@ class TestBellMermin:
             got = self.model.sample_arrays(ctx, n, stream(89, trial))
             assert np.array_equal(got["label"], label)
             assert got["vec"].tobytes() == vec.tobytes()
+
+    def test_uniform_equal_to_the_born_weight_draws_tag_one(self):
+        # tag 0 takes the uniforms below |<k0|psi>|^2, in both samplers
+        for trial in range(5):
+            ctx = self.model.random_context(stream(91, trial))
+            p0 = ctx.measurement.kets[0].overlap_sq(ctx.preparation)
+            u = np.array([np.nextafter(p0, 0.0), p0, np.nextafter(p0, 1.0)])
+            want = np.array([0, 1, 1])
+            # the caps draw with rng.uniform, so random() serves the tags alone
+            arrays = self.model.sample_arrays(ctx, 3, _FixedUniforms(u, stream(93, trial)))
+            assert np.array_equal(arrays["label"], want)
+            assert np.array_equal(self.model.sample_outcomes(ctx, 3, _FixedUniforms(u)), want)
 
     def test_born_agreement_at_scale(self):
         rng = stream(85)

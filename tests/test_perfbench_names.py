@@ -23,7 +23,7 @@ import pytest
 
 from mdhv import analysis, channel
 from mdhv.cli import build_parser
-from mdhv.models import MODEL_REGISTRY
+from mdhv.models import MODEL_REGISTRY, run_experiment, stream
 from mdhv.quantum import ProjectiveBasis
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -65,6 +65,34 @@ def test_traced_model_method_resolves(model_name, method):
     extract = tracing.MODEL_METHODS[method]
     if extract is not None:
         run_extractor(extract, fn)
+
+
+@pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
+def test_run_experiment_reaches_outcome_index_arrays(model_name, monkeypatch):
+    """`verify` is the only caller of some models' `outcome_index_arrays` in a
+    traced perfbench pass (bellmermin's, for one).  A `sample_outcomes` that
+    bypasses it records no span, so that layer reads NaN in a `--trace 1`
+    pass and the run reports correct: false.  sample_arrays may be skipped,
+    as other workloads reach it."""
+    cls = MODEL_REGISTRY[model_name]
+    calls = {"sample_arrays": 0, "outcome_index_arrays": 0}
+
+    def spy(method):
+        original = getattr(cls, method)
+
+        def counted(*args, **kwargs):
+            calls[method] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, method, counted)
+
+    for method in calls:
+        spy(method)
+    model = cls()
+    ctx = model.random_context(stream(151))
+    run_experiment(model, ctx, 1000, seed=1)
+    # 1000 shots are one chunk: one response, and at most one draw of the full arrays
+    assert calls["sample_arrays"] <= calls["outcome_index_arrays"] == 1
 
 
 @pytest.mark.parametrize("cls_name, method", tracing.CHANNEL_METHODS)

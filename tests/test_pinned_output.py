@@ -59,6 +59,11 @@ RUNS = {
         ["verify", "bellmermin", "--shots", "2000", "--trials", "2", "--seed", "7"],
         "6a83fcb07102e1a5e82cd2a95532b15f6c6428ab1f7fd137516b67c1ffc86e2e",
     ),
+    # three chunks of shots over two threads: each chunk's labels come first in its stream
+    "verify-bellmermin-chunks": (
+        ["verify", "bellmermin", "--shots", "140000", "--trials", "2", "--seed", "7", "--threads", "2"],
+        "4d0e717b6afd8697cab8b6b2936fed7f370ca2d3e4858e771f6782f4d7ebb4d2",
+    ),
     "scan-brans": (
         ["scan", "brans", "--shots", "2000", "--seed", "7"],
         "0c0ba686cf6f5f2b98b482d16f67753d6fe126c6a0ae2156aceb31225fc22072",
