@@ -35,6 +35,7 @@ from ..quantum import (
     random_state,
     singlet_outcome_probability,
 )
+from ..sphere import BLOCK_ROWS
 
 __all__ = [
     "DiscreteIndex",
@@ -274,14 +275,16 @@ def rejection_sample(
 ) -> np.ndarray:
     """n rows kept from proposal batches, each proposal with probability weight/envelope.
 
-    While rows are missing, draws max(32, int(batch(missing))) proposals,
-    then one uniform per proposal, and keeps the first accepted rows it needs.
+    While rows are missing, draws min(BLOCK_ROWS, max(32, int(batch(missing))))
+    proposals, then one uniform per proposal, and keeps the first accepted rows
+    it needs.  The cap keeps each round's working set to one sphere block (see
+    mdhv.sphere) and trims the last round's overshoot.
     """
     out = np.empty((n, 3))
     have = 0
     while have < n:
         todo = n - have
-        k = max(32, int(batch(todo)))
+        k = min(BLOCK_ROWS, max(32, int(batch(todo))))
         props = propose(k)
         keep = rng.random(k) * envelope < weight(props)
         rows = np.flatnonzero(keep)[:todo]

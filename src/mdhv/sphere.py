@@ -10,7 +10,14 @@ r = sqrt(1 - z^2), c = r cos(phi) and s = r sin(phi), world column j is the
 left-to-right sum c*t1[j] + s*t2[j] + z*axis[j], which is the sum that
 np.outer(c, t1) + np.outer(s, t2) + np.outer(z, axis) forms.  A
 (n,3)@(3,3) frame matmul sums in another order and moves generic-axis draws
-by one ulp.
+by one ulp.  embed_local forms that sum BLOCK_ROWS rows at a time, and
+each element keeps it, so the blocks change no bit.
+
+BLOCK_ROWS = 2^13 bounds the working set of every sphere sampler: a float
+vector of one block is 64 KiB, under glibc's default 128 KiB mmap threshold,
+so block temporaries are reused from the heap instead of being mapped, faulted
+in and unmapped again on every call.  rejection_sample proposes at most one
+block per round for the same reason.
 
 bootstrap_stderr is the ideal bootstrap of a mean, sqrt(mean((x - mean x)^2) / n),
 the limit of resampling without its noise.  It treats the mirrored, stratified
@@ -35,6 +42,8 @@ __all__ = [
     "bootstrap_stderr",
 ]
 
+BLOCK_ROWS = 1 << 13
+
 
 def tangent_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two unit tangents orthogonal to `axis` (deterministic choice).
@@ -55,18 +64,22 @@ def embed_local(axis: np.ndarray, z: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Map local cylindrical coordinates (z along `axis`, azimuth phi) to world vectors."""
     t1, t2 = tangent_frame(axis)
     a = np.asarray(axis, dtype=float)
-    r = 1.0 - z * z
-    np.sqrt(np.maximum(0.0, r, out=r), out=r)
-    c = np.cos(phi)
-    c *= r
-    s = np.sin(phi)
-    s *= r
-    out = np.empty((z.size, 3))
-    for j in range(3):  # the module docstring's sum order
-        col = c * t1[j]
-        col += s * t2[j]
-        col += z * a[j]
-        out[:, j] = col
+    n = z.size
+    out = np.empty((n, 3))
+    r, c, s, col, tmp = (np.empty(min(n, BLOCK_ROWS)) for _ in range(5))
+    for lo in range(0, n, BLOCK_ROWS):
+        zb, pb = z[lo : lo + BLOCK_ROWS], phi[lo : lo + BLOCK_ROWS]
+        m = zb.size
+        r, c, s, col, tmp = r[:m], c[:m], s[:m], col[:m], tmp[:m]
+        np.subtract(1.0, np.multiply(zb, zb, out=r), out=r)
+        np.sqrt(np.maximum(0.0, r, out=r), out=r)
+        np.multiply(np.cos(pb, out=c), r, out=c)
+        np.multiply(np.sin(pb, out=s), r, out=s)
+        for j in range(3):  # the module docstring's sum order
+            np.multiply(c, t1[j], out=col)
+            col += np.multiply(s, t2[j], out=tmp)
+            col += np.multiply(zb, a[j], out=tmp)
+            out[lo : lo + m, j] = col
     return out
 
 

@@ -40,7 +40,7 @@ from mdhv.quantum import (
     random_bloch,
     random_state,
 )
-from mdhv.sphere import stratified_sphere_points, uniform_cap, uniform_sphere
+from mdhv.sphere import BLOCK_ROWS, stratified_sphere_points, uniform_cap, uniform_sphere
 
 S = 1.0 / np.sqrt(2.0)
 ZERO = StateVector([1, 0])
@@ -295,23 +295,24 @@ class TestRejectionSample:
 
         return propose, drawn
 
-    @pytest.mark.parametrize("n", [1, 33, 5000])
+    @pytest.mark.parametrize("n", [1, 33, 5000, 3 * BLOCK_ROWS + 7])
     def test_keeps_the_first_accepted_rows_in_proposal_order(self, n):
         kwargs = dict(batch=lambda todo: todo * 10, weight=lambda props: np.full(len(props), 0.05), envelope=1.0)
         propose, drawn = self._proposer()
         # at seed 129 no proposal of the first round of 32 is kept for n = 1
         got = rejection_sample(n, stream(129, n), propose=propose, **kwargs)
 
-        # the same loop with boolean-mask compaction
+        # the same loop with boolean-mask compaction, each round capped at one block
         rng, ref_propose, kept = stream(129, n), self._proposer()[0], []
         while len(kept) < n:
-            k = max(32, int(kwargs["batch"](n - len(kept))))
+            k = min(BLOCK_ROWS, max(32, int(kwargs["batch"](n - len(kept)))))
             props = ref_propose(k)
             keep = rng.random(k) * kwargs["envelope"] < kwargs["weight"](props)
             kept.extend(props[keep])
         want = np.array(kept[:n])
 
         assert len(drawn) >= 2, "one round would not test the compaction across rounds"
+        assert max(drawn) <= BLOCK_ROWS
         assert got.shape == want.shape == (n, 3)
         assert got.tobytes() == want.tobytes()
         assert np.all(np.diff(got[:, 0]) > 0)

@@ -2,9 +2,9 @@
 
 A traced function, model method or channel method that is renamed or
 deleted reads NaN in perfbench and fails its run.  These tests catch the
-rename here instead.  perfbench/tracing.py imports only the standard
-library, so it is loaded by file path, and nothing under perfbench/ is
-changed.
+rename here instead.  perfbench/tracing.py and perfbench/layers.py import
+only the standard library, so they are loaded by file path, and nothing
+under perfbench/ is changed.
 
 perfbench/workloads.py also calls mdhv outside its tracer: analysis
 functions, report fields, a basis constructor and CLI argv.  A change to
@@ -16,6 +16,7 @@ import importlib
 import importlib.util
 import inspect
 import shlex
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,19 +25,22 @@ import pytest
 from mdhv import analysis, channel
 from mdhv.cli import build_parser
 from mdhv.models import MODEL_REGISTRY, run_experiment, stream
+from mdhv.models.base import rejection_sample
 from mdhv.quantum import ProjectiveBasis
+from mdhv.sphere import BLOCK_ROWS
 
-TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PATH)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracing = load_tracing()
+tracing = load_perfbench("tracing")
+layers = load_perfbench("layers")
 
 
 def run_extractor(extract, fn):
@@ -93,6 +97,37 @@ def test_run_experiment_reaches_outcome_index_arrays(model_name, monkeypatch):
     run_experiment(model, ctx, 1000, seed=1)
     # 1000 shots are one chunk: one response, and at most one draw of the full arrays
     assert calls["sample_arrays"] <= calls["outcome_index_arrays"] == 1
+
+
+@pytest.mark.parametrize("model_name, sampler", sorted(layers.REJECTION_SAMPLERS.items()))
+def test_rejection_proposals_go_through_the_traced_sampler(model_name, sampler, monkeypatch):
+    """perfbench's `proposals_per_shot` is the rows of the `sampler` spans directly
+    under `sample_arrays`, per shot.  A proposal drawn another way is not counted,
+    and with none counted the metric reads NaN and a `--trace 1` pass reports
+    correct: false.  Each round also stays within one sphere block."""
+    model = MODEL_REGISTRY[model_name]()
+    ctx = model.random_context(stream(151))
+    module = sys.modules[type(model).__module__]
+    proposed = []
+
+    def counted_rejection_sample(*args, propose, **kwargs):
+        def counted_propose(k):
+            rows = propose(k)
+            proposed.append(len(rows))
+            return rows
+
+        return rejection_sample(*args, propose=counted_propose, **kwargs)
+
+    monkeypatch.setattr(module, "rejection_sample", counted_rejection_sample)
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.operation("verify") as spans:
+        run_experiment(model, ctx, 1 << 16, seed=1)  # one chunk of many rounds
+    owner = f"models.{model_name}.sample_arrays"
+    drawn = [s.attrs["n"] for s in spans if s.name == sampler and s.parent is not None and s.parent.name == owner]
+    assert not tracer.problems
+    assert sum(s.attrs["n"] for s in spans if s.name == owner) == 1 << 16
+    assert len(proposed) > 1 and drawn == proposed
+    assert max(drawn) <= BLOCK_ROWS
 
 
 @pytest.mark.parametrize("cls_name, method", tracing.CHANNEL_METHODS)

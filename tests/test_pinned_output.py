@@ -64,6 +64,15 @@ RUNS = {
         ["verify", "bellmermin", "--shots", "140000", "--trials", "2", "--seed", "7", "--threads", "2"],
         "4d0e717b6afd8697cab8b6b2936fed7f370ca2d3e4858e771f6782f4d7ebb4d2",
     ),
+    # three chunks of shots over two threads, each of many capped rejection rounds
+    "verify-ks2-chunks": (
+        ["verify", "ks2", "--shots", "140000", "--trials", "1", "--seed", "7", "--threads", "2"],
+        "89fca6d1a238740b93a9f507da61cfedf8c9506a9593b2b714ae63456bba918c",
+    ),
+    "verify-hall-chunks": (
+        ["verify", "hall", "--shots", "140000", "--trials", "1", "--seed", "7", "--threads", "2"],
+        "20e5883b8017d560c3b559e427d7299b5603c9fa6347f4f3f689c3f1c70917f2",
+    ),
     "scan-brans": (
         ["scan", "brans", "--shots", "2000", "--seed", "7"],
         "0c0ba686cf6f5f2b98b482d16f67753d6fe126c6a0ae2156aceb31225fc22072",
@@ -168,7 +177,7 @@ CLAIMS = {
     ),
     "scan hall --shots 100000 --seed 1": (
         _gate,
-        "82a1d05f93ff73ae8b4d464ca9dfaba5124a3e519096d517d670c5e6a224f5dd",
+        "825a7288d1fb116429db4636fbe54495e22ac8f26c548e10d0c889d8af970c22",
     ),
     "channel --bob 60,0 --accepted 100000 --seed 3 --format json": (
         _channel,
@@ -200,7 +209,7 @@ CLAIMS = {
     ),
     "audit epistemicity ks2 --samples 500000 --seed 11": (
         _omega_within_2_sigma,
-        "36c0f46daf7a796e3cb0c6b7854cbb34630bc8263134c3c094e3b8fe023fb4ce",
+        "bbbf7019e7d8438c55617db4e667f4160a9237d8fd6e6e7ee2c93b8904e0c710",
     ),
     "audit epistemicity bellmermin --samples 500000 --seed 11": (
         _omega_within_2_sigma,

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from mdhv.models import stream
 from mdhv.sphere import (
+    BLOCK_ROWS,
     bootstrap_stderr,
     cosine_hemisphere,
     embed_local,
@@ -75,6 +76,17 @@ def test_embed_local_matches_outer_product_reference_bit_for_bit():
     for axis in kernel_axes():
         got = embed_local(axis, z, phi)
         assert got.flags.c_contiguous
+        assert got.tobytes() == reference_embed(axis, z, phi).tobytes(), axis
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+def test_embed_local_blocks_match_outer_product_reference_bit_for_bit(n):
+    # rows on both sides of every block boundary, including a last block of 1 or 5 rows
+    rng = stream(12, n)
+    z, phi = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 2.0 * np.pi, n)
+    for axis in kernel_axes():
+        got = embed_local(axis, z, phi)
+        assert got.flags.c_contiguous and got.shape == (n, 3)
         assert got.tobytes() == reference_embed(axis, z, phi).tobytes(), axis
 
 
