@@ -6,8 +6,11 @@ who alone knows his axis b_hat, keeps each incoming vector with probability
 follow the weighted hemisphere density step(lam.a)|lam.b|/pi, the acceptance
 rate is 1/2 for every axis pair, and outcome frequencies are (1 +- a.b)/2.
 
-The parties are separate state machines: Alice emits fixed blocks of
-(round_id, lambda_xyz) messages and Bob processes each block as it arrives.
+Stream layout: per block of _BLOCK rounds, Alice draws all z, then all phi,
+from stream(seed, 1); Bob draws one uniform per round from stream(seed, 2).
+Alice and Bob read a unit of _UNIT rounds at its Philox counter offsets, so
+the units run on a pool of one worker per available core, and the calling
+thread takes them in order.  The output does not depend on the worker count.
 
 Cost accounting separates the NOMINAL asymptotic figure (1 bit of mutual
 information between axis and message, doubled by the self-selection to
@@ -18,14 +21,16 @@ information in bits).
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .models.base import Report, stream
+from .models.base import Report, stream_at
 from .quantum import BlochVector
-from .sphere import uniform_hemisphere
+from .sphere import embed_local
 
 __all__ = [
     "ChannelTranscript",
@@ -40,6 +45,9 @@ __all__ = [
 
 NOMINAL_BITS_PER_ROUND = 2.0
 _BLOCK = 1 << 16  # rounds per Alice block; part of the stream layout
+_UNIT = 1 << 14  # rounds per pool task; divides _BLOCK, so no unit spans two blocks
+_SLACK = 1024  # acceptances held back when sizing the units in flight: 16 sd of one unit's count
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _TRACE_SLICE = 4096  # trace rows formatted and written per write call
 MI_RESOLUTION = 512  # quadrature nodes per axis of the reported mutual information
 TRACE_HEADER = ("round_id", "lambda_x", "lambda_y", "lambda_z", "accepted", "outcome")
@@ -88,33 +96,39 @@ class InfoReport(Report):
 
 
 class AliceSender:
-    """Alice's side: emits blocks of (round_id, lambda) messages."""
+    """Alice's side: the (round_id, lambda) messages of consecutive rounds,
+    read from stream(seed, 1) at their places in the layout."""
 
-    def __init__(self, axis: BlochVector, rng: np.random.Generator):
+    def __init__(self, axis: BlochVector, seed: int):
         self.axis = axis.as_array()
-        self.rng = rng
-        self.next_round = 0
+        self.seed = seed
 
-    def emit(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """n messages, uniform on the hemisphere {lam : lam.a >= 0} (density step/2pi)."""
-        ids = np.arange(self.next_round, self.next_round + n)
-        self.next_round += n
-        return ids, uniform_hemisphere(self.rng, n, self.axis)
+    def emit(self, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rounds first .. first+n-1 of one block, uniform on the hemisphere
+        {lam : lam.a >= 0} (density step/2pi): z from the block's first half,
+        phi from its second."""
+        k, r = divmod(first, _BLOCK)
+        if r + n > _BLOCK:
+            raise ValueError("emitted rounds must lie within one block")
+        z = stream_at(self.seed, 1, 2 * _BLOCK * k + r).uniform(0.0, 1.0, size=n)
+        phi = stream_at(self.seed, 1, 2 * _BLOCK * k + _BLOCK + r).uniform(0.0, 2.0 * np.pi, size=n)
+        return np.arange(first, first + n), embed_local(self.axis, z, phi)
 
 
 class BobFilter:
-    """Bob's side: filters a block of messages and reads outcomes off accepted ones."""
+    """Bob's side: filters messages and reads outcomes off accepted ones.
+    Round r's acceptance uniform is draw r of stream(seed, 2)."""
 
-    def __init__(self, axis: BlochVector, rng: np.random.Generator):
+    def __init__(self, axis: BlochVector, seed: int):
         self.axis = axis.as_array()
-        self.rng = rng
+        self.seed = seed
 
     def process(self, ids: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Accept each message with probability |lam.b|, the weight that tilts
         uniform to |lam.b|/pi; the outcome is +b iff lam.b >= 0 (sign at zero
-        reads +b)."""
+        reads +b).  `ids` are consecutive rounds, as emit returns them."""
         dots = vecs @ self.axis
-        accept = self.rng.random(ids.size) < np.abs(dots)
+        accept = stream_at(self.seed, 2, int(ids[0])).random(ids.size) < np.abs(dots)
         outcome_plus = dots >= 0.0
         return accept, outcome_plus
 
@@ -128,44 +142,54 @@ def run_channel(
 ) -> ChannelTranscript:
     """Run rounds until `target_accepted` acceptances; exact cost accounting.
 
-    Deterministic given the seed (the fixed block size is part of the stream
-    layout).  `trace`, when given, is a writable text stream receiving one
-    CSV row per round; the rows go out in slices of _TRACE_SLICE rounds, one
-    write call per slice.
+    Deterministic given the seed: the stream layout fixes every round's
+    draws, whatever the number of workers.  `trace`, when given, is a
+    writable text stream receiving one CSV row per round; the rows go out in
+    slices of _TRACE_SLICE rounds, one write call per slice.
     """
     if target_accepted < 1:
         raise ValueError("target_accepted must be >= 1")
-    alice = AliceSender(a, stream(seed, 1))
-    bob = BobFilter(b, stream(seed, 2))
+    from concurrent.futures import ThreadPoolExecutor
+
+    alice, bob = AliceSender(a, seed), BobFilter(b, seed)
+
+    def unit(u: int) -> tuple[np.ndarray, ...]:
+        ids, vecs = alice.emit(u * _UNIT, _UNIT)
+        return (ids, vecs, *bob.process(ids, vecs))
 
     if trace is not None:
         trace.write(",".join(TRACE_HEADER) + "\n")
 
-    sent = 0
-    accepted = 0
-    plus = 0
-    while accepted < target_accepted:
-        ids, vecs = alice.emit(_BLOCK)
-        accept, outcome_plus = bob.process(ids, vecs)
+    sent = accepted = plus = 0
+    pending: deque = deque()
+    pool = ThreadPoolExecutor(max_workers=_WORKERS)
+    try:
+        while accepted < target_accepted:
+            # in flight: two units per worker at most, and only those the target needs at
+            # the acceptance rate of 1/2 less _SLACK, so (but with negligible probability)
+            # no unit runs past the target and every run computes the same units
+            need = max(1, -(-2 * (target_accepted - accepted - _SLACK) // _UNIT))
+            while len(pending) < min(2 * _WORKERS, need):  # every unit taken so far was whole
+                pending.append(pool.submit(unit, sent // _UNIT + len(pending)))
+            ids, vecs, accept, outcome_plus = pending.popleft().result()
 
-        cum = np.cumsum(accept)
-        if accepted + cum[-1] >= target_accepted:
-            # truncate at the round that reaches the target; later rounds never ran
-            stop = int(np.searchsorted(cum, target_accepted - accepted))
-            ids = ids[: stop + 1]
-            vecs = vecs[: stop + 1]
-            accept = accept[: stop + 1]
-            outcome_plus = outcome_plus[: stop + 1]
-        sent += ids.size
-        accepted += int(accept.sum())
-        plus += int(np.count_nonzero(accept & outcome_plus))
+            cum = np.cumsum(accept)
+            if accepted + cum[-1] >= target_accepted:
+                # truncate at the round that reaches the target; later rounds never ran
+                stop = int(np.searchsorted(cum, target_accepted - accepted)) + 1
+                ids, vecs, accept, outcome_plus = ids[:stop], vecs[:stop], accept[:stop], outcome_plus[:stop]
+            sent += ids.size
+            accepted += int(accept.sum())
+            plus += int(np.count_nonzero(accept & outcome_plus))
 
-        if trace is not None:
-            tails = np.where(accept, np.where(outcome_plus, "1,+b\n", "1,-b\n"), "0,\n")
-            for lo in range(0, ids.size, _TRACE_SLICE):
-                hi = lo + _TRACE_SLICE
-                rows = zip(ids[lo:hi].tolist(), vecs[lo:hi].tolist(), tails[lo:hi].tolist())
-                trace.write("".join([f"{i},{x!r},{y!r},{z!r},{tail}" for i, (x, y, z), tail in rows]))
+            if trace is not None:
+                tails = np.where(accept, np.where(outcome_plus, "1,+b\n", "1,-b\n"), "0,\n")
+                for lo in range(0, ids.size, _TRACE_SLICE):
+                    hi = lo + _TRACE_SLICE
+                    rows = zip(ids[lo:hi].tolist(), vecs[lo:hi].tolist(), tails[lo:hi].tolist())
+                    trace.write("".join([f"{i},{x!r},{y!r},{z!r},{tail}" for i, (x, y, z), tail in rows]))
+    finally:
+        pool.shutdown(cancel_futures=True)  # joins the workers; units not yet started never run
 
     return ChannelTranscript(
         alice_axis=a,

@@ -64,6 +64,7 @@ __all__ = [
     "run_experiment",
     "mixture_density",
     "stream",
+    "stream_at",
     "categorical",
     "rejection_sample",
 ]
@@ -246,6 +247,18 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(index)))))
 
 
+def stream_at(seed: int, index: int, draw: int) -> np.random.Generator:
+    """stream(seed, index) after its first `draw` 64-bit outputs (one per float64 uniform).
+
+    Philox is counter-based (Salmon et al., SC'11): counter c yields outputs 4c .. 4c+3,
+    so the generator opens at counter draw // 4 and drops the draw % 4 before its position.
+    """
+    rng = stream(seed, index)
+    rng.bit_generator.advance(draw // 4)
+    rng.bit_generator.random_raw(draw % 4)
+    return rng
+
+
 def categorical(weights: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """n indices drawn with probability proportional to `weights` (inverse CDF).
 
@@ -288,7 +301,8 @@ def rejection_sample(
         props = propose(k)
         keep = rng.random(k) * envelope < weight(props)
         rows = np.flatnonzero(keep)[:todo]
-        np.take(props, rows, axis=0, out=out[have : have + rows.size])
+        # every index is in range, so "clip" changes no row; the default "raise" buffers `out`
+        np.take(props, rows, axis=0, out=out[have : have + rows.size], mode="clip")
         have += rows.size
     return out
 

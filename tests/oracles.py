@@ -7,6 +7,8 @@ own code paths.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -133,3 +135,43 @@ def projector_checks_accept(kets: list[np.ndarray], tol: float) -> bool:
     for a in range(len(projs)):
         checks.extend(np.max(np.abs(projs[a] @ projs[b])) <= tol for b in range(a + 1, len(projs)))
     return bool(all(checks))
+
+
+def channel_blocks(a: np.ndarray, b: np.ndarray, seed: int):
+    """The channel's rounds as one sequential loop draws them, one 2^16-round block at a time.
+
+    Per block: one uniform_hemisphere draw (all z, then all phi) from
+    stream(seed, 1), and one uniform per round from stream(seed, 2).  This is
+    the stream layout the channel must keep, so unlike the rest of this file
+    it draws through the library's streams and sampler.  Yields
+    (ids, vecs, accept, outcome_plus) per block.
+    """
+    from mdhv.models.base import stream
+    from mdhv.sphere import uniform_hemisphere
+
+    block = 1 << 16
+    alice, bob = stream(seed, 1), stream(seed, 2)
+    for first in itertools.count(0, block):
+        vecs = uniform_hemisphere(alice, block, a)
+        dots = vecs @ b
+        yield np.arange(first, first + block), vecs, bob.random(block) < np.abs(dots), dots >= 0.0
+
+
+def sequential_channel(a: np.ndarray, b: np.ndarray, target: int, seed: int, trace) -> tuple[int, int, int]:
+    """(sent, accepted, +b count) of the sequential channel loop over channel_blocks,
+    writing the same CSV trace rows to `trace`."""
+    trace.write("round_id,lambda_x,lambda_y,lambda_z,accepted,outcome\n")
+    sent = accepted = plus = 0
+    blocks = channel_blocks(a, b, seed)
+    while accepted < target:
+        ids, vecs, accept, outcome_plus = next(blocks)
+        cum = np.cumsum(accept)
+        if accepted + cum[-1] >= target:
+            stop = int(np.searchsorted(cum, target - accepted)) + 1
+            ids, vecs, accept, outcome_plus = ids[:stop], vecs[:stop], accept[:stop], outcome_plus[:stop]
+        sent += ids.size
+        accepted += int(accept.sum())
+        plus += int(np.count_nonzero(accept & outcome_plus))
+        for i, (x, y, z), acc, pos in zip(ids.tolist(), vecs.tolist(), accept, outcome_plus):
+            trace.write(f"{i},{x!r},{y!r},{z!r}," + (("1,+b" if pos else "1,-b") if acc else "0,") + "\n")
+    return sent, accepted, plus

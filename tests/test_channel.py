@@ -2,6 +2,9 @@
 
 import io
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import oracles
 from mdhv import channel
 from mdhv.constants import TOL
 from mdhv.models import stream
+from mdhv.models.base import stream_at
 from mdhv.quantum import BlochVector, random_bloch
 
 Z = BlochVector(0, 0, 1)
@@ -17,26 +21,28 @@ X = BlochVector(1, 0, 0)
 DEG60 = BlochVector.from_polar(np.pi / 3, 0.0)
 
 
+def emit_rounds(alice: channel.AliceSender, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rounds 0 .. n-1 of the stream layout, one block per emit call."""
+    parts = [alice.emit(lo, min(channel._BLOCK, n - lo)) for lo in range(0, n, channel._BLOCK)]
+    return np.concatenate([ids for ids, _ in parts]), np.concatenate([vecs for _, vecs in parts])
+
+
 class TestAliceSend:
     def test_support(self):
-        rng = stream(601)
-        a = random_bloch(rng)
-        _, vecs = channel.AliceSender(a, rng).emit(200)
+        a = random_bloch(stream(601))
+        _, vecs = channel.AliceSender(a, 601).emit(0, 200)
         assert np.all(vecs @ a.as_array() >= 0.0)
 
     def test_first_moment_is_half_axis(self):
         rng = stream(603)
         a = random_bloch(rng)
         assert np.allclose(oracles.hemisphere_mean(a.as_array()), a.as_array() / 2.0, atol=2e-3)
-        alice = channel.AliceSender(a, rng)
-        _, vecs = alice.emit(1_000_000)
+        _, vecs = emit_rounds(channel.AliceSender(a, 603), 1_000_000)
         assert np.allclose(vecs.mean(axis=0), a.as_array() / 2.0, atol=2e-3)
 
     def test_uniformity_chi_square(self):
         # equal-area cells on the hemisphere around +z: z in [0,1] x azimuth
-        rng = stream(605)
-        alice = channel.AliceSender(Z, rng)
-        _, vecs = alice.emit(400_000)
+        _, vecs = emit_rounds(channel.AliceSender(Z, 605), 400_000)
         nz, nphi = 10, 10
         zi = np.minimum((vecs[:, 2] * nz).astype(int), nz - 1)
         pi = np.minimum(
@@ -52,14 +58,14 @@ class TestAliceSend:
 
 class TestBobFilter:
     def test_parallel_always_accepts(self):
-        bob = channel.BobFilter(Z, stream(607))
+        bob = channel.BobFilter(Z, 607)
         for sign in (+1, -1):
             vecs = np.tile([0.0, 0.0, float(sign)], (100, 1))
             accept, _ = bob.process(np.arange(100), vecs)
             assert accept.all()
 
     def test_orthogonal_never_accepts(self):
-        bob = channel.BobFilter(Z, stream(609))
+        bob = channel.BobFilter(Z, 609)
         accept, _ = bob.process(np.arange(100), np.tile(X.as_array(), (100, 1)))
         assert not accept.any()
 
@@ -84,7 +90,7 @@ class TestBobOutcome:
     def test_signs(self):
         # rows: along b, against b, orthogonal (sign-at-zero convention reads +)
         vecs = np.array([Z.as_array(), -Z.as_array(), X.as_array()])
-        _, outcome_plus = channel.BobFilter(Z, stream(615)).process(np.arange(3), vecs)
+        _, outcome_plus = channel.BobFilter(Z, 615).process(np.arange(3), vecs)
         assert outcome_plus.tolist() == [True, False, True]
 
 
@@ -142,11 +148,8 @@ class TestRunChannel:
     def test_accepted_distribution_matches_weighted_density(self):
         # aligned axes: accepted density z/pi on the upper hemisphere, so a
         # (z, phi) cell carries exactly (z2^2 - z1^2) * dphi / (2 pi)
-        t_seed = 37
-        alice = channel.AliceSender(Z, stream(t_seed, 1))
-        bob = channel.BobFilter(Z, stream(t_seed, 2))
-        _, vecs = alice.emit(400_000)
-        accept, _ = bob.process(np.arange(vecs.shape[0]), vecs)
+        ids, vecs = emit_rounds(channel.AliceSender(Z, 37), 400_000)
+        accept, _ = channel.BobFilter(Z, 37).process(ids, vecs)
         kept = vecs[accept]
         nz, nphi = 10, 10
         z_edges = np.linspace(0.0, 1.0, nz + 1)
@@ -167,13 +170,13 @@ class TestRunChannel:
         # from a 4x4 midpoint sub-grid per cell (bias far below multinomial
         # noise), chi-square at one million accepted rounds
         b = DEG60.as_array()
-        alice = channel.AliceSender(Z, stream(43, 1))
-        bob = channel.BobFilter(DEG60, stream(43, 2))
+        alice = channel.AliceSender(Z, 43)
+        bob = channel.BobFilter(DEG60, 43)
         kept = []
         total = 0
         while total < 1_000_000:
-            _, vecs = alice.emit(1 << 17)
-            accept, _ = bob.process(np.arange(vecs.shape[0]), vecs)
+            ids, vecs = alice.emit(len(kept) * channel._BLOCK, channel._BLOCK)
+            accept, _ = bob.process(ids, vecs)
             kept.append(vecs[accept])
             total += int(accept.sum())
         kept = np.concatenate(kept)[:1_000_000]
@@ -201,6 +204,93 @@ class TestRunChannel:
     def test_target_must_be_positive(self):
         with pytest.raises(ValueError):
             channel.run_channel(Z, X, 0, seed=1)
+
+
+GENERIC_A = np.array([0.330552869999331, 0.04891080580801897, -0.9425192481909404])
+GENERIC_B = np.array([-0.8608316989878447, 0.4376032174564773, 0.2597541339217525])
+
+
+class TestStreamPositions:
+    """Each unit reads its rounds at their Philox counter offsets; the rows
+    must be those of the sequential loop over 2^16-round blocks."""
+
+    @pytest.fixture(scope="class")
+    def oracle_rows(self):
+        blocks = oracles.channel_blocks(GENERIC_A, GENERIC_B, 911)
+        return [np.concatenate(parts) for parts in zip(*(next(blocks) for _ in range(3)))]
+
+    @pytest.mark.parametrize("u", [0, 1, 3, 4, 5, 11])  # units next to and past the 2^16 boundaries
+    def test_unit_equals_its_rows_of_the_sequential_loop(self, oracle_rows, u):
+        a, b = BlochVector(*GENERIC_A), BlochVector(*GENERIC_B)
+        ids, vecs = channel.AliceSender(a, 911).emit(u * channel._UNIT, channel._UNIT)
+        accept, outcome_plus = channel.BobFilter(b, 911).process(ids, vecs)
+        rows = slice(u * channel._UNIT, (u + 1) * channel._UNIT)
+        for got, want in zip((ids, vecs, accept, outcome_plus), oracle_rows):
+            assert got.tobytes() == want[rows].tobytes()
+
+    def test_emit_stays_within_one_block(self):
+        with pytest.raises(ValueError):
+            channel.AliceSender(Z, 1).emit(channel._BLOCK - 4, 8)
+
+    @pytest.mark.parametrize("draw", [0, 1, 3, 4, 5, 4097])
+    def test_stream_at_continues_the_stream_at_its_draw(self, draw):
+        assert stream_at(915, 2, draw).random(9).tobytes() == stream(915, 2).random(draw + 9)[draw:].tobytes()
+
+    @pytest.mark.parametrize("target", [1, 8191, 16385, 70000])
+    def test_transcript_and_trace_match_the_sequential_loop_at_any_worker_count(self, target, monkeypatch):
+        want = io.StringIO()
+        sent, accepted, plus = oracles.sequential_channel(GENERIC_A, GENERIC_B, target, 913, want)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # frequent thread switches, and 8 workers: more than most hosts have cores
+        try:
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(channel, "_WORKERS", workers)
+                got = io.StringIO()
+                t = channel.run_channel(BlochVector(*GENERIC_A), BlochVector(*GENERIC_B), target, 913, trace=got)
+                assert (t.sent, t.accepted, t.outcome_counts["+b"]) == (sent, accepted, plus)
+                assert got.getvalue() == want.getvalue()
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestWorkerPool:
+    def test_queued_units_are_cancelled_and_the_pool_joined(self, monkeypatch):
+        # four units in flight on two workers, whatever the target needs.
+        # Unit 0 meets the target.  Units 1 and 2 hold a worker each for
+        # 0.3 s once started, so unit 3 is still queued when unit 0 is taken.
+        monkeypatch.setattr(channel, "_WORKERS", 2)
+        monkeypatch.setattr(channel, "_SLACK", -(1 << 40))
+        emitted = []
+        emit = channel.AliceSender.emit
+
+        def slow_emit(self, first, n):
+            emitted.append(first // channel._UNIT)
+            if first // channel._UNIT in (1, 2):
+                time.sleep(0.3)
+            return emit(self, first, n)
+
+        monkeypatch.setattr(channel.AliceSender, "emit", slow_emit)
+        before = threading.active_count()
+        t = channel.run_channel(Z, DEG60, 1000, seed=47)
+        assert threading.active_count() == before
+        time.sleep(0.05)
+        assert 0 in emitted and 3 not in emitted
+        monkeypatch.undo()
+        assert t.to_json() == channel.run_channel(Z, DEG60, 1000, seed=47).to_json()
+
+    def test_a_unit_error_reaches_the_caller_and_no_thread_outlives_it(self, monkeypatch):
+        process = channel.BobFilter.process
+
+        def failing_process(self, ids, vecs):
+            if ids[0] == 2 * channel._UNIT:
+                raise RuntimeError("third unit")
+            return process(self, ids, vecs)
+
+        monkeypatch.setattr(channel.BobFilter, "process", failing_process)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="third unit"):
+            channel.run_channel(Z, DEG60, 100_000, seed=53)
+        assert threading.active_count() == before
 
 
 class TestInformationAccounting:

@@ -23,7 +23,7 @@ from types import SimpleNamespace
 import pytest
 
 from mdhv import analysis, channel
-from mdhv.cli import build_parser
+from mdhv.cli import build_parser, main
 from mdhv.models import MODEL_REGISTRY, run_experiment, stream
 from mdhv.models.base import rejection_sample
 from mdhv.quantum import ProjectiveBasis
@@ -133,6 +133,21 @@ def test_rejection_proposals_go_through_the_traced_sampler(model_name, sampler, 
 @pytest.mark.parametrize("cls_name, method", tracing.CHANNEL_METHODS)
 def test_traced_channel_method_resolves(cls_name, method):
     assert callable(getattr(getattr(channel, cls_name, None), method, None))
+
+
+def test_channel_units_record_their_spans_inside_the_operation(tmp_path, monkeypatch):
+    """The channel's units run on worker threads.  perfbench times
+    `AliceSender.emit` and `BobFilter.process` there, and fails its run on a
+    span that is open or outside its operation after the pool is joined."""
+    monkeypatch.chdir(tmp_path)
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.operation("channel") as spans:
+        assert main(["channel", "--accepted", "40000", "--seed", "5", "--trace", "t.csv"]) == 0
+    assert not tracer.problems
+    for name in ("channel.AliceSender.emit", "channel.BobFilter.process"):
+        units = [s for s in spans if s.name == name]
+        assert len(units) >= 3
+        assert all(s.ancestor("channel.run_channel") is not None for s in units)
 
 
 # (callable, a stand-in positional-argument count, keyword names) of each call
