@@ -14,7 +14,6 @@ from .models import (
     ModelContext,
     SimulationReport,
     create_model,
-    mixture_density,
     run_experiment,
     singlet_context,
     stream,
@@ -29,7 +28,6 @@ __all__ = [
     "analysis",
     "channel",
     "create_model",
-    "mixture_density",
     "quantum",
     "run_experiment",
     "singlet_context",

@@ -1,9 +1,8 @@
 """Numeric auditors for the foundational quantities of the model suite.
 
-Degree of epistemicity, classical/quantum overlaps, response randomness,
+Degree of epistemicity, classical overlap, response randomness,
 reciprocity, preparation-independence residuals, support/compatibility
-predicates, remote-setting marginal dependence, and the product-measurement
-factorization check.
+predicates, and remote-setting marginal dependence.
 
 Two conventions run through everything here: a Monte Carlo mass counts as
 zero when it is at most five standard errors from zero, and closed-form
@@ -45,13 +44,11 @@ __all__ = [
     "support_overlap_mass",
     "degree_of_epistemicity",
     "classical_overlap",
-    "quantum_overlap",
     "randomness",
     "reciprocity_check",
     "preparation_independence_residual",
     "compatibility_audit",
     "setting_marginal_dependence",
-    "product_measurement_factorization_test",
 ]
 
 
@@ -150,11 +147,6 @@ def degree_of_epistemicity(
         classification="disjoint" if disjoint else "overlapping",
         method=used,
     )
-
-
-def quantum_overlap(psi: StateVector, phi: StateVector) -> float:
-    """w_Q = 1 - sqrt(1 - |<psi|phi>|^2)."""
-    return 1.0 - float(np.sqrt(max(0.0, 1.0 - psi.overlap_sq(phi))))
 
 
 def classical_overlap(
@@ -471,39 +463,3 @@ def setting_marginal_dependence(
         err = 0.5 * 4.0 * np.pi * bootstrap_stderr(diff)
         return MarginalDependenceReport(tv, err, particle, "quadrature")
     raise TypeError("setting-marginal dependence is defined for the bipartite singlet models")
-
-
-# ---------------------------------------------------------------------------
-# Product-measurement factorization
-# ---------------------------------------------------------------------------
-
-
-def product_measurement_factorization_test(
-    psi: StateVector,
-    phi: StateVector,
-    M1: ProjectiveBasis,
-    M2: ProjectiveBasis,
-    model: HiddenVariableModel,
-    samples: int = 1_000_000,
-    seed: int = 0,
-) -> float:
-    """Max deviation of independently sampled joint outcome frequencies from
-    the product of the single-system Born distributions.
-
-    The joint outcome of factor outcomes (i, j) is flattened with subsystem 1
-    major, matching the lexicographic tuple convention used by the
-    preparation-independence audit.
-    """
-    ctx_a = model.basis_context(psi, M1)
-    ctx_b = model.basis_context(phi, M2)
-    model.validate_context(ctx_a)
-    model.validate_context(ctx_b)
-    la = model.outcome_labels(ctx_a)
-    lb = model.outcome_labels(ctx_b)
-    ia = model.sample_outcomes(ctx_a, samples, stream(seed, 1))
-    ib = model.sample_outcomes(ctx_b, samples, stream(seed, 2))
-    joint = np.bincount(ia * len(lb) + ib, minlength=len(la) * len(lb)) / samples
-    born_a = np.array([model.born_reference(ctx_a)[label] for label in la])
-    born_b = np.array([model.born_reference(ctx_b)[label] for label in lb])
-    expected = np.outer(born_a, born_b).ravel()
-    return float(np.max(np.abs(joint - expected)))

@@ -19,7 +19,6 @@ from .base import (
     SingletModel,
     SpherePoint,
     json_form,
-    mixture_density,
     run_experiment,
     singlet_context,
     singlet_correlation,
@@ -76,7 +75,6 @@ __all__ = [
     "SpherePoint",
     "create_model",
     "json_form",
-    "mixture_density",
     "run_experiment",
     "singlet_context",
     "singlet_correlation",

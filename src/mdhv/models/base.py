@@ -62,7 +62,6 @@ __all__ = [
     "Report",
     "SimulationReport",
     "run_experiment",
-    "mixture_density",
     "stream",
     "stream_at",
     "categorical",
@@ -585,27 +584,4 @@ def run_experiment(
         estimates={label: float(estimates[k]) for k, label in enumerate(labels)},
         stderr={label: float(stderr[k]) for k, label in enumerate(labels)},
         born_reference=model.born_reference(ctx),
-    )
-
-
-def mixture_density(
-    model: HiddenVariableModel,
-    mixture: list[tuple[float, StateVector]],
-    measurement,
-    lam: OnticPoint,
-) -> float:
-    """Density of a mixed preparation at lam: the convex combination of the
-    model's pure-state densities, sum_i c_i p(lam | a_i, M)."""
-    if not mixture:
-        raise ValueError("mixture needs at least one component")
-    weights = np.array([w for w, _ in mixture], dtype=float)
-    if weights.min() < -TOL.structural:
-        raise ValueError("mixture weights must be nonnegative")
-    if not abs(weights.sum() - 1.0) <= TOL.structural:
-        raise ValueError("mixture weights must sum to 1")
-    dims = {s.dim for _, s in mixture}
-    if len(dims) != 1:
-        raise ValueError("mixture components must share one dimension")
-    return float(
-        sum(w * model.density(lam, ModelContext(state, measurement)) for w, state in mixture)
     )

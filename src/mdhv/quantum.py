@@ -27,7 +27,6 @@ __all__ = [
     "Povm",
     "ProjectiveBasis",
     "born_probability",
-    "born_distribution",
     "ket_from_bloch",
     "bloch_from_ket",
     "spin_eigenket",
@@ -236,10 +235,6 @@ def born_probability(prep: DensityMatrix | StateVector, M: Povm, label: str) -> 
     else:
         p = np.trace(prep.entries @ op).real
     return float(min(1.0, max(0.0, p)))
-
-
-def born_distribution(prep: DensityMatrix | StateVector, M: Povm) -> dict[str, float]:
-    return {label: born_probability(prep, M, label) for label in M.labels}
 
 
 def ket_from_bloch(v: BlochVector) -> StateVector:

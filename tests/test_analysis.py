@@ -1,5 +1,5 @@
-"""Auditor checks: epistemicity, overlaps, randomness, reciprocity, PI,
-compatibility, remote-setting dependence, product factorization."""
+"""Auditor checks: epistemicity, classical overlap, randomness, reciprocity,
+PI, compatibility, remote-setting dependence."""
 
 import numpy as np
 import pytest
@@ -168,13 +168,6 @@ class TestDegreeOfEpistemicity:
 
 
 class TestOverlaps:
-    def test_quantum_overlap_closed_forms(self):
-        assert analysis.quantum_overlap(ZERO, ZERO) == 1.0
-        assert analysis.quantum_overlap(ZERO, ONE) == pytest.approx(0.0, abs=TOL.arithmetic)
-        assert analysis.quantum_overlap(ZERO, PLUS) == pytest.approx(
-            1.0 - 1.0 / np.sqrt(2.0), abs=TOL.structural
-        )
-
     def test_classical_overlap_identical_states(self):
         for name in ("gbrans", "interval"):
             model = create_model(name)
@@ -442,29 +435,3 @@ class TestSettingMarginalDependence:
         with pytest.raises(TypeError):
             analysis.setting_marginal_dependence(create_model("gbrans"), 1, Z_AXIS, Z_AXIS, X_AXIS)
 
-
-class TestProductFactorization:
-    def test_gbrans_product_statistics(self):
-        model = create_model("gbrans")
-        dev = analysis.product_measurement_factorization_test(
-            ZERO, PLUS, Z_BASIS, Z_BASIS, model, samples=200_000, seed=1
-        )
-        assert dev < 5e-3
-
-    def test_eigenstate_factors_deterministic(self):
-        model = create_model("gbrans")
-        dev = analysis.product_measurement_factorization_test(
-            ZERO, ONE, Z_BASIS, Z_BASIS, model, samples=10_000, seed=2
-        )
-        assert dev == 0.0
-
-    def test_ks2_factors(self):
-        model = create_model("ks2")
-        rng = stream(557)
-        M1 = orthonormal_basis_containing(random_state(2, rng))
-        M2 = orthonormal_basis_containing(random_state(2, rng))
-        psi, phi = random_state(2, rng), random_state(2, rng)
-        dev = analysis.product_measurement_factorization_test(
-            psi, phi, M1, M2, model, samples=200_000, seed=3
-        )
-        assert dev < 5e-3

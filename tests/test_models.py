@@ -21,7 +21,6 @@ from mdhv.models import (
     SettingsOutcomePair,
     SpherePoint,
     create_model,
-    mixture_density,
     run_experiment,
     singlet_context,
     stream,
@@ -387,12 +386,24 @@ def wilson_hilferty_z(chi2: float, dof: int) -> float:
 
 
 class TestSamplerMatchesDensity:
-    """Each sphere sampler draws its own declared density, not just the right
-    outcome frequencies: a pinned-seed Pearson chi-square of sampled counts
-    against the density's integrals over equal-area cells, one set per label."""
+    """Each sphere sampler, and the interval sampler, draws its own declared
+    density, not just the right outcome frequencies: a pinned-seed Pearson
+    chi-square of sampled counts against the density's integrals over cells,
+    equal-area ones per label on the sphere and equal sub-bins on the interval."""
 
     NZ, NPHI, REFINE = 8, 16, 50
+    SUB_BINS = 8
     SHOTS = 200_000
+
+    @staticmethod
+    def pearson(counts, expected) -> tuple[float, int]:
+        # cells expecting under 5 draws pool into one, which counts once it expects 5
+        full = expected >= 5.0
+        observed, expect = counts[full], expected[full]
+        if expected[~full].sum() >= 5.0:
+            observed = np.append(observed, counts[~full].sum())
+            expect = np.append(expect, expected[~full].sum())
+        return float(np.sum((observed - expect) ** 2 / expect)), observed.size - 1
 
     @classmethod
     def chi_square(cls, model, ctx, arrays) -> tuple[float, int]:
@@ -416,13 +427,7 @@ class TestSamplerMatchesDensity:
                 for tag in tags
             ]
         )
-        # cells expecting under 5 draws pool into one, which counts once it expects 5
-        full = expected >= 5.0
-        observed, expect = counts[full], expected[full]
-        if expected[~full].sum() >= 5.0:
-            observed = np.append(observed, counts[~full].sum())
-            expect = np.append(expect, expected[~full].sum())
-        return float(np.sum((observed - expect) ** 2 / expect)), observed.size - 1
+        return cls.pearson(counts, expected)
 
     @pytest.mark.parametrize("name", ["ks1", "ks2", "hall", "bellmermin"])
     def test_pearson_chi_square(self, name):
@@ -432,6 +437,25 @@ class TestSamplerMatchesDensity:
             arrays = model.sample_arrays(ctx, self.SHOTS, stream(337, trial))
             chi2, dof = self.chi_square(model, ctx, arrays)
             assert dof > 50
+            assert wilson_hilferty_z(chi2, dof) < 4.0, (trial, chi2, dof)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_interval_positions_within_each_bin(self, dim):
+        # bin i has length x_i and density x_i, so each of its SUB_BINS equal
+        # cells expects the Born weight x_i^2 / SUB_BINS
+        model = create_model("interval")
+        for trial in range(3):
+            ctx = model.random_context(stream(331, trial), dim)
+            x, edges = model.bin_edges(ctx)
+            steps = np.arange(self.SUB_BINS) / self.SUB_BINS
+            grid = np.append(np.concatenate([edges[i] + x[i] * steps for i in range(dim)]), edges[-1])
+            pos = model.sample_arrays(ctx, self.SHOTS, stream(337, trial))["x"]
+            cell = np.clip(np.searchsorted(grid, pos, "right") - 1, 0, grid.size - 2)
+            counts = np.bincount(cell, minlength=grid.size - 1)
+            mids = {"x": 0.5 * (grid[:-1] + grid[1:])}
+            expected = self.SHOTS * model.density_arrays(mids, ctx) * np.diff(grid)
+            chi2, dof = self.pearson(counts, expected)
+            assert dof >= dim * self.SUB_BINS // 2
             assert wilson_hilferty_z(chi2, dof) < 4.0, (trial, chi2, dof)
 
 
@@ -809,20 +833,6 @@ class TestBellMermin:
 
 
 class TestMixtureDensity:
-    def test_single_component_degenerates(self):
-        model = create_model("gbrans")
-        lam = DiscreteIndex(0)
-        direct = model.density(lam, ModelContext(PLUS, Z_BASIS))
-        assert mixture_density(model, [(1.0, PLUS)], Z_BASIS, lam) == direct
-
-    def test_equal_mixture_under_gbrans(self):
-        model = create_model("gbrans")
-        mix = [(0.5, ZERO), (0.5, ONE)]
-        for j in (0, 1):
-            assert mixture_density(model, mix, Z_BASIS, DiscreteIndex(j)) == pytest.approx(
-                0.5, abs=TOL.structural
-            )
-
     def test_preparation_context_support_inclusion(self):
         # two decompositions of the same density matrix get nested supports
         model = create_model("ks1")
@@ -832,32 +842,22 @@ class TestMixtureDensity:
             (0.5, ket_from_bloch(BlochVector.from_polar(t, 0.0))),
             (0.5, ket_from_bloch(BlochVector.from_polar(t, np.pi))),
         ]
+
+        def density(mix, lam):
+            return sum(w * model.density(lam, ModelContext(state, Z_BASIS)) for w, state in mix)
+
         pts = stratified_sphere_points(4000, stream(89))
         strictly_smaller = False
         for tag in ("0", "1"):
             for vec in pts:
                 lam = LabeledSphere(tag, BlochVector.from_array(vec))
-                d1 = mixture_density(model, mix1, Z_BASIS, lam)
-                d2 = mixture_density(model, mix2, Z_BASIS, lam)
+                d1 = density(mix1, lam)
+                d2 = density(mix2, lam)
                 if d2 > TOL.support:
                     assert d1 > TOL.support  # supp(mix2) inside supp(mix1)
                 elif d1 > TOL.support:
                     strictly_smaller = True
         assert strictly_smaller
-
-    def test_weight_validation(self):
-        model = create_model("gbrans")
-        with pytest.raises(ValueError):
-            mixture_density(model, [(0.7, ZERO), (0.7, ONE)], Z_BASIS, DiscreteIndex(0))
-        with pytest.raises(ValueError):
-            mixture_density(model, [(float("nan"), ZERO), (0.5, ONE)], Z_BASIS, DiscreteIndex(0))
-
-    def test_dimension_mismatch_rejected(self):
-        model = create_model("gbrans")
-        from mdhv.quantum import singlet_state
-
-        with pytest.raises(ValueError):
-            mixture_density(model, [(0.5, ZERO), (0.5, singlet_state())], Z_BASIS, DiscreteIndex(0))
 
 
 @given(st.integers(min_value=0, max_value=5000))

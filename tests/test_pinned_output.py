@@ -243,6 +243,30 @@ CLAIMS = {
         _gate,
         "deb794f2e56c45b75aee860610bfa935ca377cff2895626f76252ac7688f51bc",
     ),
+    "verify brans --shots 100000 --seed 7": (
+        _gate,
+        "f1f0719953998c673b741d38566ba6968b63ad2e49b7ee1c84e0c7008d6ef44c",
+    ),
+    "verify interval --shots 100000 --seed 7": (
+        _gate,
+        "879566da4b69ff8001a8756d2e37a632322b21dd04619b36f396da3c736facd0",
+    ),
+    "verify ks1 --shots 100000 --seed 7": (
+        _gate,
+        "72fcc10e248190c133d00dcd10cbd93cfce400404faa911c198a8f44eeb6c053",
+    ),
+    "verify ks2 --shots 100000 --seed 7": (
+        _gate,
+        "fda04ac73d24567e361687c61ff0e25d3e611909b80e60b1cda894f04d52e8cd",
+    ),
+    "verify hall --shots 100000 --seed 7": (
+        _gate,
+        "014462933696426f7d2404f3a67ca22f19e8edb1358515556ec70fe5a95c324e",
+    ),
+    "verify bellmermin --shots 100000 --seed 7": (
+        _gate,
+        "ae9921d34c45f114ee53da31e03341b7f5ec7d4f16fb9112192d394e08778532",
+    ),
 }
 
 RUNS.update({command: (shlex.split(command), digest) for command, (_, digest) in CLAIMS.items()})

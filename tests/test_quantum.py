@@ -1,5 +1,7 @@
 """Quantum-core oracle: construction invariants and closed-form values."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from mdhv.quantum import (
     ProjectiveBasis,
     StateVector,
     bloch_from_ket,
-    born_distribution,
     born_probability,
     ket_from_bloch,
     orthonormal_basis_containing,
@@ -129,9 +130,10 @@ class TestBornProbability:
         rng = stream(seed)
         dim = int(rng.integers(2, 6))
         M = random_basis(dim, rng) if rng.random() < 0.5 else random_povm(dim, dim + 2, rng)
-        p = born_distribution(random_state(dim, rng), M)
-        assert sum(p.values()) == pytest.approx(1.0, abs=TOL.structural)
-        assert all(v >= 0.0 for v in p.values())
+        psi = random_state(dim, rng)
+        p = [born_probability(psi, M, label) for label in M.labels]
+        assert sum(p) == pytest.approx(1.0, abs=TOL.structural)
+        assert all(v >= 0.0 for v in p)
 
 
 class TestBlochParametrization:
@@ -234,6 +236,23 @@ class TestBasisCompletion:
             phi = random_state(dim, rng)
             M = orthonormal_basis_containing(phi)  # ProjectiveBasis validates on build
             assert len(M) == dim
+
+
+RANDOM_BASIS_SHA256 = {
+    2: "3084f55191c244e0096c609195bf7628ef8c0c6eaef73f69a152a1e99df4f9fd",
+    3: "e93aa3b57c71a418cbf499448398053efd3dc807eee35c1c9b2e8aa8f47ebf56",
+    4: "08817e793c2dbae3b481bf88186a451ca9322b03cf6e3d6f2bd44e796252702f",
+}
+
+
+@pytest.mark.parametrize("dim", sorted(RANDOM_BASIS_SHA256))
+def test_random_basis_bytes_are_pinned(dim):
+    """random_basis takes its kets from LAPACK's QR, whose last bits follow the
+    BLAS kernel (numpy 2.4.6, scipy-openblas 0.3.31, SkylakeX kernel). A kernel
+    or LAPACK change then fails here by name, before the pinned CLI hashes."""
+    M = random_basis(dim, stream(59, dim))
+    data = b"".join(ket.amplitudes.tobytes() for ket in M.kets)
+    assert hashlib.sha256(data).hexdigest() == RANDOM_BASIS_SHA256[dim]
 
 
 def haar_kets(dim: int, rng) -> list[np.ndarray]:
