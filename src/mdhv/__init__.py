@@ -2,7 +2,7 @@
 
 A small research library with three layers: exact finite-dimensional quantum
 mechanics as the verification oracle (`mdhv.quantum`), a suite of
-measurement-dependent hidden-variable models behind one sampling interface
+measurement-dependent hidden-variable models behind one array interface
 (`mdhv.models`), and numeric auditors plus a two-party channel-simulation
 protocol built on top (`mdhv.analysis`, `mdhv.channel`).  The `mdhv` CLI
 drives verification suites, correlation scans, protocol runs, and audits.

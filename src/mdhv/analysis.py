@@ -18,19 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TOL
-from .models.base import (
-    AntipodalPair,
-    DiscreteIndex,
-    HiddenVariableModel,
-    IntervalPoint,
-    LabeledSphere,
-    ModelContext,
-    Report,
-    SettingsOutcomePair,
-    SpherePoint,
-    singlet_context,
-    stream,
-)
+from .models.base import HiddenVariableModel, ModelContext, OnticKind, singlet_context, stream
 from .quantum import DensityMatrix, Povm, ProjectiveBasis, StateVector
 from .sphere import bootstrap_stderr, stratified_sphere_points
 
@@ -79,7 +67,7 @@ def _mc_mass(mask: np.ndarray) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class OverlapReport(Report):
+class OverlapReport:
     mass_psi_in_phi_support: float
     omega: float
     quantum_overlap_sq: float
@@ -168,12 +156,12 @@ def classical_overlap(
     model.validate_context(ctx_b)
     kind = model.ontic_kind
 
-    if kind is DiscreteIndex:
+    if kind is OnticKind.DISCRETE_INDEX:
         idx = {"j": np.arange(len(M))}
         diff = np.abs(model.density_arrays(idx, ctx_a) - model.density_arrays(idx, ctx_b))
         return 1.0 - 0.5 * float(diff.sum())
 
-    if kind is IntervalPoint:
+    if kind is OnticKind.INTERVAL:
         _, edges_a = model.bin_edges(ctx_a)
         _, edges_b = model.bin_edges(ctx_b)
         edges = np.unique(np.concatenate([edges_a, edges_b]))
@@ -183,17 +171,17 @@ def classical_overlap(
 
     pts = stratified_sphere_points(resolution, stream(seed, 0))
     total = 0.0
-    if kind is LabeledSphere:
+    if kind is OnticKind.LABELED_SPHERE:
         for tag in range(len(M)):
             arrays = {"label": np.full(pts.shape[0], tag, dtype=int), "vec": pts}
             diff = np.abs(model.density_arrays(arrays, ctx_a) - model.density_arrays(arrays, ctx_b))
             total += diff.mean() * 4.0 * np.pi
-    elif kind is SpherePoint:
+    elif kind is OnticKind.SPHERE:
         arrays = {"vec": pts}
         diff = np.abs(model.density_arrays(arrays, ctx_a) - model.density_arrays(arrays, ctx_b))
         total = diff.mean() * 4.0 * np.pi
     else:
-        raise TypeError(f"classical overlap is undefined for {kind.__name__} models")
+        raise TypeError(f"classical overlap is undefined for {kind.name} models")
     return 1.0 - 0.5 * float(total)
 
 
@@ -227,7 +215,7 @@ def randomness(
 
 
 @dataclass(frozen=True)
-class ReciprocityReport(Report):
+class ReciprocityReport:
     reciprocal: bool
     violation_mass: float
     mc_stderr: float
@@ -262,7 +250,7 @@ def reciprocity_check(
 
 
 @dataclass(frozen=True)
-class PiReport(Report):
+class PiReport:
     joint: dict[str, float]
     product_of_marginals: dict[str, float]
     max_residual: float
@@ -279,7 +267,7 @@ def preparation_independence_residual(
     measurement outcomes map to ontic bit-tuples lexicographically (outcome
     index in binary, most significant bit = subsystem 1).
     """
-    if model.ontic_kind is not DiscreteIndex:
+    if model.ontic_kind is not OnticKind.DISCRETE_INDEX:
         raise TypeError("the tuple decomposition needs a discrete ontic space")
     n = len(factors)
     if n < 2:
@@ -325,7 +313,7 @@ def _padded(state: StateVector, slot: int) -> DensityMatrix:
 
 
 @dataclass(frozen=True)
-class CompatibilityReport(Report):
+class CompatibilityReport:
     support_psi_padded: tuple[int, ...]
     support_phi_padded: tuple[int, ...]
     premise: tuple[int, ...]
@@ -352,7 +340,7 @@ def compatibility_audit(
     intersection across all four and the separable-tuple check on product
     preparations.  Only discrete ontic spaces are enumerable.
     """
-    if model.ontic_kind is not DiscreteIndex:
+    if model.ontic_kind is not OnticKind.DISCRETE_INDEX:
         raise TypeError("compatibility enumeration is undefined for continuous ontic spaces")
     if psi.dim != 2 or phi.dim != 2:
         raise ValueError("the audit covers two-qubit product spaces")
@@ -413,7 +401,7 @@ def compatibility_audit(
 
 
 @dataclass(frozen=True)
-class MarginalDependenceReport(Report):
+class MarginalDependenceReport:
     tv_distance: float
     stderr: float
     particle: int
@@ -445,7 +433,7 @@ def setting_marginal_dependence(
         ctx1, ctx2 = singlet_context(b, a), singlet_context(b_alt, a)
     else:
         raise ValueError("particle must be 1 or 2")
-    if model.ontic_kind is SettingsOutcomePair:
+    if model.ontic_kind is OnticKind.SETTINGS_OUTCOME_PAIR:
         tv = 0.5 * sum(
             abs(
                 model.marginal_density(particle, i, ctx1)
@@ -454,7 +442,7 @@ def setting_marginal_dependence(
             for i in (+1, -1)
         )
         return MarginalDependenceReport(float(tv), 0.0, particle, "exact")
-    if model.ontic_kind is AntipodalPair:
+    if model.ontic_kind is OnticKind.ANTIPODAL_PAIR:
         pts = stratified_sphere_points(resolution, stream(seed, 0))
         diff = np.abs(
             model.density_arrays({"vec": pts}, ctx1) - model.density_arrays({"vec": pts}, ctx2)

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .models.base import Report, stream_at
+from .models.base import stream_at
 from .quantum import BlochVector
 from .sphere import embed_local
 
@@ -54,7 +54,7 @@ TRACE_HEADER = ("round_id", "lambda_x", "lambda_y", "lambda_z", "accepted", "out
 
 
 @dataclass(frozen=True)
-class ChannelTranscript(Report):
+class ChannelTranscript:
     """Per-run record of the protocol with exact send/accept accounting."""
 
     alice_axis: BlochVector
@@ -81,7 +81,7 @@ class ChannelTranscript(Report):
 
 
 @dataclass(frozen=True)
-class InfoReport(Report):
+class InfoReport:
     """Differential entropies (nats) of the axis/message pair under uniform priors."""
 
     h_a: float

@@ -22,7 +22,7 @@ from . import analysis, channel
 from .constants import TOL
 from .models import (
     MODEL_REGISTRY,
-    DiscreteIndex,
+    OnticKind,
     SingletModel,
     create_model,
     json_form,
@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("compat", "--states", "0,+", audit_compat, "support-implication audit of two states"),
     ):
         p = checks.add_parser(check, help=summary)
-        _add_model(p, lambda cls: cls.ontic_kind is DiscreteIndex)
+        _add_model(p, lambda cls: cls.ontic_kind is OnticKind.DISCRETE_INDEX)
         p.add_argument(flag, type=_qubit_pair, default=default, help="two qubit labels, e.g. '+,0'")
         p.add_argument("--basis", choices=tuple(_NAMED_BASES), default="mixed-psi-plus")
         _add_common(p, _audit(func))

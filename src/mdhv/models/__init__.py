@@ -4,20 +4,13 @@ from __future__ import annotations
 
 from .base import (
     SINGLET,
-    AntipodalPair,
     AxisPair,
-    DiscreteIndex,
     HiddenVariableModel,
-    IntervalPoint,
-    LabeledSphere,
     ModelContext,
-    OnticPoint,
-    ReferenceMeasure,
-    SettingsOutcomePair,
+    OnticKind,
     SimulationReport,
     SingletFlag,
     SingletModel,
-    SpherePoint,
     json_form,
     run_experiment,
     singlet_context,
@@ -51,28 +44,21 @@ def create_model(name: str) -> HiddenVariableModel:
 
 __all__ = [
     "SINGLET",
-    "AntipodalPair",
     "AxisPair",
     "BellMermin",
     "BransSinglet",
-    "DiscreteIndex",
     "GeneralizedBrans",
     "HallSinglet",
     "HiddenVariableModel",
     "IntervalModel",
-    "IntervalPoint",
     "KochenSpecker1",
     "KochenSpecker2",
-    "LabeledSphere",
     "MODEL_REGISTRY",
     "ModelContext",
-    "OnticPoint",
-    "ReferenceMeasure",
-    "SettingsOutcomePair",
+    "OnticKind",
     "SimulationReport",
     "SingletFlag",
     "SingletModel",
-    "SpherePoint",
     "create_model",
     "json_form",
     "run_experiment",

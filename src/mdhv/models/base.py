@@ -1,11 +1,11 @@
-"""Hidden-variable model interface: ontic points, contexts, sampling engine.
+"""Hidden-variable model interface: ontic kinds, contexts, sampling engine.
 
-A model is conditioned on a (preparation, measurement) pair and exposes four
-point operations: draw an ontic value, evaluate the ensemble density at a
-value (w.r.t. the reference measure of the model's ontic kind), give the response
-distribution over outcome labels at a value, and test support membership.
-Vectorized array variants of the same operations back every Monte Carlo loop;
-the point API is a thin n=1 wrapper around them.
+A model is conditioned on a (preparation, measurement) pair and works on
+named arrays, one row per ontic value: draw n values, evaluate the ensemble
+density at each (w.r.t. the reference measure of the model's ontic kind),
+give the outcome index of the response at each, and test support
+membership.  These array operations are the whole model interface; a
+single value is a length-1 array.
 
 Randomness contract: streams are counter-based (Philox) and derived from
 (seed, chunk-index), so shot ranges can be partitioned across workers and the
@@ -14,11 +14,10 @@ merged counts are bit-identical regardless of execution order.
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields, is_dataclass
-from enum import Enum
-from typing import Callable, NamedTuple, Union
+from enum import Enum, auto
+from typing import Callable, Union
 
 import numpy as np
 
@@ -38,19 +37,11 @@ from ..quantum import (
 from ..sphere import BLOCK_ROWS
 
 __all__ = [
-    "DiscreteIndex",
-    "IntervalPoint",
-    "SpherePoint",
-    "LabeledSphere",
-    "AntipodalPair",
-    "SettingsOutcomePair",
-    "OnticPoint",
     "SingletFlag",
     "SINGLET",
     "AxisPair",
     "ModelContext",
-    "ReferenceMeasure",
-    "ONTIC_KINDS",
+    "OnticKind",
     "HiddenVariableModel",
     "QubitBasisModel",
     "SingletModel",
@@ -59,86 +50,12 @@ __all__ = [
     "singlet_context",
     "singlet_correlation",
     "json_form",
-    "Report",
     "SimulationReport",
     "run_experiment",
     "stream",
     "stream_at",
     "categorical",
     "rejection_sample",
-]
-
-
-# ---------------------------------------------------------------------------
-# Ontic points
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiscreteIndex:
-    """Ontic value indexing one measurement outcome."""
-
-    j: int
-
-
-@dataclass(frozen=True)
-class IntervalPoint:
-    """Ontic value on a bounded interval of the real line."""
-
-    x: float
-
-
-@dataclass(frozen=True)
-class SpherePoint:
-    """Ontic unit vector on the Bloch sphere."""
-
-    vec: BlochVector
-
-
-@dataclass(frozen=True)
-class LabeledSphere:
-    """Discrete outcome tag paired with an ontic unit vector."""
-
-    label: str
-    vec: BlochVector
-
-
-@dataclass(frozen=True)
-class AntipodalPair:
-    """Two ontic unit vectors constrained to second = -first (enforced exactly)."""
-
-    first: BlochVector
-    second: BlochVector
-
-    def __post_init__(self):
-        neg = -self.first
-        if (self.second.x, self.second.y, self.second.z) != (neg.x, neg.y, neg.z):
-            raise ValueError("AntipodalPair requires second == -first exactly")
-
-    @classmethod
-    def from_first(cls, first: BlochVector) -> "AntipodalPair":
-        return cls(first, -first)
-
-
-@dataclass(frozen=True)
-class SettingsOutcomePair:
-    """Per-particle outcome tags plus the setting axes they were conditioned on."""
-
-    i: int
-    j: int
-    alice_axis: BlochVector
-    bob_axis: BlochVector
-
-    def __post_init__(self):
-        if self.i not in (+1, -1) or self.j not in (+1, -1):
-            raise ValueError("outcome tags must be +1 or -1")
-
-
-JOINT_LABELS = ("++", "+-", "-+", "--")
-OUTCOME_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
-
-OnticPoint = Union[
-    DiscreteIndex, IntervalPoint, SpherePoint, LabeledSphere, AntipodalPair, SettingsOutcomePair
 ]
 
 
@@ -171,74 +88,30 @@ class ModelContext:
     measurement: Union[Povm, AxisPair, BlochVector]
 
 
-class ReferenceMeasure(str, Enum):
-    COUNTING = "counting"
-    LEBESGUE_INTERVAL = "lebesgue-interval"
-    SPHERE_SURFACE = "sphere-surface"
-    LABELED_SPHERE = "counting*sphere-surface"
+class OnticKind(Enum):
+    """The ontic space of a model: the tag the auditors dispatch on.
 
+    A kind fixes the named arrays that hold one ontic value per row, and the
+    reference measure that the model's densities are stated against:
 
-class _Kind(NamedTuple):
-    """What an ontic kind fixes: the measure its densities are stated against,
-    how row i of a model's arrays decodes to a point, and how one point
-    encodes as length-1 arrays."""
+      DISCRETE_INDEX         {"j"}             counting measure on the outcome indices
+      SETTINGS_OUTCOME_PAIR  {"idx"}           counting measure on the four tag pairs
+                                               (the setting axes are the context's own)
+      INTERVAL               {"x"}             Lebesgue measure on the interval
+      SPHERE                 {"vec"}           sphere surface measure
+      ANTIPODAL_PAIR         {"vec"} = lam1    sphere surface measure of lam1 (lam2 = -lam1)
+      LABELED_SPHERE         {"label", "vec"}  counting x sphere surface measure
 
-    measure: ReferenceMeasure
-    decode: Callable[[dict, int, ModelContext], OnticPoint]
-    encode: Callable[[OnticPoint, ModelContext], dict]
+    The delta factors of the settings pair and the antipodal pair are
+    resolved analytically, which leaves those measures.
+    """
 
-
-def _vec(arrays: dict, i: int) -> BlochVector:
-    return BlochVector.from_array(arrays["vec"][i])
-
-
-def _outcome_index(j: int, ctx: ModelContext) -> np.ndarray:
-    if not 0 <= j < len(ctx.measurement):
-        raise IndexError(f"ontic index {j} out of range for {len(ctx.measurement)} outcomes")
-    return np.array([j], dtype=int)
-
-
-# Each ontic kind, keyed by its point class.  The antipodal pair's delta is
-# resolved analytically, leaving the sphere measure of its first component;
-# the settings pair's axes are fixed by the context, leaving a count over the
-# four outcome tags.
-ONTIC_KINDS: dict[type, _Kind] = {
-    DiscreteIndex: _Kind(
-        ReferenceMeasure.COUNTING,
-        lambda a, i, ctx: DiscreteIndex(int(a["j"][i])),
-        lambda lam, ctx: {"j": _outcome_index(lam.j, ctx)},
-    ),
-    SettingsOutcomePair: _Kind(
-        ReferenceMeasure.COUNTING,
-        lambda a, i, ctx: SettingsOutcomePair(
-            *OUTCOME_PAIRS[int(a["idx"][i])], ctx.measurement.alice, ctx.measurement.bob
-        ),
-        lambda lam, ctx: {"idx": np.array([OUTCOME_PAIRS.index((lam.i, lam.j))], dtype=int)},
-    ),
-    IntervalPoint: _Kind(
-        ReferenceMeasure.LEBESGUE_INTERVAL,
-        lambda a, i, ctx: IntervalPoint(float(a["x"][i])),
-        lambda lam, ctx: {"x": np.array([lam.x], dtype=float)},
-    ),
-    SpherePoint: _Kind(
-        ReferenceMeasure.SPHERE_SURFACE,
-        lambda a, i, ctx: SpherePoint(_vec(a, i)),
-        lambda lam, ctx: {"vec": lam.vec.as_array()[None, :]},
-    ),
-    AntipodalPair: _Kind(
-        ReferenceMeasure.SPHERE_SURFACE,
-        lambda a, i, ctx: AntipodalPair.from_first(_vec(a, i)),
-        lambda lam, ctx: {"vec": lam.first.as_array()[None, :]},
-    ),
-    LabeledSphere: _Kind(
-        ReferenceMeasure.LABELED_SPHERE,
-        lambda a, i, ctx: LabeledSphere(ctx.measurement.labels[int(a["label"][i])], _vec(a, i)),
-        lambda lam, ctx: {
-            "label": np.array([ctx.measurement.index(lam.label)], dtype=int),
-            "vec": lam.vec.as_array()[None, :],
-        },
-    ),
-}
+    DISCRETE_INDEX = auto()
+    SETTINGS_OUTCOME_PAIR = auto()
+    INTERVAL = auto()
+    SPHERE = auto()
+    ANTIPODAL_PAIR = auto()
+    LABELED_SPHERE = auto()
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -314,22 +187,16 @@ def rejection_sample(
 class HiddenVariableModel(ABC):
     """Behavioral contract shared by all models in the registry.
 
-    Subclasses declare `name` and `ontic_kind` (the point class of their
-    ontic space, a key of ONTIC_KINDS), override `is_deterministic` or
+    Subclasses declare `name` and `ontic_kind` (an OnticKind), set
     `any_dimension` (contexts in every Hilbert-space dimension, not only
-    qubits) where the default does not hold, and implement the array-level
-    operations.  Densities are always stated with respect to the reference
-    measure of the ontic kind.
+    qubits) where it holds, and implement the array-level operations.
+    Densities are always stated with respect to the reference measure of
+    the ontic kind.
     """
 
     name: str = ""
-    ontic_kind: type
-    is_deterministic: bool = True
+    ontic_kind: OnticKind
     any_dimension: bool = False
-
-    @property
-    def reference_measure(self) -> ReferenceMeasure:
-        return ONTIC_KINDS[self.ontic_kind].measure
 
     # -- context handling ---------------------------------------------------
 
@@ -367,42 +234,14 @@ class HiddenVariableModel(ABC):
     def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         """Index into outcome_labels of the (deterministic) response at each value."""
 
-    def point_from_arrays(self, arrays: dict, i: int, ctx: ModelContext) -> OnticPoint:
-        """Materialize sample i as a point of the model's ontic kind."""
-        return ONTIC_KINDS[self.ontic_kind].decode(arrays, i, ctx)
-
-    def arrays_from_point(self, lam: OnticPoint, ctx: ModelContext) -> dict:
-        """Encode a single point as length-1 arrays (TypeError on wrong variant)."""
-        if not isinstance(lam, self.ontic_kind):
-            raise TypeError(f"expected {self.ontic_kind.__name__}, got {type(lam).__name__}")
-        return ONTIC_KINDS[self.ontic_kind].encode(lam, ctx)
-
-    # -- point API (wrappers) -------------------------------------------------
-
-    def sample(self, ctx: ModelContext, rng: np.random.Generator) -> OnticPoint:
-        self.validate_context(ctx)
-        return self.point_from_arrays(self.sample_arrays(ctx, 1, rng), 0, ctx)
-
-    def density(self, lam: OnticPoint, ctx: ModelContext) -> float:
-        return float(self.density_arrays(self.arrays_from_point(lam, ctx), ctx)[0])
-
-    def respond(self, lam: OnticPoint, ctx: ModelContext) -> dict[str, float]:
-        """Response distribution over outcome labels (point mass when deterministic)."""
-        labels = self.outcome_labels(ctx)
-        k = int(self.outcome_index_arrays(self.arrays_from_point(lam, ctx), ctx)[0])
-        return {label: (1.0 if i == k else 0.0) for i, label in enumerate(labels)}
-
     def respond_probability_arrays(
         self, arrays: dict, ctx: ModelContext, label_index: int
     ) -> np.ndarray:
         """Vectorized response probability of one label; exact 0/1 when deterministic."""
         return (self.outcome_index_arrays(arrays, ctx) == label_index).astype(float)
 
-    def in_support(self, lam: OnticPoint, ctx: ModelContext) -> bool:
-        """Whether the density at lam exceeds the structural-zero threshold."""
-        return self.density(lam, ctx) > TOL.support
-
     def in_support_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
+        """Whether the density at each value exceeds the structural-zero threshold."""
         return self.density_arrays(arrays, ctx) > TOL.support
 
     def sample_outcomes(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -441,7 +280,7 @@ class QubitBasisModel(HiddenVariableModel):
     the label as response.  Subclasses supply the sampler and the density.
     """
 
-    ontic_kind = LabeledSphere
+    ontic_kind = OnticKind.LABELED_SPHERE
 
     def validate_context(self, ctx: ModelContext) -> None:
         if not isinstance(ctx.preparation, StateVector) or ctx.preparation.dim != 2:
@@ -458,6 +297,10 @@ class QubitBasisModel(HiddenVariableModel):
 
     def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         return np.asarray(arrays["label"], dtype=int)
+
+
+JOINT_LABELS = ("++", "+-", "-+", "--")
+OUTCOME_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 
 
 def singlet_context(a: BlochVector, b: BlochVector) -> ModelContext:
@@ -513,13 +356,6 @@ def json_form(obj):
     raise TypeError(f"{type(obj).__name__} has no JSON form")
 
 
-class Report:
-    """Base of the result dataclasses: their JSON form is `json_form`'s."""
-
-    def to_json(self) -> str:
-        return json.dumps(self, default=json_form)
-
-
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
@@ -528,7 +364,7 @@ _CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
-class SimulationReport(Report):
+class SimulationReport:
     """Outcome counts of a seeded run together with the quantum reference."""
 
     shots: int

@@ -2,9 +2,9 @@
 
 The ontic value is (i, j, A_hat, B_hat): the two particles' outcome tags plus
 the setting axes they were conditioned on.  The delta factors tying A_hat,
-B_hat to the chosen axes are resolved analytically (the stored point carries
-the context's axes by construction), leaving a four-point counting density
-(1 - i j a.b)/4; the responses are A = i and B = j.
+B_hat to the chosen axes are resolved analytically (the arrays store only the
+tag pair's index in OUTCOME_PAIRS; the axes are the context's), leaving a
+four-point counting density (1 - i j a.b)/4; the responses are A = i and B = j.
 
 Each particle's tag is correlated only with its local setting: the marginal
 weight of tag i is tr(P_singlet |i><i|_a (x) I) = 1/2, a computation the
@@ -15,38 +15,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..constants import TOL
 from ..quantum import singlet_state, spin_eigenket
-from .base import ModelContext, SettingsOutcomePair, SingletModel, categorical
+from .base import ModelContext, OnticKind, SingletModel, categorical
 
 
 class BransSinglet(SingletModel):
     name = "brans"
-    ontic_kind = SettingsOutcomePair
+    ontic_kind = OnticKind.SETTINGS_OUTCOME_PAIR
 
     def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:
         return {"idx": categorical(self.joint_probabilities(ctx), n, rng)}
 
     def density_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
-        idx = np.asarray(arrays["idx"], dtype=int)
-        out = self.joint_probabilities(ctx)[idx]
-        if "settings_match" in arrays:
-            out = out * np.asarray(arrays["settings_match"], dtype=float)
-        return out
+        return self.joint_probabilities(ctx)[np.asarray(arrays["idx"], dtype=int)]
 
     def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         return np.asarray(arrays["idx"], dtype=int)
-
-    def arrays_from_point(self, lam, ctx: ModelContext) -> dict:
-        arrays = super().arrays_from_point(lam, ctx)
-        a, b = ctx.measurement.alice, ctx.measurement.bob
-        # delta factors resolved analytically: settings from another context carry no mass
-        match = (
-            abs(lam.alice_axis.dot(a) - 1.0) <= TOL.arithmetic
-            and abs(lam.bob_axis.dot(b) - 1.0) <= TOL.arithmetic
-        )
-        arrays["settings_match"] = np.array([match])
-        return arrays
 
     def marginal_density(self, particle: int, outcome: int, ctx: ModelContext) -> float:
         """Weight of one particle's tag: tr(P_singlet Pi_i (x) I) resp. (I (x) Pi_j).

@@ -21,12 +21,12 @@ from ..quantum import (
     random_povm,
     random_state,
 )
-from .base import DiscreteIndex, HiddenVariableModel, ModelContext, categorical
+from .base import HiddenVariableModel, ModelContext, OnticKind, categorical
 
 
 class GeneralizedBrans(HiddenVariableModel):
     name = "gbrans"
-    ontic_kind = DiscreteIndex
+    ontic_kind = OnticKind.DISCRETE_INDEX
     any_dimension = True
 
     def validate_context(self, ctx: ModelContext) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..constants import TOL
 from ..sphere import uniform_sphere
-from .base import AntipodalPair, ModelContext, SingletModel, rejection_sample
+from .base import ModelContext, OnticKind, SingletModel, rejection_sample
 
 
 def _same_sign(vecs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -34,7 +34,7 @@ def _same_sign(vecs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class HallSinglet(SingletModel):
     name = "hall"
-    ontic_kind = AntipodalPair
+    ontic_kind = OnticKind.ANTIPODAL_PAIR
 
     # -- marginal machinery ---------------------------------------------------
 

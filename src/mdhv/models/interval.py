@@ -12,12 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..quantum import ProjectiveBasis, StateVector, random_basis, random_state
-from .base import HiddenVariableModel, IntervalPoint, ModelContext, categorical
+from .base import HiddenVariableModel, ModelContext, OnticKind, categorical
 
 
 class IntervalModel(HiddenVariableModel):
     name = "interval"
-    ontic_kind = IntervalPoint
+    ontic_kind = OnticKind.INTERVAL
     any_dimension = True
 
     def validate_context(self, ctx: ModelContext) -> None:

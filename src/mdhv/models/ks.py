@@ -29,8 +29,8 @@ from ..sphere import cosine_hemisphere, uniform_hemisphere
 from .base import (
     HiddenVariableModel,
     ModelContext,
+    OnticKind,
     QubitBasisModel,
-    SpherePoint,
     _qubit_basis_axes,
     rejection_sample,
 )
@@ -58,7 +58,7 @@ class KochenSpecker1(QubitBasisModel):
 
 class KochenSpecker2(HiddenVariableModel):
     name = "ks2"
-    ontic_kind = SpherePoint
+    ontic_kind = OnticKind.SPHERE
 
     LABELS = ("+b", "-b")
 

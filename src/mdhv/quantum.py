@@ -62,11 +62,6 @@ class BlochVector:
         return cls(x / norm, y / norm, z / norm)
 
     @classmethod
-    def from_array(cls, arr) -> "BlochVector":
-        a = np.asarray(arr, dtype=float).reshape(3)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-    @classmethod
     def from_polar(cls, theta: float, phi: float) -> "BlochVector":
         """Polar angle from +z and azimuth, both in radians."""
         st = np.sin(theta)
@@ -105,9 +100,6 @@ class StateVector:
 
     def projector(self) -> np.ndarray:
         return np.outer(self.amplitudes, np.conj(self.amplitudes))
-
-    def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(self.projector())
 
     def tensor(self, other: "StateVector") -> "StateVector":
         return StateVector(np.kron(self.amplitudes, other.amplitudes))

@@ -1,18 +1,15 @@
 """Auditor checks: epistemicity, classical overlap, randomness, reciprocity,
 PI, compatibility, remote-setting dependence."""
 
+import json
+
 import numpy as np
 import pytest
 
 import oracles
 from mdhv.constants import TOL
 from mdhv import analysis
-from mdhv.models import (
-    DiscreteIndex,
-    ModelContext,
-    create_model,
-    stream,
-)
+from mdhv.models import ModelContext, create_model, json_form, stream
 from mdhv.models.gbrans import GeneralizedBrans
 from mdhv.quantum import (
     BlochVector,
@@ -44,7 +41,6 @@ class NoisyResponse(GeneralizedBrans):
     """
 
     name = "noisy-gbrans"
-    is_deterministic = False
 
     def __init__(self, eta: float = 0.1):
         self.eta = eta
@@ -52,14 +48,6 @@ class NoisyResponse(GeneralizedBrans):
     def respond_probability_arrays(self, arrays, ctx, label_index):
         hard = super().respond_probability_arrays(arrays, ctx, label_index)
         return (1.0 - self.eta) * hard + self.eta / len(self.outcome_labels(ctx))
-
-    def respond(self, lam, ctx):
-        labels = self.outcome_labels(ctx)
-        arrays = self.arrays_from_point(lam, ctx)
-        return {
-            label: float(self.respond_probability_arrays(arrays, ctx, k)[0])
-            for k, label in enumerate(labels)
-        }
 
 
 def distinguishing_povm() -> Povm:
@@ -164,7 +152,7 @@ class TestDegreeOfEpistemicity:
     def test_report_serializes(self):
         model = create_model("gbrans")
         rep = analysis.degree_of_epistemicity(model, PLUS, ZERO, Z_BASIS)
-        assert '"omega"' in rep.to_json()
+        assert '"omega"' in json.dumps(rep, default=json_form)
 
 
 class TestOverlaps:
@@ -275,7 +263,7 @@ class TestMaximalEpistemicityEquivalence:
         rng = stream(529)
         psi, phi = random_state(2, rng), random_state(2, rng)
         M = orthonormal_basis_containing(phi)
-        assert model.is_deterministic
+        assert analysis.randomness(model, phi, M, M.labels[0], 5_000, 1) == 0.0
         assert analysis.reciprocity_check(model, phi, M, 5_000, 1).reciprocal
         assert self._witness(model, psi, phi, M) == pytest.approx(1.0, abs=TOL.arithmetic)
 
@@ -284,7 +272,7 @@ class TestMaximalEpistemicityEquivalence:
         rng = stream(531)
         psi, phi = random_state(2, rng), random_state(2, rng)
         M = orthonormal_basis_containing(phi)
-        assert not model.is_deterministic
+        assert analysis.randomness(model, phi, M, M.labels[0], 5_000, 2) > 0.0
         assert not analysis.reciprocity_check(model, phi, M, 5_000, 2).reciprocal
         assert self._witness(model, psi, phi, M) < 1.0 - 1e-6
 
@@ -326,14 +314,14 @@ class TestSupports:
     def test_distinguishing_povm_overlap_entry(self):
         model = create_model("gbrans")
         M = distinguishing_povm()
-        assert model.in_support(DiscreteIndex(2), ModelContext(ZERO, M))
-        assert model.in_support(DiscreteIndex(2), ModelContext(PLUS, M))
-        assert not model.in_support(DiscreteIndex(0), ModelContext(ZERO, M))
+        j = {"j": np.array([2, 0])}
+        assert model.in_support_arrays(j, ModelContext(ZERO, M)).tolist() == [True, False]
+        assert model.in_support_arrays(j, ModelContext(PLUS, M))[0]
 
     def test_sampled_points_are_supported(self, any_model):
         ctx = any_model.random_context(stream(537))
-        lam = any_model.sample(ctx, stream(541))
-        assert any_model.in_support(lam, ctx)
+        arrays = any_model.sample_arrays(ctx, 1, stream(541))
+        assert any_model.in_support_arrays(arrays, ctx).tolist() == [True]
 
 
 class TestCompatibilityAudit:
@@ -376,7 +364,7 @@ class TestCompatibilityAudit:
     def test_report_serializes(self):
         model = create_model("gbrans")
         rep = analysis.compatibility_audit(model, ZERO, PLUS, product_zz_basis())
-        assert '"compatible"' in rep.to_json()
+        assert '"compatible"' in json.dumps(rep, default=json_form)
 
 
 class TestSettingMarginalDependence:

@@ -13,7 +13,7 @@ import oracles
 from mdhv import channel
 from mdhv.constants import TOL
 from mdhv.models import stream
-from mdhv.models.base import stream_at
+from mdhv.models.base import json_form, stream_at
 from mdhv.quantum import BlochVector, random_bloch
 
 Z = BlochVector(0, 0, 1)
@@ -116,11 +116,11 @@ class TestRunChannel:
     def test_transcript_bit_identical_across_runs(self):
         t1 = channel.run_channel(Z, DEG60, 5_000, seed=23)
         t2 = channel.run_channel(Z, DEG60, 5_000, seed=23)
-        assert t1.to_json() == t2.to_json()
+        assert json.dumps(t1, default=json_form) == json.dumps(t2, default=json_form)
 
     def test_json_field_order(self):
         t = channel.run_channel(Z, X, 100, seed=29)
-        assert list(json.loads(t.to_json())) == [
+        assert list(json.loads(json.dumps(t, default=json_form))) == [
             "alice_axis",
             "bob_axis",
             "sent",
@@ -276,7 +276,8 @@ class TestWorkerPool:
         time.sleep(0.05)
         assert 0 in emitted and 3 not in emitted
         monkeypatch.undo()
-        assert t.to_json() == channel.run_channel(Z, DEG60, 1000, seed=47).to_json()
+        again = channel.run_channel(Z, DEG60, 1000, seed=47)
+        assert json.dumps(t, default=json_form) == json.dumps(again, default=json_form)
 
     def test_a_unit_error_reaches_the_caller_and_no_thread_outlives_it(self, monkeypatch):
         process = channel.BobFilter.process
@@ -310,7 +311,8 @@ class TestInformationAccounting:
 
     def test_info_report_serializes(self):
         rep = channel.mutual_information_report()
-        assert list(json.loads(rep.to_json())) == ["h_a", "h_lambda", "h_joint", "mutual_information"]
+        fields = list(json.loads(json.dumps(rep, default=json_form)))
+        assert fields == ["h_a", "h_lambda", "h_joint", "mutual_information"]
 
 
 class TestCommunicationCost:

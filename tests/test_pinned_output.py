@@ -231,6 +231,11 @@ CLAIMS = {
         lambda doc: abs(doc["pi"]["max_residual"] - 0.125) < 1e-12,
         "c8ff257338ddbdd7db7099636ca45982f17c8e00e1162d2c0baf960a8f35a6ed",
     ),
+    "audit compat gbrans --states 0,+ --basis pbr --seed 4 --format json": (
+        lambda doc: doc["compat"]["common_support"] == []
+        and all(doc["compat"]["product_supports"].values()),
+        "d1291f269228120f7e88e3be57a9d06ff4ebd08595791137ca5bcb05ba6b03df",
+    ),
     "audit randomness gbrans --dim 3 --seed 1": (
         lambda doc: list(doc["randomness"].values()) == [0.0, 0.0, 0.0],
         "da02871b574407ed9fa5fb5128cc33fdad8b86fc3a5b07298f10bde2fdf65912",

@@ -101,28 +101,28 @@ class TestConstruction:
 
 class TestBornProbability:
     def test_eigenstate(self):
-        assert born_probability(ZERO.to_density(), Z_BASIS, "0") == 1.0
+        assert born_probability(DensityMatrix(ZERO.projector()), Z_BASIS, "0") == 1.0
 
     def test_symmetry(self):
-        assert born_probability(PLUS.to_density(), Z_BASIS, "0") == pytest.approx(0.5, abs=TOL.structural)
+        assert born_probability(DensityMatrix(PLUS.projector()), Z_BASIS, "0") == pytest.approx(0.5, abs=TOL.structural)
 
     def test_distinguishing_povm_zero_entry(self):
-        assert born_probability(ZERO.to_density(), distinguishing_povm(), "E1") == 0.0
+        assert born_probability(DensityMatrix(ZERO.projector()), distinguishing_povm(), "E1") == 0.0
 
     def test_distinguishing_povm_inconclusive_entry(self):
         M = distinguishing_povm()
-        got = born_probability(ZERO.to_density(), M, "E2")
+        got = born_probability(DensityMatrix(ZERO.projector()), M, "E2")
         oracle = oracles.born_trace(ZERO.projector(), M.operator("E2"))
         assert got == pytest.approx(oracle, abs=TOL.arithmetic)
         assert got == pytest.approx(np.sqrt(2.0) / (2.0 * (1.0 + np.sqrt(2.0))), abs=TOL.structural)
 
     def test_unknown_label(self):
         with pytest.raises(KeyError):
-            born_probability(ZERO.to_density(), Z_BASIS, "up")
+            born_probability(DensityMatrix(ZERO.projector()), Z_BASIS, "up")
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            born_probability(singlet_state().to_density(), Z_BASIS, "0")
+            born_probability(DensityMatrix(singlet_state().projector()), Z_BASIS, "0")
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
