@@ -270,8 +270,7 @@ def audit_epistemicity(args) -> analysis.OverlapReport:
     psi = random_state(args.dim, rng)
     phi = random_state(args.dim, rng)
     M = orthonormal_basis_containing(phi)
-    model = create_model(args.model)
-    return analysis.degree_of_epistemicity(model, psi, phi, M, args.samples, args.seed)
+    return analysis.degree_of_epistemicity(create_model(args.model), psi, phi, M)
 
 
 def audit_randomness(args) -> dict[str, float]:
@@ -394,15 +393,17 @@ def build_parser() -> argparse.ArgumentParser:
     checks = sub.add_parser("audit", help="analysis-module audits").add_subparsers(
         dest="check", required=True
     )
-    for check, func, summary in (
-        ("epistemicity", audit_epistemicity, "degree of epistemicity of two random states"),
-        ("randomness", audit_randomness, "ensemble mass with non-deterministic responses"),
-        ("reciprocity", audit_reciprocity, "does a state's ensemble sit in its outcome's core"),
+    # every model epistemicity accepts has a closed-form support mass, so it samples nothing
+    for check, func, samples, summary in (
+        ("epistemicity", audit_epistemicity, False, "degree of epistemicity of two random states"),
+        ("randomness", audit_randomness, True, "ensemble mass with non-deterministic responses"),
+        ("reciprocity", audit_reciprocity, True, "does a state's ensemble sit in its outcome's core"),
     ):
         p = checks.add_parser(check, help=summary)
         _add_model(p, lambda cls: not _is_singlet(cls))
         p.add_argument("--dim", type=_int_at_least(2), default=2)
-        p.add_argument("--samples", type=_int_at_least(1), default=100_000)
+        if samples:
+            p.add_argument("--samples", type=_int_at_least(1), default=100_000)
         _add_common(p, _audit(func))
     for check, flag, default, func, summary in (
         ("pi", "--state", "+,0", audit_pi, "preparation-independence residual of a product state"),

@@ -257,7 +257,11 @@ class HiddenVariableModel(ABC):
         return self.outcome_index_arrays(arrays, ctx)
 
     def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float | None:
-        """Closed-form mass of p(.|ctx_from) inside the support of ctx_support, when available."""
+        """Closed-form mass of p(.|ctx_from) inside the support of ctx_support, or None.
+
+        None sends analysis.support_overlap_mass to Monte Carlo, which samples
+        ctx_from and tests in_support_arrays; a closed form must agree with it.
+        """
         return None
 
     def __repr__(self):
@@ -272,6 +276,12 @@ class HiddenVariableModel(ABC):
 def _qubit_basis_axes(M: ProjectiveBasis) -> np.ndarray:
     """(2, 3) Bloch axes of a qubit projective basis, in label order."""
     return np.stack([bloch_from_ket(ket).as_array() for ket in M.kets])
+
+
+def _shared_axes(ctx_a: ModelContext, ctx_b: ModelContext) -> np.ndarray | None:
+    """The Bloch axes of the measurement, when both contexts' axes agree label by label."""
+    axes = _qubit_basis_axes(ctx_a.measurement)
+    return axes if np.array_equal(axes, _qubit_basis_axes(ctx_b.measurement)) else None
 
 
 class QubitBasisModel(HiddenVariableModel):

@@ -18,7 +18,7 @@ import numpy as np
 from ..constants import step
 from ..quantum import bloch_from_ket
 from ..sphere import uniform_cap
-from .base import ModelContext, QubitBasisModel, _qubit_basis_axes
+from .base import ModelContext, QubitBasisModel, _qubit_basis_axes, _shared_axes
 
 
 def _labels(ctx: ModelContext, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -54,3 +54,18 @@ class BellMermin(QubitBasisModel):
         label = np.asarray(arrays["label"], dtype=int)
         k_hat = axes[label]
         return step(np.einsum("ij,ij->i", k_hat, psi_hat + vec)) / (4.0 * np.pi)
+
+    def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float | None:
+        """1 - sum_k max(0, psi.k - phi.k)/2 when both contexts share the measurement, else None.
+
+        Tag k's caps about k_hat, lam.k >= -psi.k and lam.k >= -phi.k, are
+        nested, so psi's tag-k mass inside phi's support is
+        min(1 + psi.k, 1 + phi.k)/2; the tags' Born weights (1 + psi.k)/2 sum
+        to 1.  Written this way, psi = phi gives exactly 1.
+        """
+        axes = _shared_axes(ctx_from, ctx_support)
+        if axes is None:
+            return None
+        psi_hat = bloch_from_ket(ctx_from.preparation).as_array()
+        phi_hat = bloch_from_ket(ctx_support.preparation).as_array()
+        return 1.0 - float(np.maximum(0.0, axes @ psi_hat - axes @ phi_hat).sum()) / 2.0

@@ -86,3 +86,12 @@ class HallSinglet(SingletModel):
         # A = sign(lam1.a) and B = sign(lam2.b) = sign(-lam1.b), with sign(0) = +1:
         # A is -1 iff lam1.a < 0, and B is -1 iff lam1.b > 0
         return (vec @ a < 0.0) * 2 + (vec @ b > 0.0)
+
+    def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float:
+        """1: every context's support is the whole sphere.
+
+        The density shrinks toward the degeneracy cut, where it is smallest
+        just off the cut: 2.8e-6 at |a.b| = 1 - 1.0000001e-9.  On the cut it
+        is uniform.  Both lie far above TOL.support.
+        """
+        return 1.0

@@ -34,6 +34,17 @@ class IntervalModel(HiddenVariableModel):
         x = np.array([np.sqrt(ket.overlap_sq(psi)) for ket in M.kets])
         return x, np.concatenate([[0.0], np.cumsum(x)])
 
+    def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:
+        """Midpoints ({"x"}) and widths of the cells cut by both contexts' bin edges.
+
+        Both densities are constant on each cell, so an integral of the two
+        is a sum over cells.
+        """
+        _, edges_a = self.bin_edges(ctx_a)
+        _, edges_b = self.bin_edges(ctx_b)
+        edges = np.unique(np.concatenate([edges_a, edges_b]))
+        return {"x": 0.5 * (edges[:-1] + edges[1:])}, np.diff(edges)
+
     def born_reference(self, ctx: ModelContext) -> dict[str, float]:
         x, _ = self.bin_edges(ctx)
         return {label: float(x[k] ** 2) for k, label in enumerate(ctx.measurement.labels)}
@@ -75,3 +86,9 @@ class IntervalModel(HiddenVariableModel):
         pos = np.asarray(arrays["x"], dtype=float)
         _, edges = self.bin_edges(ctx)
         return self._bin_of(pos, edges)
+
+    def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float:
+        """ctx_from's density * width, summed over the cells inside ctx_support's support."""
+        mids, widths = self.cells(ctx_from, ctx_support)
+        inside = self.in_support_arrays(mids, ctx_support)
+        return float(np.sum(self.density_arrays(mids, ctx_from) * inside * widths))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..constants import step
+from ..constants import TOL, step
 from ..quantum import (
     BlochVector,
     ProjectiveBasis,
@@ -32,6 +32,7 @@ from .base import (
     OnticKind,
     QubitBasisModel,
     _qubit_basis_axes,
+    _shared_axes,
     rejection_sample,
 )
 
@@ -54,6 +55,20 @@ class KochenSpecker1(QubitBasisModel):
         k_dot = np.einsum("ij,ij->i", vec, axes[label])
         p_dot = vec @ psi_hat
         return (1.0 / np.pi) * step(k_dot) * step(p_dot) * np.maximum(p_dot, 0.0)
+
+    def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float | None:
+        """(1 + psi.phi)/2 when both contexts share the measurement, else None.
+
+        The labels' hemispheres then partition the sphere and every draw
+        carries the label of its own hemisphere, so the mass is that of
+        phi's hemisphere lam.phi > 0 under the cosine lobe about psi: its
+        projected area, (1 + cos theta)/2.
+        """
+        if _shared_axes(ctx_from, ctx_support) is None:
+            return None
+        psi_hat = bloch_from_ket(ctx_from.preparation).as_array()
+        phi_hat = bloch_from_ket(ctx_support.preparation).as_array()
+        return (1.0 + float(psi_hat @ phi_hat)) / 2.0
 
 
 class KochenSpecker2(HiddenVariableModel):
@@ -112,3 +127,17 @@ class KochenSpecker2(HiddenVariableModel):
         _, b = self._axes(ctx)
         vec = np.asarray(arrays["vec"], dtype=float)
         return np.where(vec @ b >= 0.0, 0, 1)
+
+    def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float | None:
+        """(1 + a.a')/2 when the support's preparation axis a' is +-b, else None.
+
+        b is ctx_from's measurement axis, and |a'.b| >= 1 - TOL.structural.
+        The support of (a', b') is the hemisphere lam.a' >= 0, up to the null
+        great circle lam.b' = 0.  For a' = +-b, ctx_from's mass there is its
+        Born weight of +-b, (1 +- a.b)/2.
+        """
+        a, b = self._axes(ctx_from)
+        a_support, _ = self._axes(ctx_support)
+        if abs(float(a_support @ b)) < 1.0 - TOL.structural:
+            return None
+        return (1.0 + float(a @ a_support)) / 2.0

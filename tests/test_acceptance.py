@@ -149,7 +149,7 @@ def test_criterion_05_bellmermin_overlap_mass():
         M = orthonormal_basis_containing(random_state(2, rng))
         tag = int(rng.integers(0, 2))
         rep = analysis.degree_of_epistemicity(
-            model, psi, M.kets[tag], M, samples=1_000_000, seed=5100 + trial
+            model, psi, M.kets[tag], M, samples=1_000_000, seed=5100 + trial, method="monte-carlo"
         )
         worst = max(worst, abs(rep.mass_psi_in_phi_support - M.kets[tag].overlap_sq(psi)))
     ok = worst <= 0.005

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import orthogonal_pair_contexts
 from mdhv.constants import TOL
 from mdhv import analysis
-from mdhv.models import ModelContext, create_model, json_form, stream
+from mdhv.models import ModelContext, create_model, json_form, singlet_context, stream
 from mdhv.models.gbrans import GeneralizedBrans
 from mdhv.quantum import (
     BlochVector,
@@ -17,6 +18,7 @@ from mdhv.quantum import (
     ProjectiveBasis,
     StateVector,
     orthonormal_basis_containing,
+    random_basis,
     random_bloch,
     random_state,
 )
@@ -122,7 +124,9 @@ class TestDegreeOfEpistemicity:
         rng = stream(505)
         psi, phi = random_state(2, rng), random_state(2, rng)
         M = orthonormal_basis_containing(phi)
-        rep = analysis.degree_of_epistemicity(model, psi, phi, M, samples=1_000_000, seed=2)
+        rep = analysis.degree_of_epistemicity(
+            model, psi, phi, M, samples=1_000_000, seed=2, method="monte-carlo"
+        )
         assert rep.method == "monte-carlo"
         assert abs(rep.omega - 1.0) <= 5.0 * rep.mass_stderr / rep.quantum_overlap_sq + 1e-9
 
@@ -153,6 +157,92 @@ class TestDegreeOfEpistemicity:
         model = create_model("gbrans")
         rep = analysis.degree_of_epistemicity(model, PLUS, ZERO, Z_BASIS)
         assert '"omega"' in json.dumps(rep, default=json_form)
+
+
+def closed_form_cases():
+    """(model name, ctx_from, ctx_support) pairs inside each model's closed form."""
+    rng = stream(511)
+    cases = []
+    for name in ("brans", "hall"):
+        model = create_model(name)
+        for _ in range(2):
+            c = random_bloch(rng)
+            ctx_from = model.random_context(rng)
+            # parallel support axes give brans' ++ and -- zero weight
+            cases.append((name, ctx_from, singlet_context(c, c)))
+            cases.append((name, ctx_from, model.random_context(rng)))
+    for name in ("ks1", "bellmermin"):
+        model = create_model(name)
+        for _ in range(3):
+            psi, phi, M = random_state(2, rng), random_state(2, rng), random_basis(2, rng)
+            cases.append((name, model.basis_context(psi, M), model.basis_context(phi, M)))
+    ks2 = create_model("ks2")
+    for k in (0, 1, 1):
+        psi, M = random_state(2, rng), random_basis(2, rng)
+        cases.append(("ks2", ks2.basis_context(psi, M), ks2.basis_context(M.kets[k], M)))
+    interval = create_model("interval")
+    for dim in (2, 3, 4):
+        psi, phi, M = random_state(dim, rng), random_state(dim, rng), random_basis(dim, rng)
+        cases.append(("interval", interval.basis_context(psi, M), interval.basis_context(phi, M)))
+        # phi a basis ket: its density is 0 beyond its one bin
+        cases.append(("interval", interval.basis_context(psi, M), interval.basis_context(M.kets[1], M)))
+    return cases
+
+
+CLOSED_FORM_CASES = closed_form_cases()
+
+
+class TestClosedFormSupportMass:
+    """Each model's support_mass_exact against the Monte Carlo mass it replaces."""
+
+    @pytest.mark.parametrize(
+        "case",
+        range(len(CLOSED_FORM_CASES)),
+        ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(CLOSED_FORM_CASES)],
+    )
+    def test_agrees_with_the_sampled_mass(self, case):
+        name, ctx_from, ctx_support = CLOSED_FORM_CASES[case]
+        model = create_model(name)
+        exact, err, method = analysis.support_overlap_mass(model, ctx_from, ctx_support)
+        assert method == "analytic" and err == 0.0
+        arrays = model.sample_arrays(ctx_from, 200_000, stream(512, case))
+        mc = model.in_support_arrays(arrays, ctx_support).mean()
+        sigma = np.sqrt(mc * (1.0 - mc) / 200_000)
+        assert abs(mc - exact) <= 5.0 * sigma + 1e-12
+
+    def test_ks2_off_axis_support_falls_back_to_monte_carlo(self):
+        model = create_model("ks2")
+        rng = stream(513)
+        ctx_from, ctx_support = model.random_context(rng), model.random_context(rng)
+        assert model.support_mass_exact(ctx_from, ctx_support) is None
+        _, err, method = analysis.support_overlap_mass(model, ctx_from, ctx_support, 1000, 1)
+        assert method == "monte-carlo" and err > 0.0
+
+    def test_qubit_basis_models_fall_back_across_measurements(self):
+        rng = stream(514)
+        for name in ("ks1", "bellmermin"):
+            model = create_model(name)
+            ctx_from, ctx_support = model.random_context(rng), model.random_context(rng)
+            assert model.support_mass_exact(ctx_from, ctx_support) is None
+
+    def test_hall_density_clears_the_support_threshold_at_the_degeneracy_cut(self):
+        """Hall's closed form is 1.0 because its density never falls to TOL.support;
+        it is smallest just off the degeneracy cut |a.b| = 1 - TOL.structural."""
+        model = create_model("hall")
+        c = 1.0 - 1.0000001 * TOL.structural
+        for sign in (1.0, -1.0):
+            b = BlochVector(np.sqrt(1.0 - c * c), 0.0, sign * c)
+            ctx = singlet_context(Z_AXIS, b)
+            g_plus, g_minus, degenerate = model._branch_values(ctx)
+            assert not degenerate
+            assert min(g_plus, g_minus) / (4.0 * np.pi) > TOL.support
+
+    def test_orthogonal_states_give_exactly_zero(self):
+        for name in ("ks1", "ks2", "bellmermin"):
+            model = create_model(name)
+            for trial in range(5):
+                ctx_a, ctx_b = orthogonal_pair_contexts(model, stream(515, trial))
+                assert analysis.support_overlap_mass(model, ctx_a, ctx_b) == (0.0, 0.0, "analytic")
 
 
 class TestOverlaps:

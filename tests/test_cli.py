@@ -1,5 +1,6 @@
 """CLI surface: commands, formats, exit codes, byte-level reproducibility."""
 
+import argparse
 import json
 import re
 import shlex
@@ -15,6 +16,15 @@ def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def model_choices(*command: str) -> list[str]:
+    """The model choices that the parser of `command` (e.g. "audit", "pi") declares."""
+    p = build_parser()
+    for name in command:
+        sub = next(a for a in p._actions if isinstance(a, argparse._SubParsersAction))
+        p = sub.choices[name]
+    return sorted(next(a for a in p._actions if a.dest == "model").choices)
 
 
 class TestParsing:
@@ -196,6 +206,19 @@ class TestAudit:
         assert code == 0
         assert json.loads(out)["randomness"] == {"+b": 0.0, "-b": 0.0}
 
+    @pytest.mark.parametrize("model", model_choices("audit", "epistemicity"))
+    def test_epistemicity_is_closed_form_for_every_model_it_accepts(self, model, capsys):
+        """The command reads no --samples, so a model it accepts must have a
+        closed-form support mass at the contexts the command builds."""
+        dims = (2, 3, 4) if MODEL_REGISTRY[model].any_dimension else (2,)
+        for dim in dims:
+            for seed in range(4):
+                argv = ["audit", "epistemicity", model, "--dim", str(dim), "--seed", str(seed)]
+                code, out = run_cli(argv + ["--format", "json"], capsys)
+                report = json.loads(out)["epistemicity"]
+                assert code == 0
+                assert report["method"] == "analytic" and report["mass_stderr"] == 0.0
+
     def test_reciprocity(self, capsys):
         code, out = run_cli(
             ["audit", "reciprocity", "ks2", "--samples", "2000", "--seed", "7", "--format", "json"],
@@ -255,6 +278,8 @@ class TestBadInput:
             ["audit", "pi", "gbrans", "--samples", "10"],
             ["audit", "epistemicity", "ks1", "--dim", "3"],
             ["audit", "epistemicity", "ks2", "--dim", "3"],
+            # every model epistemicity accepts is closed-form, so it reads no --samples
+            ["audit", "epistemicity", "ks1", "--samples", "10"],
             ["audit", "marginal", "gbrans"],
             ["audit"],
             ["verify"],
@@ -358,7 +383,7 @@ ECHO_RUNS = {
     "scan": "scan hall --angles 30,125.5 --shots 3000",
     "channel": "channel --alice 140,285 --bob 0.6,0,0.8 --accepted 300 --trace t.csv",
     "info": "info",
-    "epistemicity": "audit epistemicity gbrans --dim 3 --samples 2000",
+    "epistemicity": "audit epistemicity gbrans --dim 3",
     "randomness": "audit randomness ks2 --samples 2000",
     "reciprocity": "audit reciprocity ks1 --samples 2000",
     "pi": "audit pi gbrans --state=-,1 --basis bell",

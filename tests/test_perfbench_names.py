@@ -99,6 +99,19 @@ def test_run_experiment_reaches_outcome_index_arrays(model_name, monkeypatch):
     assert calls["sample_arrays"] <= calls["outcome_index_arrays"] == 1
 
 
+def test_brans_support_mass_reaches_density_arrays():
+    """perfbench's support-brans operation (workloads.py:470) is the only caller
+    of brans' `density_arrays` in a traced pass.  A closed form that bypasses
+    it records no span, so that layer reads NaN and the pass reports correct: false."""
+    model = MODEL_REGISTRY["brans"]()
+    rng = stream(152)
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.operation("support-brans") as spans:
+        analysis.support_overlap_mass(model, model.random_context(rng), model.random_context(rng), 1000, 1)
+    assert not tracer.problems
+    assert any(s.name == "models.brans.density_arrays" for s in spans)
+
+
 @pytest.mark.parametrize("model_name, sampler", sorted(layers.REJECTION_SAMPLERS.items()))
 def test_rejection_proposals_go_through_the_traced_sampler(model_name, sampler, monkeypatch):
     """perfbench's `proposals_per_shot` is the rows of the `sampler` spans directly

@@ -91,12 +91,12 @@ RUNS = {
         "d52514226f42bbf1a2a198157e5be104426361d181573f0be7531bd4136d946e",
     ),
     "audit-epistemicity-gbrans": (
-        ["audit", "epistemicity", "gbrans", "--samples", "20000", "--seed", "7"],
-        "e0fde9a4a3fa7c671383d7a792a33a256a058dcb7e24a4cdd8ecb0c975d0b234",
+        ["audit", "epistemicity", "gbrans", "--seed", "7"],
+        "477da0c236f22376ea86ddead87a272546150cb1e0c72c418ff346bc192391b5",
     ),
     "audit-epistemicity-ks1": (
-        ["audit", "epistemicity", "ks1", "--samples", "20000", "--seed", "7"],
-        "ed3b7ec741ab5cc4adbb854c13ac1a1f12bc2fee40cb722292c5e077938a6519",
+        ["audit", "epistemicity", "ks1", "--seed", "7"],
+        "d4bfe4ad80d5173f6537d60b4e9e37e181b8932645afd6994524cdc801cc546d",
     ),
     "audit-randomness-gbrans": (
         ["audit", "randomness", "gbrans", "--samples", "20000", "--seed", "7"],
@@ -154,11 +154,10 @@ def _gbrans_omega(doc) -> bool:
     return doc["epistemicity"]["omega"] == 1.0 and doc["epistemicity"]["method"] == "analytic"
 
 
-def _omega_within_2_sigma(doc) -> bool:
-    # sigma = mass_stderr / quantum_overlap_sq, so |omega - 1| <= 2 sigma
-    # reads |mass - |<psi|phi>|^2| <= 2 mass_stderr
+def _omega_analytic(doc) -> bool:
+    # the mass is closed-form; 1e-12 covers the rounding of |<psi|phi>|^2 against the Bloch axes
     e = doc["epistemicity"]
-    return abs(e["mass_psi_in_phi_support"] - e["quantum_overlap_sq"]) <= 2.0 * e["mass_stderr"]
+    return e["method"] == "analytic" and abs(e["omega"] - 1.0) <= 1e-12
 
 
 def _hall_tv(doc) -> bool:
@@ -189,31 +188,31 @@ CLAIMS = {
     ),
     "audit epistemicity gbrans --dim 2 --seed 2 --format json": (
         _gbrans_omega,
-        "2b1aaab9daa31171df4f9b76979cb7c9083f8a1170d4d72c11ac45a613943848",
+        "932fcbd02c4f270e1573149e247bd16775f4c893e58eb439aae2938574798faa",
     ),
     "audit epistemicity gbrans --dim 3 --seed 2 --format json": (
         _gbrans_omega,
-        "dbcd0c17cfeff482ee1b6b96dac1c09d7f725f0af39c4f28cc22a5193444ebe2",
+        "5282d9a8095acd0d9c1cabee5d7bd451e8e00e22a0d7f86ca222a4ac445ee62e",
     ),
     "audit epistemicity gbrans --dim 4 --seed 2 --format json": (
         _gbrans_omega,
-        "f1e19b7be5cc76af855af832d7c3188df6ba5a3ff64b314dde8399daeee951c6",
+        "e43af9e4bbb10b8dce9c8ef94a856099127a614ae08b914bbdfbf9a591371892",
     ),
     "audit epistemicity gbrans --dim 5 --seed 2 --format json": (
         _gbrans_omega,
-        "02ec7f271622fe7bfeb6a4c042a3bf60d0570da5fe8f0f6c57e879bfb9a0b4ff",
+        "1e7ab9e44d3c677c4db41a5c75309de19e48bfd5c796daff81decf4fa71b3b4b",
     ),
-    "audit epistemicity ks1 --samples 500000 --seed 11": (
-        _omega_within_2_sigma,
-        "1425ac4a4607e3591b03350a1937f571a4dc2dd70b7db6e6e44d3fb988372c36",
+    "audit epistemicity ks1 --seed 11": (
+        _omega_analytic,
+        "172704fb35e97f43b91d6b0faade9b27b2938245fc9489fbc526ef4c5a342dc8",
     ),
-    "audit epistemicity ks2 --samples 500000 --seed 11": (
-        _omega_within_2_sigma,
-        "bbbf7019e7d8438c55617db4e667f4160a9237d8fd6e6e7ee2c93b8904e0c710",
+    "audit epistemicity ks2 --seed 11": (
+        _omega_analytic,
+        "007a41add35f915756f6dd06e2e43b54408dfba4ce8ca7d4e9d598402dc2cbd7",
     ),
-    "audit epistemicity bellmermin --samples 500000 --seed 11": (
-        _omega_within_2_sigma,
-        "bd21ab7342ce49f80409f22108ab60e0101898db10758fe2daa6ba125b515cbf",
+    "audit epistemicity bellmermin --seed 11": (
+        _omega_analytic,
+        "e0b9fa0638e831902aa4fc33f50f5f1c27612926ce1fbe33e087800e80dfd9cc",
     ),
     "audit marginal hall --alice 0,0 --bob 60,0 --bob2 90,0 --seed 1": (
         _hall_tv,
