@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import TOL
 from .models.base import HiddenVariableModel, ModelContext, OnticKind, singlet_context, stream
-from .quantum import DensityMatrix, Povm, ProjectiveBasis, StateVector
+from .quantum import DensityMatrix, Povm, ProjectiveBasis, StateVector, born_probability
 from .sphere import bootstrap_stderr, stratified_sphere_points
 
 __all__ = [
@@ -49,7 +49,7 @@ def projector_index(M: ProjectiveBasis, phi: StateVector) -> int:
     """Index of the element |phi><phi| in M; raises if M does not contain it."""
     if not isinstance(M, ProjectiveBasis):
         raise TypeError("a projective basis is required")
-    overlaps = [ket.overlap_sq(phi) for ket in M.kets]
+    overlaps = born_probability(phi, M)
     k = int(np.argmax(overlaps))
     if overlaps[k] < 1.0 - TOL.structural:
         raise ValueError("measurement does not contain the projector of the given state")
@@ -59,6 +59,19 @@ def projector_index(M: ProjectiveBasis, phi: StateVector) -> int:
 def _mc_mass(mask: np.ndarray) -> tuple[float, float]:
     mass = float(mask.mean())
     return mass, float(np.sqrt(mass * (1.0 - mass) / mask.size))
+
+
+def _sampled_support_mass(
+    model: HiddenVariableModel,
+    ctx_from: ModelContext,
+    ctx_support: ModelContext,
+    samples: int,
+    seed: int,
+) -> tuple[float, float]:
+    """Share of `samples` draws of ctx_from's ensemble (stream(seed, 0)) inside
+    ctx_support's support, with its binomial stderr."""
+    arrays = model.sample_arrays(ctx_from, samples, stream(seed, 0))
+    return _mc_mass(model.in_support_arrays(arrays, ctx_support))
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +108,7 @@ def support_overlap_mass(
     if exact is not None:
         # a closed form rounds an exact 0 (antipodal axes, a pole of a cap) to dust
         return (float(exact) if exact > TOL.arithmetic else 0.0), 0.0, "analytic"
-    arrays = model.sample_arrays(ctx_from, samples, stream(seed, 0))
-    mass, err = _mc_mass(model.in_support_arrays(arrays, ctx_support))
+    mass, err = _sampled_support_mass(model, ctx_from, ctx_support, samples, seed)
     return mass, err, "monte-carlo"
 
 
@@ -116,14 +128,13 @@ def degree_of_epistemicity(
     distinguishability) and a nonzero Born overlap.
     """
     k = projector_index(M, phi)
-    q = M.kets[k].overlap_sq(psi)
+    q = float(born_probability(psi, M)[k])
     if q <= 0.0:
         raise ValueError("degree of epistemicity needs |<psi|phi>|^2 > 0")
     ctx_psi = model.basis_context(psi, M)
     ctx_phi = model.basis_context(phi, M)
     if method == "monte-carlo":
-        arrays = model.sample_arrays(ctx_psi, samples, stream(seed, 0))
-        mass, err = _mc_mass(model.in_support_arrays(arrays, ctx_phi))
+        mass, err = _sampled_support_mass(model, ctx_psi, ctx_phi, samples, seed)
         used = "monte-carlo"
     else:
         mass, err, used = support_overlap_mass(model, ctx_psi, ctx_phi, samples, seed)

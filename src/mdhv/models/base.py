@@ -29,6 +29,7 @@ from ..quantum import (
     ProjectiveBasis,
     StateVector,
     bloch_from_ket,
+    born_probability,
     random_basis,
     random_bloch,
     random_state,
@@ -208,9 +209,11 @@ class HiddenVariableModel(ABC):
         """Outcome labels, in a fixed order shared with born_reference."""
         return ctx.measurement.labels
 
-    @abstractmethod
     def born_reference(self, ctx: ModelContext) -> dict[str, float]:
-        """Exact quantum outcome distribution for the context."""
+        """Exact quantum outcome distribution for the context: the Born
+        distribution of its preparation over its Povm measurement."""
+        M = ctx.measurement
+        return dict(zip(M.labels, born_probability(ctx.preparation, M).tolist()))
 
     @abstractmethod
     def random_context(self, rng: np.random.Generator, dim: int = 2) -> ModelContext:
@@ -298,10 +301,6 @@ class QubitBasisModel(HiddenVariableModel):
         if not isinstance(ctx.measurement, ProjectiveBasis) or ctx.measurement.dim != 2:
             raise TypeError("measurement must be a qubit ProjectiveBasis")
 
-    def born_reference(self, ctx: ModelContext) -> dict[str, float]:
-        psi, M = ctx.preparation, ctx.measurement
-        return {label: ket.overlap_sq(psi) for label, ket in zip(M.labels, M.kets)}
-
     def random_context(self, rng: np.random.Generator, dim: int = 2) -> ModelContext:
         return ModelContext(random_state(2, rng), random_basis(2, rng))
 
@@ -381,7 +380,6 @@ class SimulationReport:
     seed: int
     counts: dict[str, int]
     estimates: dict[str, float]
-    stderr: dict[str, float]
     born_reference: dict[str, float]
 
 
@@ -422,12 +420,10 @@ def run_experiment(
         counts = sum(one_chunk(c) for c in range(len(sizes)))
 
     estimates = counts / shots
-    stderr = np.sqrt(estimates * (1.0 - estimates) / shots)
     return SimulationReport(
         shots=shots,
         seed=seed,
         counts={label: int(counts[k]) for k, label in enumerate(labels)},
         estimates={label: float(estimates[k]) for k, label in enumerate(labels)},
-        stderr={label: float(stderr[k]) for k, label in enumerate(labels)},
         born_reference=model.born_reference(ctx),
     )

@@ -16,14 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..constants import step
-from ..quantum import bloch_from_ket
+from ..quantum import bloch_from_ket, born_probability
 from ..sphere import uniform_cap
 from .base import ModelContext, QubitBasisModel, _qubit_basis_axes, _shared_axes
 
 
 def _labels(ctx: ModelContext, n: int, rng: np.random.Generator) -> np.ndarray:
     """n outcome tags, tag 0 with its Born weight, from the next n uniforms."""
-    p0 = ctx.measurement.kets[0].overlap_sq(ctx.preparation)
+    p0 = born_probability(ctx.preparation, ctx.measurement)[0]
     return (rng.random(n) >= p0).astype(int)
 
 

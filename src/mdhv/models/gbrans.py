@@ -14,7 +14,6 @@ from ..constants import TOL
 from ..quantum import (
     DensityMatrix,
     Povm,
-    ProjectiveBasis,
     StateVector,
     born_probability,
     random_basis,
@@ -37,21 +36,6 @@ class GeneralizedBrans(HiddenVariableModel):
         if ctx.preparation.dim != ctx.measurement.dim:
             raise ValueError("preparation and measurement dimensions differ")
 
-    def outcome_probabilities(self, ctx: ModelContext) -> np.ndarray:
-        """Born weights of all outcomes, in label order.
-
-        Uses ket inner products when both sides expose amplitudes (bitwise
-        reproducible against |<e_j|psi>|^2), the trace otherwise.
-        """
-        prep, M = ctx.preparation, ctx.measurement
-        if isinstance(M, ProjectiveBasis) and isinstance(prep, StateVector):
-            return np.array([ket.overlap_sq(prep) for ket in M.kets])
-        return np.array([born_probability(prep, M, label) for label in M.labels])
-
-    def born_reference(self, ctx: ModelContext) -> dict[str, float]:
-        p = self.outcome_probabilities(ctx)
-        return {label: float(p[k]) for k, label in enumerate(ctx.measurement.labels)}
-
     def random_context(self, rng: np.random.Generator, dim: int = 2) -> ModelContext:
         prep = random_state(dim, rng)
         if rng.random() < 0.3:
@@ -59,11 +43,11 @@ class GeneralizedBrans(HiddenVariableModel):
         return ModelContext(prep, random_basis(dim, rng))
 
     def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:
-        return {"j": categorical(self.outcome_probabilities(ctx), n, rng)}
+        return {"j": categorical(born_probability(ctx.preparation, ctx.measurement), n, rng)}
 
     def density_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         j = np.asarray(arrays["j"], dtype=int)
-        p = self.outcome_probabilities(ctx)
+        p = born_probability(ctx.preparation, ctx.measurement)
         if j.size and (j.min() < 0 or j.max() >= p.size):
             raise IndexError(f"ontic index out of range for {p.size} outcomes")
         return p[j]
@@ -77,7 +61,7 @@ class GeneralizedBrans(HiddenVariableModel):
         Weights at or below the support threshold are structural zeros and
         contribute nothing, so disjoint supports give literally 0.0.
         """
-        p = self.outcome_probabilities(ctx_from)
-        q = self.outcome_probabilities(ctx_support)
+        p = born_probability(ctx_from.preparation, ctx_from.measurement)
+        q = born_probability(ctx_support.preparation, ctx_support.measurement)
         mask = (q > TOL.support) & (p > TOL.support)
         return float(p[mask].sum())

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..quantum import ProjectiveBasis, StateVector, random_basis, random_state
+from ..quantum import ProjectiveBasis, StateVector, born_probability, random_basis, random_state
 from .base import HiddenVariableModel, ModelContext, OnticKind, categorical
 
 
@@ -30,8 +30,7 @@ class IntervalModel(HiddenVariableModel):
 
     def bin_edges(self, ctx: ModelContext) -> tuple[np.ndarray, np.ndarray]:
         """(x_i amplitudes-magnitudes, cumulative edges [0, c_1, ..., c_n])."""
-        psi, M = ctx.preparation, ctx.measurement
-        x = np.array([np.sqrt(ket.overlap_sq(psi)) for ket in M.kets])
+        x = np.sqrt(born_probability(ctx.preparation, ctx.measurement))
         return x, np.concatenate([[0.0], np.cumsum(x)])
 
     def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:
@@ -44,10 +43,6 @@ class IntervalModel(HiddenVariableModel):
         _, edges_b = self.bin_edges(ctx_b)
         edges = np.unique(np.concatenate([edges_a, edges_b]))
         return {"x": 0.5 * (edges[:-1] + edges[1:])}, np.diff(edges)
-
-    def born_reference(self, ctx: ModelContext) -> dict[str, float]:
-        x, _ = self.bin_edges(ctx)
-        return {label: float(x[k] ** 2) for k, label in enumerate(ctx.measurement.labels)}
 
     def random_context(self, rng: np.random.Generator, dim: int = 2) -> ModelContext:
         return ModelContext(random_state(dim, rng), random_basis(dim, rng))

@@ -136,7 +136,7 @@ class DensityMatrix:
 class Povm:
     """Ordered collection of labeled positive operators summing to the identity."""
 
-    __slots__ = ("dim", "labels", "operators", "_index")
+    __slots__ = ("dim", "labels", "operators")
 
     def __init__(self, elements: Sequence[tuple[str, np.ndarray]]):
         if len(elements) < 1:
@@ -163,7 +163,6 @@ class Povm:
         self.dim = dim
         self.labels = labels
         self.operators = tuple(ops)
-        self._index = {label: k for k, label in enumerate(labels)}
 
     def _check_elements(self, labels: tuple[str, ...], ops: list[np.ndarray]) -> None:
         """Each element is Hermitian and PSD."""
@@ -175,15 +174,6 @@ class Povm:
 
     def __len__(self):
         return len(self.labels)
-
-    def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise KeyError(f"unknown outcome label {label!r}; have {self.labels}") from None
-
-    def operator(self, label: str) -> np.ndarray:
-        return self.operators[self.index(label)]
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim}, labels={self.labels})"
@@ -214,19 +204,23 @@ class ProjectiveBasis(Povm):
             raise ValueError("projective basis kets must be orthonormal")
 
 
-def born_probability(prep: DensityMatrix | StateVector, M: Povm, label: str) -> float:
-    """tr(prep E_label), clamped to [0, 1].
+def born_probability(prep: DensityMatrix | StateVector, M: Povm) -> np.ndarray:
+    """The Born distribution over M, one weight per element in label order.
 
-    Raises KeyError for an unknown label and ValueError on dimension mismatch.
+    A pure state in a projective basis gives the ket overlap |<e_i|prep>|^2
+    (StateVector.overlap_sq) per ket, unclamped and bit for bit; anything else
+    gives tr(prep E_i), clamped to [0, 1].  Every model's basis Born weights
+    come from here.  Raises ValueError on dimension mismatch.
     """
     if prep.dim != M.dim:
         raise ValueError(f"preparation dim {prep.dim} != measurement dim {M.dim}")
-    op = M.operator(label)
     if isinstance(prep, StateVector):
-        p = np.vdot(prep.amplitudes, op @ prep.amplitudes).real
+        if isinstance(M, ProjectiveBasis):
+            return np.array([ket.overlap_sq(prep) for ket in M.kets])
+        p = [np.vdot(prep.amplitudes, op @ prep.amplitudes).real for op in M.operators]
     else:
-        p = np.trace(prep.entries @ op).real
-    return float(min(1.0, max(0.0, p)))
+        p = [np.trace(prep.entries @ op).real for op in M.operators]
+    return np.array([min(1.0, max(0.0, v)) for v in p])
 
 
 def ket_from_bloch(v: BlochVector) -> StateVector:

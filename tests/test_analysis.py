@@ -2,6 +2,7 @@
 PI, compatibility, remote-setting dependence."""
 
 import json
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -243,6 +244,48 @@ class TestClosedFormSupportMass:
             for trial in range(5):
                 ctx_a, ctx_b = orthogonal_pair_contexts(model, stream(515, trial))
                 assert analysis.support_overlap_mass(model, ctx_a, ctx_b) == (0.0, 0.0, "analytic")
+
+
+def chi2_band(dof: int, alpha: float) -> tuple[float, float]:
+    """Two-sided chi-square(dof) quantiles at total tail alpha (Wilson-Hilferty)."""
+    v = 2.0 / (9.0 * dof)
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    return tuple(dof * (1.0 - v + s * z * np.sqrt(v)) ** 3 for s in (-1.0, 1.0))
+
+
+def coverage_context(model, dim: int):
+    """(psi, phi, M, exact mass) with M resolving phi and the exact mass in (0.2, 0.8)."""
+    rng = stream(521, dim)
+    while True:
+        psi, phi = random_state(dim, rng), random_state(dim, rng)
+        M = orthonormal_basis_containing(phi)
+        exact = model.support_mass_exact(model.basis_context(psi, M), model.basis_context(phi, M))
+        if 0.2 < exact < 0.8:
+            return psi, phi, M, exact
+
+
+class TestMonteCarloStderrCoverage:
+    """OverlapReport.mass_stderr on the Monte Carlo path matches the spread it
+    claims: over R seeds, z = (mass - exact)/mass_stderr has var(z) inside the
+    two-sided chi-square(R - 1) band at 1e-6, so a bar scaled by 0.5 or 2 fails."""
+
+    R = 400
+
+    @pytest.mark.parametrize(
+        "name, dim", [("ks1", 2), ("ks2", 2), ("bellmermin", 2), ("interval", 3), ("gbrans", 3)]
+    )
+    def test_mass_stderr_covers_the_exact_mass(self, name, dim):
+        model = create_model(name)
+        psi, phi, M, exact = coverage_context(model, dim)
+        z = []
+        for seed in range(self.R):
+            rep = analysis.degree_of_epistemicity(
+                model, psi, phi, M, samples=2000, seed=seed, method="monte-carlo"
+            )
+            z.append((rep.mass_psi_in_phi_support - exact) / rep.mass_stderr)
+        lo, hi = chi2_band(self.R - 1, 1e-6)
+        var = float(np.var(z, ddof=1))
+        assert lo / (self.R - 1) <= var <= hi / (self.R - 1), var
 
 
 class TestOverlaps:

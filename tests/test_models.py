@@ -30,13 +30,16 @@ from mdhv.models.base import (
 from mdhv.models.ks import KochenSpecker2
 from mdhv.quantum import (
     BlochVector,
+    DensityMatrix,
     ProjectiveBasis,
     StateVector,
     bloch_from_ket,
+    born_probability,
     ket_from_bloch,
     orthonormal_basis_containing,
     random_basis,
     random_bloch,
+    random_povm,
     random_state,
 )
 from mdhv.sphere import BLOCK_ROWS, stratified_sphere_points, uniform_cap, uniform_sphere
@@ -101,7 +104,7 @@ class TestInterfaceContracts:
         for label, count in rep.counts.items():
             assert rep.estimates[label] == count / rep.shots
         parsed = json.loads(json.dumps(rep, default=json_form))
-        assert list(parsed) == ["shots", "seed", "counts", "estimates", "stderr", "born_reference"]
+        assert list(parsed) == ["shots", "seed", "counts", "estimates", "born_reference"]
 
     def test_born_agreement_quick(self, any_model):
         shots = 20_000
@@ -155,6 +158,39 @@ def test_each_model_declares_its_ontic_kind():
         "bellmermin": OnticKind.LABELED_SPHERE,
     }
     assert {name: cls.ontic_kind for name, cls in MODEL_REGISTRY.items()} == expected
+
+
+def _born_contexts(name: str):
+    """Random contexts of a Povm-measured model: d = 2..4 where it takes any
+    dimension, and for gbrans mixed preparations too."""
+    model = create_model(name)
+    dims = (2, 3, 4) if model.any_dimension else (2,)
+    rng = stream(131)
+    ctxs = [model.random_context(rng, dim=dim) for dim in dims for _ in range(4)]
+    if name == "gbrans":
+        for dim in dims:
+            a, b = random_state(dim, rng), random_state(dim, rng)
+            rho = DensityMatrix(0.3 * a.projector() + 0.7 * b.projector())
+            ctxs += [ModelContext(rho, random_basis(dim, rng)), ModelContext(rho, random_povm(dim, dim + 1, rng))]
+    return ctxs
+
+
+class TestBornReferenceHasOneHome:
+    """Every model measured with a Povm takes its Born reference from
+    quantum.born_probability, bit for bit, rather than from its own ontic model."""
+
+    @pytest.mark.parametrize("name", ["gbrans", "interval", "ks1", "bellmermin"])
+    def test_reference_is_born_probability(self, name):
+        model = create_model(name)
+        for ctx in _born_contexts(name):
+            ref = model.born_reference(ctx)
+            assert list(ref) == list(model.outcome_labels(ctx))
+            assert list(ref.values()) == born_probability(ctx.preparation, ctx.measurement).tolist()
+
+    def test_interval_reference_is_not_read_from_its_bins(self):
+        interval, gbrans = create_model("interval"), create_model("gbrans")
+        for ctx in _born_contexts("interval"):
+            assert interval.born_reference(ctx) == gbrans.born_reference(ctx)
 
 
 def test_json_form_writes_fields_in_order_and_bloch_vectors_as_lists():

@@ -99,30 +99,64 @@ class TestConstruction:
             BlochVector(1.0, 1.0, 0.0)
 
 
+def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
+    """Full-rank mixed state G G^dagger / tr(G G^dagger)."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
 class TestBornProbability:
+    """born_probability returns the whole distribution over M, in label order."""
+
     def test_eigenstate(self):
-        assert born_probability(DensityMatrix(ZERO.projector()), Z_BASIS, "0") == 1.0
+        assert born_probability(DensityMatrix(ZERO.projector()), Z_BASIS).tolist() == [1.0, 0.0]
 
     def test_symmetry(self):
-        assert born_probability(DensityMatrix(PLUS.projector()), Z_BASIS, "0") == pytest.approx(0.5, abs=TOL.structural)
+        p = born_probability(DensityMatrix(PLUS.projector()), Z_BASIS)
+        assert p == pytest.approx([0.5, 0.5], abs=TOL.structural)
 
-    def test_distinguishing_povm_zero_entry(self):
-        assert born_probability(DensityMatrix(ZERO.projector()), distinguishing_povm(), "E1") == 0.0
+    def test_distinguishing_povm_entries(self):
+        got = born_probability(DensityMatrix(ZERO.projector()), distinguishing_povm())
+        assert got[0] == 0.0
+        assert got[1] == pytest.approx(np.sqrt(2.0) / (2.0 * (1.0 + np.sqrt(2.0))), abs=TOL.structural)
 
-    def test_distinguishing_povm_inconclusive_entry(self):
+    def test_weights_follow_the_label_order(self):
         M = distinguishing_povm()
-        got = born_probability(DensityMatrix(ZERO.projector()), M, "E2")
-        oracle = oracles.born_trace(ZERO.projector(), M.operator("E2"))
-        assert got == pytest.approx(oracle, abs=TOL.arithmetic)
-        assert got == pytest.approx(np.sqrt(2.0) / (2.0 * (1.0 + np.sqrt(2.0))), abs=TOL.structural)
+        flipped = Povm(list(zip(M.labels, M.operators))[::-1])
+        for prep in (ZERO, PLUS, DensityMatrix(MINUS.projector())):
+            p = born_probability(prep, M)
+            assert len(p) == len(M)
+            assert born_probability(prep, flipped).tolist() == p[::-1].tolist()
 
-    def test_unknown_label(self):
-        with pytest.raises(KeyError):
-            born_probability(DensityMatrix(ZERO.projector()), Z_BASIS, "up")
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_pure_state_in_a_basis_is_the_ket_overlap(self, seed):
+        rng = stream(seed)
+        dim = int(rng.integers(2, 6))
+        M, psi = random_basis(dim, rng), random_state(dim, rng)
+        assert born_probability(psi, M).tolist() == [ket.overlap_sq(psi) for ket in M.kets]
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_trace_oracle(self, seed):
+        rng = stream(seed)
+        dim = int(rng.integers(2, 6))
+        cases = [
+            (random_state(dim, rng), random_povm(dim, dim + 2, rng)),
+            (random_density(dim, rng), random_povm(dim, dim + 2, rng)),
+            (random_density(dim, rng), random_basis(dim, rng)),
+        ]
+        for prep, M in cases:
+            rho = prep.projector() if isinstance(prep, StateVector) else prep.entries
+            oracle = [oracles.born_trace(rho, op) for op in M.operators]
+            assert born_probability(prep, M) == pytest.approx(oracle, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            born_probability(DensityMatrix(singlet_state().projector()), Z_BASIS, "0")
+            born_probability(DensityMatrix(singlet_state().projector()), Z_BASIS)
+        with pytest.raises(ValueError):
+            born_probability(singlet_state(), Z_BASIS)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -130,10 +164,10 @@ class TestBornProbability:
         rng = stream(seed)
         dim = int(rng.integers(2, 6))
         M = random_basis(dim, rng) if rng.random() < 0.5 else random_povm(dim, dim + 2, rng)
-        psi = random_state(dim, rng)
-        p = [born_probability(psi, M, label) for label in M.labels]
-        assert sum(p) == pytest.approx(1.0, abs=TOL.structural)
-        assert all(v >= 0.0 for v in p)
+        prep = random_state(dim, rng) if rng.random() < 0.5 else random_density(dim, rng)
+        p = born_probability(prep, M)
+        assert p.sum() == pytest.approx(1.0, abs=TOL.structural)
+        assert bool(np.all(p >= 0.0))
 
 
 class TestBlochParametrization:
