@@ -21,14 +21,13 @@ information in bits).
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .models.base import stream_at
+from .models.base import stream_at, workers
 from .quantum import BlochVector
 from .sphere import embed_local
 
@@ -47,7 +46,6 @@ NOMINAL_BITS_PER_ROUND = 2.0
 _BLOCK = 1 << 16  # rounds per Alice block; part of the stream layout
 _UNIT = 1 << 14  # rounds per pool task; divides _BLOCK, so no unit spans two blocks
 _SLACK = 1024  # acceptances held back when sizing the units in flight: 16 sd of one unit's count
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _TRACE_SLICE = 4096  # trace rows formatted and written per write call
 MI_RESOLUTION = 512  # quadrature nodes per axis of the reported mutual information
 TRACE_HEADER = ("round_id", "lambda_x", "lambda_y", "lambda_z", "accepted", "outcome")
@@ -162,14 +160,15 @@ def run_channel(
 
     sent = accepted = plus = 0
     pending: deque = deque()
-    pool = ThreadPoolExecutor(max_workers=_WORKERS)
+    n_workers = workers()
+    pool = ThreadPoolExecutor(max_workers=n_workers)
     try:
         while accepted < target_accepted:
             # in flight: two units per worker at most, and only those the target needs at
             # the acceptance rate of 1/2 less _SLACK, so (but with negligible probability)
             # no unit runs past the target and every run computes the same units
             need = max(1, -(-2 * (target_accepted - accepted - _SLACK) // _UNIT))
-            while len(pending) < min(2 * _WORKERS, need):  # every unit taken so far was whole
+            while len(pending) < min(2 * n_workers, need):  # every unit taken so far was whole
                 pending.append(pool.submit(unit, sent // _UNIT + len(pending)))
             ids, vecs, accept, outcome_plus = pending.popleft().result()
 

@@ -30,6 +30,7 @@ from .models import (
     singlet_context,
     singlet_correlation,
     stream,
+    workers,
 )
 from .quantum import (
     BlochVector,
@@ -211,7 +212,7 @@ def cmd_scan(args) -> int:
     for k, angle in enumerate(args.angles):
         rad = math.radians(angle)
         b = BlochVector.from_polar(rad, 0.0)
-        report = run_experiment(model, singlet_context(a, b), args.shots, args.seed + k)
+        report = run_experiment(model, singlet_context(a, b), args.shots, args.seed + k, threads=workers())
         est = singlet_correlation(report.estimates)
         expected = -math.cos(rad)
         stderr = math.sqrt(max(1e-300, (1.0 - expected**2)) / args.shots)

@@ -1,4 +1,4 @@
-"""Shared numeric conventions: tolerances and a total step function.
+"""Shared numeric conventions: the tolerances.
 
 Every structural validity check (norms, hermiticity, POVM completeness) and
 every closed-form identity comparison in the package reads its tolerance from
@@ -8,8 +8,6 @@ the single record below, so the property tests have one tuning point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -21,7 +19,3 @@ class Tolerances:
 
 TOL = Tolerances()
 
-
-def step(x):
-    """Heaviside step with the fixed convention step(0) = 1 (elementwise)."""
-    return np.where(np.asarray(x) >= 0.0, 1.0, 0.0)

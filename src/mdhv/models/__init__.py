@@ -16,6 +16,7 @@ from .base import (
     singlet_context,
     singlet_correlation,
     stream,
+    workers,
 )
 from .bellmermin import BellMermin
 from .brans import BransSinglet
@@ -65,4 +66,5 @@ __all__ = [
     "singlet_context",
     "singlet_correlation",
     "stream",
+    "workers",
 ]

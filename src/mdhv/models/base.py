@@ -14,6 +14,7 @@ merged counts are bit-identical regardless of execution order.
 
 from __future__ import annotations
 
+import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum, auto
@@ -57,6 +58,7 @@ __all__ = [
     "stream_at",
     "categorical",
     "rejection_sample",
+    "workers",
 ]
 
 
@@ -281,6 +283,17 @@ def _qubit_basis_axes(M: ProjectiveBasis) -> np.ndarray:
     return np.stack([bloch_from_ket(ket).as_array() for ket in M.kets])
 
 
+def _label_row(table: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """table[label[i], i] of a (2, n) table: each column's entry for its own label.
+
+    A selection between two contiguous rows, not a per-row gather.  A label
+    outside {0, 1} raises IndexError.
+    """
+    if label.size and (label.min() < 0 or label.max() > 1):
+        raise IndexError("labels of a qubit basis are 0 and 1")
+    return np.where(label == 0, table[0], table[1])
+
+
 def _shared_axes(ctx_a: ModelContext, ctx_b: ModelContext) -> np.ndarray | None:
     """The Bloch axes of the measurement, when both contexts' axes agree label by label."""
     axes = _qubit_basis_axes(ctx_a.measurement)
@@ -381,6 +394,17 @@ class SimulationReport:
     counts: dict[str, int]
     estimates: dict[str, float]
     born_reference: dict[str, float]
+
+
+def workers() -> int:
+    """Worker threads for seeded runs: the CPUs this process may run on.
+
+    The count can change no output, as each run's draws are fixed by its
+    stream layout.  Where the platform has no affinity mask, os.cpu_count().
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _chunk_sizes(shots: int) -> list[int]:

@@ -2,10 +2,11 @@
 
 KochenSpecker1: ontic value (lambda_k, lam_hat) with joint density
 (1/pi) step(k_hat.lam) step(psi_hat.lam) (psi_hat.lam) per outcome label k of
-a qubit projective basis; response is the point mass on k.  The joint is the
-normalized object (its per-label masses are the Born weights), and sampling
-uses its exact factorization: lam_hat is cosine-weighted around psi_hat and
-the label is read off the hemisphere of k_hat that contains it.
+a qubit projective basis; response is the point mass on k.  Here and below
+step(x) is 1 for x >= 0 and 0 otherwise, so a zero dot counts as +1.  The
+joint is the normalized object (its per-label masses are the Born weights),
+and sampling uses its exact factorization: lam_hat is cosine-weighted around
+psi_hat and the label is read off the hemisphere of k_hat that contains it.
 
 KochenSpecker2: preparation along a_hat measured along b_hat; ontic unit
 vector with density step(lam.a)|lam.b|/pi, response +b iff lam.b >= 0.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..constants import TOL, step
+from ..constants import TOL
 from ..quantum import (
     BlochVector,
     ProjectiveBasis,
@@ -31,6 +32,7 @@ from .base import (
     ModelContext,
     OnticKind,
     QubitBasisModel,
+    _label_row,
     _qubit_basis_axes,
     _shared_axes,
     rejection_sample,
@@ -52,9 +54,8 @@ class KochenSpecker1(QubitBasisModel):
         axes = _qubit_basis_axes(ctx.measurement)
         vec = np.asarray(arrays["vec"], dtype=float)
         label = np.asarray(arrays["label"], dtype=int)
-        k_dot = np.einsum("ij,ij->i", vec, axes[label])
-        p_dot = vec @ psi_hat
-        return (1.0 / np.pi) * step(k_dot) * step(p_dot) * np.maximum(p_dot, 0.0)
+        on_k_side = _label_row(axes @ vec.T, label) >= 0.0
+        return np.where(on_k_side, (1.0 / np.pi) * np.maximum(vec @ psi_hat, 0.0), 0.0)
 
     def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float | None:
         """(1 + psi.phi)/2 when both contexts share the measurement, else None.
@@ -121,7 +122,7 @@ class KochenSpecker2(HiddenVariableModel):
     def density_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         a, b = self._axes(ctx)
         vec = np.asarray(arrays["vec"], dtype=float)
-        return step(vec @ a) * np.abs(vec @ b) / np.pi
+        return np.where(vec @ a >= 0.0, np.abs(vec @ b) / np.pi, 0.0)
 
     def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         _, b = self._axes(ctx)

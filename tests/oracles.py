@@ -175,3 +175,27 @@ def sequential_channel(a: np.ndarray, b: np.ndarray, target: int, seed: int, tra
         for i, (x, y, z), acc, pos in zip(ids.tolist(), vecs.tolist(), accept, outcome_plus):
             trace.write(f"{i},{x!r},{y!r},{z!r}," + (("1,+b" if pos else "1,-b") if acc else "0,") + "\n")
     return sent, accepted, plus
+
+
+def _step(x: np.ndarray) -> np.ndarray:
+    """Heaviside step with step(0) = 1, elementwise."""
+    return np.where(x >= 0.0, 1.0, 0.0)
+
+
+def ks1_density_gathered(vec: np.ndarray, label: np.ndarray, axes: np.ndarray, psi_hat: np.ndarray) -> np.ndarray:
+    """(1/pi) step(k.lam) step(psi.lam) (psi.lam), with each row's k gathered as axes[label]."""
+    k_dot = np.einsum("ij,ij->i", vec, axes[label])
+    p_dot = vec @ psi_hat
+    return (1.0 / np.pi) * _step(k_dot) * _step(p_dot) * np.maximum(p_dot, 0.0)
+
+
+def bellmermin_density_gathered(
+    vec: np.ndarray, label: np.ndarray, axes: np.ndarray, psi_hat: np.ndarray
+) -> np.ndarray:
+    """step(k.(psi + lam))/4pi, with each row's k gathered as axes[label]."""
+    return _step(np.einsum("ij,ij->i", axes[label], psi_hat + vec)) / (4.0 * np.pi)
+
+
+def ks2_density_stepped(vec: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """step(lam.a)|lam.b|/pi as a product of the step and the weight."""
+    return _step(vec @ a) * np.abs(vec @ b) / np.pi

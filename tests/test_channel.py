@@ -243,8 +243,8 @@ class TestStreamPositions:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # frequent thread switches, and 8 workers: more than most hosts have cores
         try:
-            for workers in (1, 2, 3, 8):
-                monkeypatch.setattr(channel, "_WORKERS", workers)
+            for count in (1, 2, 3, 8):
+                monkeypatch.setattr(channel, "workers", lambda: count)
                 got = io.StringIO()
                 t = channel.run_channel(BlochVector(*GENERIC_A), BlochVector(*GENERIC_B), target, 913, trace=got)
                 assert (t.sent, t.accepted, t.outcome_counts["+b"]) == (sent, accepted, plus)
@@ -258,7 +258,7 @@ class TestWorkerPool:
         # four units in flight on two workers, whatever the target needs.
         # Unit 0 meets the target.  Units 1 and 2 hold a worker each for
         # 0.3 s once started, so unit 3 is still queued when unit 0 is taken.
-        monkeypatch.setattr(channel, "_WORKERS", 2)
+        monkeypatch.setattr(channel, "workers", lambda: 2)
         monkeypatch.setattr(channel, "_SLACK", -(1 << 40))
         emitted = []
         emit = channel.AliceSender.emit

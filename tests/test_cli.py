@@ -6,10 +6,13 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mdhv import cli
 from mdhv.cli import build_parser, main, parse_direction, parse_product_state
 from mdhv.models import MODEL_REGISTRY
+from test_analysis import chi2_band
 
 
 def run_cli(argv, capsys):
@@ -111,6 +114,56 @@ class TestScan:
         _, out1 = run_cli(argv, capsys)
         _, out2 = run_cli(argv, capsys)
         assert out1 == out2
+
+    def test_output_does_not_depend_on_the_worker_count(self, capsys, monkeypatch):
+        # 150,000 shots per angle are three chunks, which two or three workers share
+        argv = ["scan", "hall", "--angles", "30,120", "--shots", "150000", "--seed", "5"]
+        outs, asked = set(), []
+        for count in (1, 2, 3):
+
+            def forced(count=count):
+                asked.append(count)
+                return count
+
+            monkeypatch.setattr(cli, "workers", forced)
+            outs.add(run_cli(argv, capsys)[1])
+        assert len(outs) == 1
+        assert sorted(set(asked)) == [1, 2, 3]
+
+
+class TestPrintedErrorBarCoverage:
+    """verify's per-row sigma (gate_5se/5) and scan's stderr match the spread
+    they claim: over R rows, z = (estimate - exact)/sigma has var(z) inside
+    the two-sided chi-square(R - 1) band at 1e-6, so a sigma scaled by 0.5
+    or by 2 fails."""
+
+    @staticmethod
+    def assert_covered(z):
+        dof = len(z) - 1
+        lo, hi = chi2_band(dof, 1e-6)
+        var = float(np.var(z, ddof=1))
+        assert lo / dof <= var <= hi / dof, var
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_verify_sigma(self, name, capsys):
+        argv = ["verify", name, "--trials", "400", "--shots", "2000", "--seed", "3", "--format", "json"]
+        z = {}
+        for row in json.loads(run_cli(argv, capsys)[1])["rows"]:
+            born = float(row["born"])
+            if 0.1 <= born <= 0.9:  # the trial's first such row
+                z.setdefault(row["trial"], (float(row["estimate"]) - born) / (float(row["gate_5se"]) / 5.0))
+        assert len(z) >= 300
+        self.assert_covered(list(z.values()))
+
+    @pytest.mark.parametrize("name", model_choices("scan"))
+    def test_scan_stderr(self, name, capsys):
+        angles = ",".join(repr(a) for a in np.linspace(15.0, 165.0, 400).tolist())
+        argv = ["scan", name, "--angles", angles, "--shots", "2000", "--seed", "3", "--format", "json"]
+        rows = json.loads(run_cli(argv, capsys)[1])["rows"]
+        assert len(rows) == 400
+        self.assert_covered(
+            [(float(r["estimate"]) - float(r["expected_minus_cos"])) / float(r["stderr"]) for r in rows]
+        )
 
 
 class TestChannel:

@@ -822,6 +822,92 @@ class TestBellMermin:
             assert rep.estimates[label] == pytest.approx(p, abs=3e-3)
 
 
+def _random_unit_rows(rng: np.random.Generator, n: int) -> np.ndarray:
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _axis_rows() -> np.ndarray:
+    """Each signed coordinate axis, with every choice of sign for its two zeros."""
+    rows = []
+    for axis in range(3):
+        for sign in (1.0, -1.0):
+            for zeros in ((0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)):
+                row = list(zeros)
+                row.insert(axis, sign)
+                rows.append(row)
+    return np.array(rows)
+
+
+def _gathered_density(name: str, arrays: dict, ctx: ModelContext) -> np.ndarray:
+    """The density as first written, per-row gather and step products, from tests/oracles.py."""
+    psi_hat = bloch_from_ket(ctx.preparation).as_array()
+    if name == "ks2":
+        return oracles.ks2_density_stepped(arrays["vec"], psi_hat, ctx.measurement.as_array())
+    oracle = {"ks1": oracles.ks1_density_gathered, "bellmermin": oracles.bellmermin_density_gathered}[name]
+    return oracle(arrays["vec"], arrays["label"], _qubit_basis_axes(ctx.measurement), psi_hat)
+
+
+class TestSphereDensitiesMatchTheGatherOracle:
+    """The sphere densities select each row's dot from one product; they give
+    the bytes of the per-row gather they replaced, signed zeros included."""
+
+    MODELS = ("ks1", "ks2", "bellmermin")
+
+    def assert_same_bytes(self, name, model, vec, label, ctx):
+        arrays = {"vec": vec} if name == "ks2" else {"label": label, "vec": vec}
+        got = model.density_arrays(arrays, ctx)
+        assert got.dtype == np.float64
+        assert got.tobytes() == _gathered_density(name, arrays, ctx).tobytes()
+        return got
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_sampled_and_random_rows(self, name):
+        model = create_model(name)
+        for trial in range(100):
+            ctx = model.random_context(stream(931, trial))
+            rng = stream(933, trial)
+            drawn = model.sample_arrays(ctx, 300, rng)
+            vec = np.concatenate([drawn["vec"], _random_unit_rows(rng, 300)])
+            label = np.concatenate([drawn.get("label", np.zeros(300, int)), rng.integers(0, 2, 300)])
+            for tags in (label, 1 - label):  # each row under both labels
+                self.assert_same_bytes(name, model, vec, tags, ctx)
+
+    # the dot each model's step reads, from its preparation axis p and its label's axis k
+    STEP_DOTS = {
+        "ks1": lambda vec, p, k: vec @ k,
+        "ks2": lambda vec, p, k: vec @ p,
+        "bellmermin": lambda vec, p, k: (p + vec) @ k,
+    }
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_axis_aligned_rows_with_zero_dots(self, name):
+        # axis-aligned preparations and bases put many step dots at exactly zero; the
+        # rows carry -0.0 components too, though numpy's dots sum them to +0.0
+        model = create_model(name)
+        vec = _axis_rows()
+        minus = StateVector([S, -S])
+        zero_and_positive = 0
+        for psi in (ZERO, ONE, PLUS, minus):
+            for M in (Z_BASIS, ProjectiveBasis([PLUS, minus])):
+                ctx = model.basis_context(psi, M)
+                for tag in (0, 1):
+                    got = self.assert_same_bytes(name, model, vec, np.full(len(vec), tag), ctx)
+                    k = _qubit_basis_axes(M)[tag]
+                    dots = self.STEP_DOTS[name](vec, bloch_from_ket(psi).as_array(), k)
+                    zero_and_positive += int(np.count_nonzero((dots == 0.0) & (got > 0.0)))
+        assert zero_and_positive > 0  # step(0) = 1 shows in the bytes compared
+
+    @pytest.mark.parametrize("name", ("ks1", "bellmermin"))
+    @pytest.mark.parametrize("bad", (-1, 2))
+    def test_label_outside_the_basis_raises(self, name, bad):
+        model = create_model(name)
+        ctx = model.random_context(stream(935))
+        vec = _random_unit_rows(stream(937), 4)
+        with pytest.raises(IndexError):
+            model.density_arrays({"label": np.array([0, 1, bad, 0]), "vec": vec}, ctx)
+
+
 class TestMixtureDensity:
     def test_preparation_context_support_inclusion(self):
         # two decompositions of the same density matrix get nested supports

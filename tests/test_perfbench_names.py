@@ -26,7 +26,7 @@ from mdhv import analysis, channel
 from mdhv.cli import build_parser, main
 from mdhv.models import MODEL_REGISTRY, run_experiment, stream
 from mdhv.models.base import rejection_sample
-from mdhv.quantum import ProjectiveBasis
+from mdhv.quantum import ProjectiveBasis, orthonormal_basis_containing, random_state
 from mdhv.sphere import BLOCK_ROWS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -110,6 +110,27 @@ def test_brans_support_mass_reaches_density_arrays():
         analysis.support_overlap_mass(model, model.random_context(rng), model.random_context(rng), 1000, 1)
     assert not tracer.problems
     assert any(s.name == "models.brans.density_arrays" for s in spans)
+
+
+@pytest.mark.parametrize("model_name", ["ks1", "bellmermin"])
+@pytest.mark.parametrize("auditor", ["overlap", "epistemic"])
+def test_sphere_audits_reach_density_arrays(model_name, auditor):
+    """perfbench's overlap and epistemic operations (workloads.py:417, 439) are
+    where a traced pass reads ks1's and bellmermin's `density_arrays` layers.
+    A density kernel that an auditor calls as a module-level helper records
+    no span, so the layer reads NaN and the pass reports correct: false."""
+    model = MODEL_REGISTRY[model_name]()
+    rng = stream(153)
+    psi, phi = random_state(2, rng), random_state(2, rng)
+    M = orthonormal_basis_containing(phi)
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.operation(f"{auditor}-{model_name}") as spans:
+        if auditor == "overlap":
+            analysis.classical_overlap(model, psi, phi, M, resolution=2000, seed=1)
+        else:
+            analysis.degree_of_epistemicity(model, psi, phi, M, samples=2000, seed=1, method="monte-carlo")
+    assert not tracer.problems
+    assert any(s.name == f"models.{model_name}.density_arrays" for s in spans)
 
 
 @pytest.mark.parametrize("model_name, sampler", sorted(layers.REJECTION_SAMPLERS.items()))
