@@ -157,41 +157,25 @@ def classical_overlap(
     resolution: int = 200_000,
     seed: int = 0,
 ) -> float:
-    """w_C = 1 - (1/2) integral |p(.|psi,M) - p(.|phi,M)| over the ontic space.
+    """w_C = 1 - (1/2) integral |p(.|psi,M) - p(.|phi,M)| over the ontic space, exactly.
 
-    Exact sums for discrete ontic spaces, exact piecewise integration on the
-    interval, stratified Monte Carlo quadrature on (labeled) spheres.
+    The model's `cells` cut the ontic space into pieces on which both
+    densities and their difference are affine, with a point and a width
+    each: outcome indices of width 1, interval cells, sphere cells at their
+    mean points, or Bell-Mermin's latitude bands.  The integral is the
+    widths times |difference| at the points.  A model without `cells`
+    raises TypeError.  `resolution` and `seed` are unused; the benchmark in
+    perfbench/ still passes them.
     """
     ctx_a = model.basis_context(psi, M)
     ctx_b = model.basis_context(phi, M)
     model.validate_context(ctx_a)
     model.validate_context(ctx_b)
-    kind = model.ontic_kind
-
-    if kind is OnticKind.DISCRETE_INDEX:
-        idx = {"j": np.arange(len(M))}
-        diff = np.abs(model.density_arrays(idx, ctx_a) - model.density_arrays(idx, ctx_b))
-        return 1.0 - 0.5 * float(diff.sum())
-
-    if kind is OnticKind.INTERVAL:
-        mids, widths = model.cells(ctx_a, ctx_b)
-        diff = np.abs(model.density_arrays(mids, ctx_a) - model.density_arrays(mids, ctx_b))
-        return 1.0 - 0.5 * float(np.sum(diff * widths))
-
-    pts = stratified_sphere_points(resolution, stream(seed, 0))
-    total = 0.0
-    if kind is OnticKind.LABELED_SPHERE:
-        for tag in range(len(M)):
-            arrays = {"label": np.full(pts.shape[0], tag, dtype=int), "vec": pts}
-            diff = np.abs(model.density_arrays(arrays, ctx_a) - model.density_arrays(arrays, ctx_b))
-            total += diff.mean() * 4.0 * np.pi
-    elif kind is OnticKind.SPHERE:
-        arrays = {"vec": pts}
-        diff = np.abs(model.density_arrays(arrays, ctx_a) - model.density_arrays(arrays, ctx_b))
-        total = diff.mean() * 4.0 * np.pi
-    else:
-        raise TypeError(f"classical overlap is undefined for {kind.name} models")
-    return 1.0 - 0.5 * float(total)
+    if not hasattr(model, "cells"):
+        raise TypeError(f"classical overlap is undefined for {model.name} models")
+    points, widths = model.cells(ctx_a, ctx_b)
+    diff = np.abs(model.density_arrays(points, ctx_a) - model.density_arrays(points, ctx_b))
+    return 1.0 - 0.5 * float(diff @ widths)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..quantum import bloch_from_ket, born_probability
-from ..sphere import uniform_cap
+from ..sphere import tangent_frame, uniform_cap
 from .base import ModelContext, QubitBasisModel, _label_row, _qubit_basis_axes, _shared_axes
 
 
@@ -58,6 +58,24 @@ class BellMermin(QubitBasisModel):
         # step(k.(psi + lam)) read as lam.k >= -psi.k, without forming psi + lam
         in_cap = _label_row(axes @ vec.T >= zmin[:, None], label)
         return np.where(in_cap, 1.0 / (4.0 * np.pi), 0.0)
+
+    def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:
+        """Mid-band unit points ({"label", "vec"}) and areas of each label's bands about its k_hat.
+
+        For two contexts that share the measurement, label k's bands are cut
+        at lam.k = -psi.k and -phi.k, the bounds of its two caps, and both
+        densities are constant on each; a band from z0 to z1 has area
+        2 pi (z1 - z0).
+        """
+        axes, zmin_a = _caps(ctx_a)
+        _, zmin_b = _caps(ctx_b)
+        ends = np.ones(2)
+        z = np.sort(np.clip(np.column_stack([-ends, zmin_a, zmin_b, ends]), -1.0, 1.0), axis=1)
+        mid = 0.5 * (z[:, :-1] + z[:, 1:])  # (label, band)
+        tangents = np.stack([tangent_frame(k)[0] for k in axes])
+        vec = mid[..., None] * axes[:, None] + np.sqrt(1.0 - mid * mid)[..., None] * tangents[:, None]
+        arrays = {"label": np.repeat([0, 1], 3), "vec": vec.reshape(-1, 3)}
+        return arrays, 2.0 * np.pi * np.diff(z, axis=1).ravel()
 
     def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float | None:
         """1 - sum_k max(0, psi.k - phi.k)/2 when both contexts share the measurement, else None.

@@ -55,6 +55,10 @@ class GeneralizedBrans(HiddenVariableModel):
     def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         return np.asarray(arrays["j"], dtype=int)
 
+    def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:
+        """Every outcome index ({"j"}), each with width 1, for two contexts that share the measurement."""
+        return {"j": np.arange(len(ctx_a.measurement))}, np.ones(len(ctx_a.measurement))
+
     def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float:
         """Mass of p(.|ctx_from) on the support of p(.|ctx_support), exactly.
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..constants import TOL
 from ..sphere import uniform_sphere
 from .base import ModelContext, OnticKind, SingletModel, rejection_sample
 
@@ -42,7 +41,7 @@ class HallSinglet(SingletModel):
         """(value on s=+1, value on s=-1, degenerate?) of the lam1 density * 4pi."""
         a, b = ctx.measurement.alice, ctx.measurement.bob
         c = float(np.clip(a.dot(b), -1.0, 1.0))
-        if abs(1.0 - abs(c)) < TOL.structural:
+        if abs(c) == 1.0:
             return 1.0, 1.0, True
         phi = float(np.arccos(c))
         t = 1.0 - 2.0 * phi / np.pi
@@ -90,8 +89,9 @@ class HallSinglet(SingletModel):
     def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float:
         """1: every context's support is the whole sphere.
 
-        The density shrinks toward the degeneracy cut, where it is smallest
-        just off the cut: 2.8e-6 at |a.b| = 1 - 1.0000001e-9.  On the cut it
-        is uniform.  Both lie far above TOL.support.
+        Near parallel or antiparallel axes at angle theta from the cut, the
+        density on the shrinking branch is about theta/16, smallest at the
+        smallest theta whose cosine is not 1.0: about 9e-10.  On the cut
+        (|a.b| = 1) it is uniform.  Both lie above TOL.support.
         """
         return 1.0

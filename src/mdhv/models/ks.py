@@ -26,7 +26,7 @@ from ..quantum import (
     ket_from_bloch,
     random_bloch,
 )
-from ..sphere import cosine_hemisphere, uniform_hemisphere
+from ..sphere import cosine_hemisphere, great_circle_cells, uniform_hemisphere
 from .base import (
     HiddenVariableModel,
     ModelContext,
@@ -56,6 +56,20 @@ class KochenSpecker1(QubitBasisModel):
         label = np.asarray(arrays["label"], dtype=int)
         on_k_side = _label_row(axes @ vec.T, label) >= 0.0
         return np.where(on_k_side, (1.0 / np.pi) * np.maximum(vec @ psi_hat, 0.0), 0.0)
+
+    def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:
+        """Mean points ({"label", "vec"}) and areas of the cells cut by k_0, psi, phi and psi - phi.
+
+        For two contexts that share the measurement: on each cell and label
+        both densities are affine, and so is their difference, whose sign
+        flips only across (psi - phi).lam = 0.  Label 1's axis is -k_0, which
+        cuts the same circle.
+        """
+        psi_hat = bloch_from_ket(ctx_a.preparation).as_array()
+        phi_hat = bloch_from_ket(ctx_b.preparation).as_array()
+        k0 = _qubit_basis_axes(ctx_a.measurement)[0]
+        area, vec = great_circle_cells([k0, psi_hat, phi_hat, psi_hat - phi_hat])
+        return {"label": np.repeat([0, 1], len(area)), "vec": np.tile(vec, (2, 1))}, np.tile(area, 2)
 
     def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float | None:
         """(1 + psi.phi)/2 when both contexts share the measurement, else None.
@@ -123,6 +137,17 @@ class KochenSpecker2(HiddenVariableModel):
         a, b = self._axes(ctx)
         vec = np.asarray(arrays["vec"], dtype=float)
         return np.where(vec @ a >= 0.0, np.abs(vec @ b) / np.pi, 0.0)
+
+    def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:
+        """Mean points ({"vec"}) and areas of the cells cut by both preparation axes and b.
+
+        For two contexts that share the measurement axis b, both densities
+        are affine on each cell.
+        """
+        a, b = self._axes(ctx_a)
+        a_other, _ = self._axes(ctx_b)
+        area, vec = great_circle_cells([a, a_other, b])
+        return {"vec": vec}, area
 
     def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         _, b = self._axes(ctx)

@@ -23,6 +23,11 @@ bootstrap_stderr is the ideal bootstrap of a mean, sqrt(mean((x - mean x)^2) / n
 the limit of resampling without its noise.  It treats the mirrored, stratified
 points as iid, so it overstates their error: for Hall's TV at z / 60 deg / x
 with 100k points it reports 9.3e-5, against a 1.4e-5 spread over 30 seeds.
+
+great_circle_cells integrates exactly where the samplers' laws are affine:
+it cuts the sphere by a few great circles and returns each cell's area and
+mean point, so that the integral of an affine function over a cell is the
+area times its value at that point.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .constants import TOL
 
 __all__ = [
     "tangent_frame",
@@ -40,9 +47,18 @@ __all__ = [
     "uniform_cap",
     "stratified_sphere_points",
     "bootstrap_stderr",
+    "great_circle_cells",
 ]
 
 BLOCK_ROWS = 1 << 13
+
+# three circles in general position with each other and with the coordinate
+# planes; with them in the arrangement every cell lies inside one of their
+# eight triangles, so it is a convex polygon, its edges are shorter than pi
+# and its mean point is not the origin
+_GENERIC_CUTS = np.array([[0.8191, 0.3307, 0.4688], [-0.2693, 0.9087, 0.3190], [0.3761, -0.1913, 0.9066]])
+_GENERIC_CUTS /= np.linalg.norm(_GENERIC_CUTS, axis=1)[:, None]
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
 def tangent_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,3 +155,70 @@ def stratified_sphere_points(n: int, rng: np.random.Generator) -> np.ndarray:
 def bootstrap_stderr(values: np.ndarray) -> float:
     """Ideal-bootstrap stderr of the mean of `values`, taken as iid (see the module docstring)."""
     return math.sqrt(np.var(values) / np.size(values))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis; np.cross spends more on its axis handling than on these few rows."""
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.sqrt(np.einsum("...i,...i->...", v, v))[..., None]
+
+
+def great_circle_cells(normals) -> tuple[np.ndarray, np.ndarray]:
+    """(areas (K,), mean points (K, 3)) of the cells cut by the circles n.lam = 0.
+
+    For any f that is affine on a cell, the integral of f over the cell is
+    its area times f at its mean point p = (integral of lam dOmega) / area,
+    which lies inside the cell's convex hull, so every n.p has the cell's
+    sign.  Zero normals are dropped, and normals within TOL.structural of
+    parallel or antiparallel cut one circle.  Three fixed generic cuts join
+    the arrangement, so the cells are convex polygons (and more than the
+    circles alone make).
+
+    The circles' crossings, sorted along each circle, give its edges.  Each
+    edge bounds the cell on either side of its circle, and the sign of every
+    other circle at the edge's midpoint names both cells.  A cell's first
+    moment is (1/2) sum of edge length * inward normal (Lambert; Arvo,
+    SIGGRAPH 1995), and its area sums the triangles from its moment's
+    direction over its edges (Van Oosterom & Strackee, IEEE Trans. Biomed.
+    Eng. 30, 125, 1983).  Edges shorter than TOL.arithmetic are crossings of
+    concurrent circles and are dropped.  A cell thinner than about 1e-7 rad
+    may get a mean point a rounding error outside it, which errs by at most
+    its area.  Cells are named by one bit per circle, so at most 60 distinct
+    normals are taken.
+    """
+    n = np.asarray(normals, dtype=float).reshape(-1, 3)
+    n = np.concatenate([_unit(n[np.any(n != 0.0, axis=1)]), _GENERIC_CUTS])
+    cross = _cross(n[:, None], n[None])
+    parallel = np.einsum("ijk,ijk->ij", cross, cross) <= TOL.structural**2
+    keep = ~np.tril(parallel, -1).any(axis=1)
+    n, cross = n[keep], cross[keep][:, keep]
+    m = n.shape[0]
+    # a frame on each circle, e1 x e2 = n, and the angles of its crossings
+    e1 = _unit(_cross(n, np.where(np.abs(n[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])))
+    e2 = _cross(n, e1)
+    d = cross[~np.eye(m, dtype=bool)].reshape(m, m - 1, 3)
+    t = np.arctan2(np.einsum("kjc,kc->kj", d, e2), np.einsum("kjc,kc->kj", d, e1))
+    t = np.sort(np.concatenate([t, t + np.pi], axis=1) % (2.0 * np.pi), axis=1)
+    arc = np.diff(t, axis=1, append=t[:, :1] + 2.0 * np.pi)
+    k, j = np.nonzero(arc > TOL.arithmetic)
+    t, arc = t[k, j], arc[k, j]
+    # each edge's start, end and midpoint on its circle
+    angle = np.stack([t, t + arc, t + 0.5 * arc])[..., None]
+    u, w, mid = np.cos(angle) * e1[k] + np.sin(angle) * e2[k]
+    others = ((mid @ n.T > 0.0) @ (1 << np.arange(m))) & ~(1 << k)
+    # each edge bounds the cell on its circle's + side (first) and the one on its - side
+    side = np.repeat([1.0, -1.0], k.size)
+    cells, cell = np.unique(np.concatenate([others | (1 << k), others]), return_inverse=True)
+    member = (np.arange(cells.size)[:, None] == cell).astype(float)
+    half = 0.5 * arc[:, None] * n[k]
+    moment = member @ np.concatenate([half, -half])
+    # each edge's triangle (c, u, w) from its cell's moment direction c,
+    # signed by side so that u -> w turns about the cell's inward normal
+    c = _unit(moment)[cell]
+    cn, cu, cw = (np.einsum("ij,ij->i", c, np.concatenate([x, x])) for x in (n[k], u, w))
+    sin, cos = np.tile(np.sin(arc), 2), np.tile(np.cos(arc), 2)
+    area = member @ (2.0 * np.arctan2(side * sin * cn, 1.0 + cu + cw + cos))
+    return area, moment / area[:, None]

@@ -199,3 +199,74 @@ def bellmermin_density_gathered(
 def ks2_density_stepped(vec: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """step(lam.a)|lam.b|/pi as a product of the step and the weight."""
     return _step(vec @ a) * np.abs(vec @ b) / np.pi
+
+
+def bloch_of(ket) -> np.ndarray:
+    """The Bloch vector <sigma> of a qubit ket, normalized here."""
+    v = np.asarray(ket, dtype=complex)
+    v = v / np.linalg.norm(v)
+    return np.array([np.vdot(v, s @ v).real for s in (SX, SY, SZ)])
+
+
+def sphere_label_densities(model: str, ket, basis_kets, pts: np.ndarray) -> list[np.ndarray]:
+    """Each label's density of `ket` measured in the qubit basis, at `pts`, from the models' formulas.
+
+    ks1: (1/pi) step(k.lam) step(psi.lam) (psi.lam); bellmermin:
+    step(k.(psi + lam))/4pi; ks2 (one unlabeled density): step(lam.psi) |lam.b|/pi
+    with b the axis of the first basis ket.  step(0) = 1 throughout.
+    """
+    p = bloch_of(ket)
+    axes = [bloch_of(k) for k in basis_kets]
+    if model == "ks2":
+        return [_step(pts @ p) * np.abs(pts @ axes[0]) / np.pi]
+    if model == "ks1":
+        return [_step(pts @ k) * _step(pts @ p) * np.maximum(pts @ p, 0.0) / np.pi for k in axes]
+    if model == "bellmermin":
+        return [_step(pts @ k + p @ k) / (4.0 * np.pi) for k in axes]
+    raise ValueError(f"no sphere density for {model!r}")
+
+
+def sphere_overlap_grid(model: str, psi, phi, basis_kets, nz: int = 400, nphi: int = 800) -> float:
+    """w_C = 1 - (1/2) sum over labels of the midpoint-grid integral of |p_psi - p_phi|."""
+    pts, area = sphere_grid(nz, nphi)
+    dens_psi = sphere_label_densities(model, psi, basis_kets, pts)
+    dens_phi = sphere_label_densities(model, phi, basis_kets, pts)
+    return 1.0 - 0.5 * area * sum(float(np.abs(a - b).sum()) for a, b in zip(dens_psi, dens_phi))
+
+
+def ks1_support_mass(psi_hat: np.ndarray, phi_hat: np.ndarray) -> float:
+    """ks1's mass of psi's cosine lobe inside phi's hemisphere: its projected area (1 + psi.phi)/2."""
+    return (1.0 + float(psi_hat @ phi_hat)) / 2.0
+
+
+def bellmermin_overlap(psi_hat: np.ndarray, phi_hat: np.ndarray, k0: np.ndarray) -> float:
+    """Bell-Mermin's w_C: each label's two caps about k are nested, and their
+    differing band, of area 2 pi |(psi - phi).k| at density 1/4pi, counts once
+    per label with k = +-k0."""
+    return 1.0 - 0.5 * abs(float((psi_hat - phi_hat) @ k0))
+
+
+def hall_tv_goemans_williamson(a: np.ndarray, b: np.ndarray, b_alt: np.ndarray) -> float:
+    """TV between hall's lam marginals at (a, b) and (a, b_alt), from three angles.
+
+    For uniform lam, P(sgn lam.u = sgn lam.v) = 1 - angle(u, v)/pi (Goemans and
+    Williamson, J. ACM 42, 1115, 1995).  With s1 = sgn(lam.a) sgn(lam.b) and
+    s2 = sgn(lam.a) sgn(lam.b_alt), s1 s2 = sgn(lam.b) sgn(lam.b_alt), so the
+    three pairwise probabilities fix the four sphere fractions p(s1, s2), and
+    the density on s1 is g(s1)/4pi with g(+-) = (1 +- c)/(1 +- t),
+    c = a.b, t = 1 - 2 angle(a, b)/pi.
+    """
+
+    def same(u, v):
+        return 1.0 - np.arccos(np.clip(u @ v, -1.0, 1.0)) / np.pi
+
+    def branches(u, v):
+        c = float(np.clip(u @ v, -1.0, 1.0))
+        t = 1.0 - 2.0 * np.arccos(c) / np.pi
+        return {+1: (1.0 + c) / (1.0 + t), -1: (1.0 - c) / (1.0 - t)}
+
+    p_ab, p_ab_alt, p_b_b_alt = same(a, b), same(a, b_alt), same(b, b_alt)
+    both = (p_ab + p_ab_alt + p_b_b_alt - 1.0) / 2.0
+    fractions = {(1, 1): both, (1, -1): p_ab - both, (-1, 1): p_ab_alt - both, (-1, -1): p_b_b_alt - both}
+    g1, g2 = branches(a, b), branches(a, b_alt)
+    return 0.5 * sum(p * abs(g1[s1] - g2[s2]) for (s1, s2), p in fractions.items())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import orthogonal_pair_contexts
+from conftest import cell_contexts, orthogonal_pair_contexts
 from mdhv.constants import TOL
 from mdhv import analysis
 from mdhv.models import ModelContext, create_model, json_form, singlet_context, stream
@@ -290,11 +290,12 @@ class TestMonteCarloStderrCoverage:
 
 class TestOverlaps:
     def test_classical_overlap_identical_states(self):
-        for name in ("gbrans", "interval"):
+        rng = stream(507)
+        states = [(PLUS, Z_BASIS), (random_state(2, rng), random_basis(2, rng))]
+        for name in ("gbrans", "interval", "ks1", "ks2", "bellmermin"):
             model = create_model(name)
-            assert analysis.classical_overlap(model, PLUS, PLUS, Z_BASIS) == pytest.approx(
-                1.0, abs=TOL.structural
-            )
+            for psi, M in states:
+                assert abs(analysis.classical_overlap(model, psi, psi, M) - 1.0) <= TOL.arithmetic
 
     def test_classical_overlap_orthogonal_discrete(self):
         model = create_model("gbrans")
@@ -308,10 +309,34 @@ class TestOverlaps:
         rng = stream(511)
         M = orthonormal_basis_containing(random_state(2, rng))
         psi, phi = M.kets[0], M.kets[1]
-        for name in ("ks1", "bellmermin"):
+        for name in ("ks1", "ks2", "bellmermin"):
             model = create_model(name)
             w = analysis.classical_overlap(model, psi, phi, M, resolution=100_000, seed=3)
-            assert abs(w) < 5e-3
+            assert abs(w) <= TOL.arithmetic
+
+    # each tolerance is about 3x the 200 x 400 grid's largest error on these contexts;
+    # summed over labels ks1's density is continuous, ks2's and bellmermin's jump
+    @pytest.mark.parametrize("name, tol", [("ks1", 2e-4), ("ks2", 2e-3), ("bellmermin", 1e-3)])
+    def test_sphere_overlaps_match_the_grid_oracle(self, name, tol):
+        model = create_model(name)
+        rng = stream(513)
+        for _ in range(20):
+            psi, phi, M = random_state(2, rng), random_state(2, rng), random_basis(2, rng)
+            kets = [k.amplitudes for k in M.kets]
+            want = oracles.sphere_overlap_grid(name, psi.amplitudes, phi.amplitudes, kets, 200, 400)
+            assert abs(analysis.classical_overlap(model, psi, phi, M) - want) <= tol
+
+    def test_bellmermin_overlap_is_the_band_between_nested_caps(self):
+        model = create_model("bellmermin")
+        for psi, phi, M in cell_contexts(515, 100):
+            psi_hat, phi_hat = oracles.bloch_of(psi.amplitudes), oracles.bloch_of(phi.amplitudes)
+            want = oracles.bellmermin_overlap(psi_hat, phi_hat, oracles.bloch_of(M.kets[0].amplitudes))
+            assert abs(analysis.classical_overlap(model, psi, phi, M) - want) <= TOL.arithmetic
+
+    @pytest.mark.parametrize("name", ["brans", "hall"])
+    def test_classical_overlap_is_undefined_for_the_singlet_models(self, name):
+        with pytest.raises(TypeError):
+            analysis.classical_overlap(create_model(name), PLUS, ZERO, Z_BASIS)
 
     def test_classical_overlap_interval_exact_piecewise(self):
         model = create_model("interval")

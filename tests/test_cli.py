@@ -104,6 +104,12 @@ class TestScan:
         row0 = lines[2].split(",")
         assert float(row0[1]) == -1.0
 
+    def test_hall_a_thousandth_of_a_degree_from_parallel_passes(self, capsys):
+        # P(A = B) = (1 - cos theta)/2 = 7.6e-11 per shot there, not the
+        # uniform-sphere theta/pi = 5.6e-6 of the aligned-axes limit
+        code, out = run_cli(["scan", "hall", "--angles", "0.001", "--shots", "1000000", "--seed", "1"], capsys)
+        assert code == 0, out
+
     def test_non_bipartite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["scan", "gbrans", "--seed", "1"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import STATE_MODEL_NAMES, orthogonal_pair_contexts
+from conftest import STATE_MODEL_NAMES, cell_contexts, orthogonal_pair_contexts
 from mdhv.channel import ChannelTranscript
 from mdhv.constants import TOL
 from mdhv.models import (
@@ -42,7 +42,7 @@ from mdhv.quantum import (
     random_povm,
     random_state,
 )
-from mdhv.sphere import BLOCK_ROWS, stratified_sphere_points, uniform_cap, uniform_sphere
+from mdhv.sphere import BLOCK_ROWS, great_circle_cells, stratified_sphere_points, uniform_cap, uniform_sphere
 
 S = 1.0 / np.sqrt(2.0)
 ZERO = StateVector([1, 0])
@@ -717,6 +717,19 @@ class TestHallSinglet:
         want = oracles.hall_marginal(pts, a.as_array(), b.as_array())
         assert np.allclose(got, want, atol=TOL.arithmetic)
 
+    @pytest.mark.parametrize("theta", [1e-5, -1e-5])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["parallel", "antiparallel"])
+    def test_axes_near_parallel_are_not_the_uniform_limit(self, sign, theta):
+        b = BlochVector(sign * np.sin(theta), 0.0, sign * np.cos(theta))
+        g_plus, g_minus, degenerate = self.model._branch_values(singlet_context(Z_AXIS, b))
+        assert not degenerate
+        # the branch on the lune between the circles shrinks to about |theta| pi / 4
+        assert min(g_plus, g_minus) == pytest.approx(abs(theta) * np.pi / 4.0, rel=1e-4)
+
+    def test_only_exactly_parallel_axes_are_the_uniform_limit(self):
+        for b in (Z_AXIS, BlochVector(0.0, 0.0, -1.0)):
+            assert self.model._branch_values(singlet_context(Z_AXIS, b)) == (1.0, 1.0, True)
+
     def test_marginal_depends_on_both_settings(self):
         # generic geometry: the s = -1 lune carries a different value
         ctx = singlet_context(Z_AXIS, DEG60)
@@ -820,6 +833,63 @@ class TestBellMermin:
         rep = run_experiment(self.model, ctx, 1_000_000, seed=85)
         for label, p in rep.born_reference.items():
             assert rep.estimates[label] == pytest.approx(p, abs=3e-3)
+
+
+class TestCells:
+    """Closed forms taken through each model's `cells` and `density_arrays`,
+    with the Bloch vectors from tests/oracles.py."""
+
+    @staticmethod
+    def masses(model, ctx_from, ctx_support):
+        """(total mass of ctx_from's density inside ctx_support's support, mass per label)."""
+        points, widths = model.cells(ctx_from, ctx_support)
+        inside = model.in_support_arrays(points, ctx_support)
+        weights = model.density_arrays(points, ctx_from) * widths
+        labels = points.get("label", np.zeros(len(widths), int))
+        return float(weights @ inside), np.bincount(labels, weights)
+
+    def test_ks1_support_mass_is_the_projected_hemisphere(self):
+        model = create_model("ks1")
+        for psi, phi, M in cell_contexts(941, 200):
+            ctx_psi, ctx_phi = model.basis_context(psi, M), model.basis_context(phi, M)
+            mass, _ = self.masses(model, ctx_psi, ctx_phi)
+            psi_hat, phi_hat = oracles.bloch_of(psi.amplitudes), oracles.bloch_of(phi.amplitudes)
+            want = oracles.ks1_support_mass(psi_hat, phi_hat)
+            assert abs(mass - want) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["ks1", "bellmermin"])
+    def test_label_masses_are_the_born_weights(self, name):
+        model = create_model(name)
+        for psi, phi, M in cell_contexts(943, 100):
+            _, per_label = self.masses(model, model.basis_context(psi, M), model.basis_context(phi, M))
+            want = [abs(np.vdot(k.amplitudes, psi.amplitudes)) ** 2 for k in M.kets]
+            assert np.abs(per_label - want).max() <= 1e-12
+
+    def test_ks2_mass_on_the_plus_b_side_is_the_born_weight(self):
+        # the support of the context prepared along b itself is the hemisphere lam.b >= 0
+        model = create_model("ks2")
+        for psi, _, M in cell_contexts(945, 100):
+            ctx = model.basis_context(psi, M)
+            mass, _ = self.masses(model, ctx, model.basis_context(M.kets[0], M))
+            assert abs(mass - abs(np.vdot(M.kets[0].amplitudes, psi.amplitudes)) ** 2) <= 1e-12
+
+    def test_hall_tv_through_the_cells_of_its_three_axes(self):
+        model = create_model("hall")
+
+        def tv(a, b, b_alt):
+            area, mean = great_circle_cells([a.as_array(), b.as_array(), b_alt.as_array()])
+            arrays = {"vec": mean}
+            diff = model.density_arrays(arrays, singlet_context(a, b)) - model.density_arrays(
+                arrays, singlet_context(a, b_alt)
+            )
+            return 0.5 * float(np.abs(diff) @ area)
+
+        assert abs(tv(Z_AXIS, DEG60, X_AXIS) - 1.0 / 12.0) <= 1e-12
+        rng = stream(947)
+        for _ in range(20):
+            a, b, b_alt = (random_bloch(rng) for _ in range(3))
+            want = oracles.hall_tv_goemans_williamson(a.as_array(), b.as_array(), b_alt.as_array())
+            assert abs(tv(a, b, b_alt) - want) <= 1e-12
 
 
 def _random_unit_rows(rng: np.random.Generator, n: int) -> np.ndarray:

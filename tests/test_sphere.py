@@ -12,6 +12,7 @@ from mdhv.sphere import (
     bootstrap_stderr,
     cosine_hemisphere,
     embed_local,
+    great_circle_cells,
     stratified_sphere_points,
     tangent_frame,
     uniform_cap,
@@ -183,3 +184,51 @@ def test_samplers_are_deterministic():
     a = uniform_sphere(stream(7), 1000)
     b = uniform_sphere(stream(7), 1000)
     assert np.array_equal(a, b)
+
+
+def random_cut_sets():
+    rng = stream(15)
+    return [rng.normal(size=(int(rng.integers(1, 6)), 3)) for _ in range(120)]
+
+
+PSI_HAT = np.array([0.48, -0.6, 0.64])
+PHI_HAT = np.array([-0.36, 0.0, 0.9329523031752481])
+PHI_HAT = PHI_HAT / np.linalg.norm(PHI_HAT)
+DEGENERATE_CUTS = {
+    "empty": np.zeros((0, 3)),
+    "zero": [[0.0, 0.0, 0.0]],
+    "zero-and-axis": [[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]],
+    "axes": np.eye(3),
+    "signed-axes": np.concatenate([np.eye(3), -np.eye(3)]),
+    "repeated": [PSI_HAT, PSI_HAT, 3.0 * PSI_HAT],
+    "antipodal": [PSI_HAT, -PSI_HAT, PHI_HAT],
+    "concurrent": [PSI_HAT, PHI_HAT, PSI_HAT - PHI_HAT],
+    "concurrent-axes": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, -1.0, 0.0]],
+}
+
+
+CUT_SETS = {name: [cuts] for name, cuts in DEGENERATE_CUTS.items()} | {"random": random_cut_sets()}
+
+
+@pytest.mark.parametrize("case", sorted(CUT_SETS))
+def test_cells_tile_the_sphere_and_each_cut_halves_it(case):
+    for cuts in CUT_SETS[case]:
+        area, mean = great_circle_cells(cuts)
+        assert np.all(area > 0.0)
+        assert abs(area.sum() - 4.0 * np.pi) <= 1e-12
+        assert np.abs(area @ mean).max() <= 1e-12
+        # each cut's hemisphere: area 2 pi and first moment pi n
+        for n in np.asarray(cuts, dtype=float).reshape(-1, 3):
+            if n.any():
+                n = n / np.linalg.norm(n)
+                half = mean @ n > 0.0
+                assert abs(area[half].sum() - 2.0 * np.pi) <= 1e-12
+                assert np.abs(area[half] @ mean[half] - np.pi * n).max() <= 1e-12
+
+
+def test_cell_mean_points_integrate_affine_functions_on_a_lune():
+    # the quarter sphere x >= 0, y >= 0 holds half of each hemisphere's moment pi n
+    area, mean = great_circle_cells(np.eye(2, 3))
+    lune = (mean[:, 0] > 0.0) & (mean[:, 1] > 0.0)
+    assert abs(area[lune].sum() - np.pi) <= 1e-12
+    assert np.abs(area[lune] @ mean[lune] - [np.pi / 2.0, np.pi / 2.0, 0.0]).max() <= 1e-12
