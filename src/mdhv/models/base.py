@@ -287,9 +287,10 @@ def _label_row(table: np.ndarray, label: np.ndarray) -> np.ndarray:
     """table[label[i], i] of a (2, n) table: each column's entry for its own label.
 
     A selection between two contiguous rows, not a per-row gather.  A label
-    outside {0, 1} raises IndexError.
+    outside {0, 1} raises IndexError: it sets a bit other than the lowest
+    (a negative one sets them all), which one OR over the labels shows.
     """
-    if label.size and (label.min() < 0 or label.max() > 1):
+    if np.bitwise_or.reduce(label) not in (0, 1):
         raise IndexError("labels of a qubit basis are 0 and 1")
     return np.where(label == 0, table[0], table[1])
 
@@ -304,6 +305,11 @@ class QubitBasisModel(HiddenVariableModel):
     """A qubit state measured in a qubit projective basis, with ontic values
     (label, unit vector) on the labeled Bloch sphere and the point mass on
     the label as response.  Subclasses supply the sampler and the density.
+
+    A subclass's law factors as Born(label) x p(lam_hat | label), and its
+    sampler draws the labels first with _labels, from the first n uniforms
+    of the stream, so `sample_outcomes` draws the labels alone, with the
+    same bits.
     """
 
     ontic_kind = OnticKind.LABELED_SPHERE
@@ -319,6 +325,15 @@ class QubitBasisModel(HiddenVariableModel):
 
     def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         return np.asarray(arrays["label"], dtype=int)
+
+    @staticmethod
+    def _labels(ctx: ModelContext, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n outcome labels, label 0 with its Born weight, from the next n uniforms."""
+        p0 = born_probability(ctx.preparation, ctx.measurement)[0]
+        return (rng.random(n) >= p0).astype(int)
+
+    def sample_outcomes(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.outcome_index_arrays({"label": self._labels(ctx, n, rng)}, ctx)
 
 
 JOINT_LABELS = ("++", "+-", "-+", "--")

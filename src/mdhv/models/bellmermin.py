@@ -7,24 +7,18 @@ otherwise (a zero dot counts as +1): a uniform density on the spherical cap
 lam.k >= -psi.k, whose area gives the label exactly its Born weight.
 Response is the point mass on the tag's label.  Sampling draws the label with
 its Born weight and then lam_hat area-uniformly on the matching cap.  The
-labels come first, from the first n uniforms of the stream, so `verify`
-draws the labels alone: its counts read nothing else, and the label-only
-draw gives the same labels bit for bit.
+labels come first (QubitBasisModel._labels), so `verify` draws the labels
+alone: its counts read nothing else, and the label-only draw gives the same
+labels bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..quantum import bloch_from_ket, born_probability
+from ..quantum import bloch_from_ket
 from ..sphere import tangent_frame, uniform_cap
 from .base import ModelContext, QubitBasisModel, _label_row, _qubit_basis_axes, _shared_axes
-
-
-def _labels(ctx: ModelContext, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n outcome tags, tag 0 with its Born weight, from the next n uniforms."""
-    p0 = born_probability(ctx.preparation, ctx.measurement)[0]
-    return (rng.random(n) >= p0).astype(int)
 
 
 def _caps(ctx: ModelContext) -> tuple[np.ndarray, np.ndarray]:
@@ -40,16 +34,13 @@ class BellMermin(QubitBasisModel):
 
     def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:
         axes, zmin = _caps(ctx)
-        label = _labels(ctx, n, rng)
+        label = self._labels(ctx, n, rng)
         vec = np.empty((n, 3))
         for tag in (0, 1):  # area-uniform on each sampled label's cap
             rows = np.flatnonzero(label == tag)
             if rows.size:
                 vec[rows] = uniform_cap(rng, rows.size, axes[tag], zmin[tag])
         return {"label": label, "vec": vec}
-
-    def sample_outcomes(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.outcome_index_arrays({"label": _labels(ctx, n, rng)}, ctx)
 
     def density_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         axes, zmin = _caps(ctx)

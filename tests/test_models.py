@@ -616,6 +616,31 @@ class TestKochenSpecker1:
         got = self.model.density_arrays(one(label=0, vec=v.as_array()), ctx)[0]
         assert got == pytest.approx(expected, abs=TOL.arithmetic)
 
+    @staticmethod
+    def edge_contexts():
+        """(name, context): random ones, then psi_hat at, across and within 1e-8 rad of +-k0_hat or its great circle."""
+        model = create_model("ks1")
+        rng = stream(47)
+        yield from ((f"random-{trial}", model.random_context(rng)) for trial in range(3))
+        M = random_basis(2, rng)
+        k0 = bloch_from_ket(M.kets[0]).as_array()
+        t = np.cross(k0, random_bloch(rng).as_array())
+        t /= np.linalg.norm(t)
+        yield from (("psi = k0", ModelContext(M.kets[0], M)), ("psi = -k0", ModelContext(M.kets[1], M)))
+        for name, angle in (("across k0", np.pi / 2), ("near k0", 1e-8), ("near -k0", np.pi - 1e-8)):
+            yield name, ModelContext(ket_from_bloch(BlochVector(*(np.cos(angle) * k0 + np.sin(angle) * t))), M)
+        for sign in (1.0, -1.0):
+            bloch = BlochVector(*(np.cos(1e-8) * t + sign * np.sin(1e-8) * k0))
+            yield f"1e-8 rad {'above' if sign > 0 else 'below'} the circle", ModelContext(ket_from_bloch(bloch), M)
+
+    def test_every_draw_has_positive_density_under_its_label(self):
+        # the squeeze maps each lobe draw into its own label's hemisphere on every row,
+        # including contexts where the label is certain, a coin flip or nearly certain
+        for name, ctx in self.edge_contexts():
+            arrays = self.model.sample_arrays(ctx, 200_000, stream(49))
+            assert np.all(self.model.density_arrays(arrays, ctx) > 0.0), name
+            assert np.abs(np.einsum("ij,ij->i", arrays["vec"], arrays["vec"]) - 1.0).max() <= 1e-15, name
+
     def test_born_agreement_at_scale(self):
         rng = stream(45)
         ctx = ModelContext(random_state(2, rng), orthonormal_basis_containing(random_state(2, rng)))
@@ -815,17 +840,20 @@ class TestBellMermin:
             assert np.array_equal(got["label"], label)
             assert got["vec"].tobytes() == vec.tobytes()
 
-    def test_uniform_equal_to_the_born_weight_draws_tag_one(self):
-        # tag 0 takes the uniforms below |<k0|psi>|^2, in both samplers
+    @pytest.mark.parametrize("name", ["bellmermin", "ks1"])
+    def test_uniform_equal_to_the_born_weight_draws_tag_one(self, name):
+        # tag 0 takes the uniforms below |<k0|psi>|^2, in both samplers of both
+        # label-first models
+        model = create_model(name)
         for trial in range(5):
-            ctx = self.model.random_context(stream(91, trial))
+            ctx = model.random_context(stream(91, trial))
             p0 = ctx.measurement.kets[0].overlap_sq(ctx.preparation)
             u = np.array([np.nextafter(p0, 0.0), p0, np.nextafter(p0, 1.0)])
             want = np.array([0, 1, 1])
-            # the caps draw with rng.uniform, so random() serves the tags alone
-            arrays = self.model.sample_arrays(ctx, 3, _FixedUniforms(u, stream(93, trial)))
+            # the caps and the lobe draw with rng.uniform, so random() serves the tags alone
+            arrays = model.sample_arrays(ctx, 3, _FixedUniforms(u, stream(93, trial)))
             assert np.array_equal(arrays["label"], want)
-            assert np.array_equal(self.model.sample_outcomes(ctx, 3, _FixedUniforms(u)), want)
+            assert np.array_equal(model.sample_outcomes(ctx, 3, _FixedUniforms(u)), want)
 
     def test_born_agreement_at_scale(self):
         rng = stream(85)

@@ -118,7 +118,12 @@ def test_sphere_audits_reach_density_arrays(model_name, auditor):
     """perfbench's overlap and epistemic operations (workloads.py:417, 439) are
     where a traced pass reads ks1's and bellmermin's `density_arrays` layers.
     A density kernel that an auditor calls as a module-level helper records
-    no span, so the layer reads NaN and the pass reports correct: false."""
+    no span, so the layer reads NaN and the pass reports correct: false.
+
+    As `verify` draws ks1's labels alone, the Monte Carlo epistemic-ks1
+    operation is also the only caller of `sphere.cosine_hemisphere` in a
+    traced pass: a ks1 sampler that drew its lobe another way would leave
+    that layer NaN."""
     model = MODEL_REGISTRY[model_name]()
     rng = stream(153)
     psi, phi = random_state(2, rng), random_state(2, rng)
@@ -131,6 +136,8 @@ def test_sphere_audits_reach_density_arrays(model_name, auditor):
             analysis.degree_of_epistemicity(model, psi, phi, M, samples=2000, seed=1, method="monte-carlo")
     assert not tracer.problems
     assert any(s.name == f"models.{model_name}.density_arrays" for s in spans)
+    if (model_name, auditor) == ("ks1", "epistemic"):
+        assert any(s.name == "sphere.cosine_hemisphere" and s.ancestor("models.ks1.sample_arrays") for s in spans)
 
 
 @pytest.mark.parametrize("model_name, sampler", sorted(layers.REJECTION_SAMPLERS.items()))

@@ -45,7 +45,7 @@ RUNS = {
     ),
     "verify-ks1": (
         ["verify", "ks1", "--shots", "2000", "--trials", "2", "--seed", "7"],
-        "688735ba04ff223b2faea1c325b11b5fd7ab66fabb35fcb6b592716069de8360",
+        "cb8f1798555eda50bcf594ef426b5804e4eb71f6408cf2292f37f53767bcb627",
     ),
     "verify-ks2": (
         ["verify", "ks2", "--shots", "2000", "--trials", "2", "--seed", "7"],
@@ -128,7 +128,7 @@ RUNS = {
     ),
     "verify-ks1-json": (
         ["verify", "ks1", "--shots", "2000", "--trials", "2", "--seed", "7", "--format", "json"],
-        "233c4abd4260cae34b63b3f6859f3e5536b5d9262b4a97af3e742eee8ad5939d",
+        "5351286036f01bbfd4fc225092214403e260ec84f007d88c276b17097037b8f7",
     ),
     "channel-json": (
         ["channel", "--bob", "60,0", "--accepted", "500", "--seed", "7", "--format", "json"],
@@ -257,7 +257,7 @@ CLAIMS = {
     ),
     "verify ks1 --shots 100000 --seed 7": (
         _gate,
-        "72fcc10e248190c133d00dcd10cbd93cfce400404faa911c198a8f44eeb6c053",
+        "b9527bd7258cd0487bc0c823e8c8806fcd27b5573fb60951713ed0b974aea9b9",
     ),
     "verify ks2 --shots 100000 --seed 7": (
         _gate,
