@@ -106,7 +106,7 @@ def support_overlap_mass(
     model.validate_context(ctx_support)
     exact = model.support_mass_exact(ctx_from, ctx_support)
     if exact is not None:
-        # a closed form rounds an exact 0 (antipodal axes, a pole of a cap) to dust
+        # a cell sum rounds an exact 0 (a pole of a cap) to dust
         return (float(exact) if exact > TOL.arithmetic else 0.0), 0.0, "analytic"
     mass, err = _sampled_support_mass(model, ctx_from, ctx_support, samples, seed)
     return mass, err, "monte-carlo"
@@ -163,7 +163,7 @@ def classical_overlap(
     densities and their difference are affine, with a point and a width
     each: outcome indices of width 1, interval cells, sphere cells at their
     mean points, or Bell-Mermin's latitude bands.  The integral is the
-    widths times |difference| at the points.  A model without `cells`
+    widths times |difference| at the points.  A model whose `cells` is None
     raises TypeError.  `resolution` and `seed` are unused; the benchmark in
     perfbench/ still passes them.
     """
@@ -171,9 +171,9 @@ def classical_overlap(
     ctx_b = model.basis_context(phi, M)
     model.validate_context(ctx_a)
     model.validate_context(ctx_b)
-    if not hasattr(model, "cells"):
+    if (cells := model.cells(ctx_a, ctx_b)) is None:
         raise TypeError(f"classical overlap is undefined for {model.name} models")
-    points, widths = model.cells(ctx_a, ctx_b)
+    points, widths = cells
     diff = np.abs(model.density_arrays(points, ctx_a) - model.density_arrays(points, ctx_b))
     return 1.0 - 0.5 * float(diff @ widths)
 

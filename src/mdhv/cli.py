@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     checks = sub.add_parser("audit", help="analysis-module audits").add_subparsers(
         dest="check", required=True
     )
-    # every model epistemicity accepts has a closed-form support mass, so it samples nothing
+    # every model epistemicity accepts has an exact support mass, so it samples nothing
     for check, func, samples, summary in (
         ("epistemicity", audit_epistemicity, False, "degree of epistemicity of two random states"),
         ("randomness", audit_randomness, True, "ensemble mass with non-deterministic responses"),

@@ -261,13 +261,26 @@ class HiddenVariableModel(ABC):
         arrays = self.sample_arrays(ctx, n, rng)
         return self.outcome_index_arrays(arrays, ctx)
 
-    def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float | None:
-        """Closed-form mass of p(.|ctx_from) inside the support of ctx_support, or None.
+    def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray] | None:
+        """Points (named arrays) and widths of cells on which both contexts' densities are affine.
 
-        None sends analysis.support_overlap_mass to Monte Carlo, which samples
-        ctx_from and tests in_support_arrays; a closed form must agree with it.
+        An integral of such a function is the widths times its values at the points.  None: no cells.
         """
         return None
+
+    def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float | None:
+        """Mass of p(.|ctx_from) inside the support of ctx_support, summed over `cells`, or None.
+
+        A cell adds width * p_from where p_from exceeds TOL.support and its
+        point lies in ctx_support's support, so structural zeros add nothing.
+        None (no cells) sends analysis.support_overlap_mass to Monte Carlo.
+        """
+        if (cells := self.cells(ctx_from, ctx_support)) is None:
+            return None
+        points, widths = cells
+        p_from = self.density_arrays(points, ctx_from)
+        inside = (p_from > TOL.support) & self.in_support_arrays(points, ctx_support)
+        return float((widths * p_from * inside).sum())
 
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r})"
@@ -293,12 +306,6 @@ def _label_row(table: np.ndarray, label: np.ndarray) -> np.ndarray:
     if np.bitwise_or.reduce(label) not in (0, 1):
         raise IndexError("labels of a qubit basis are 0 and 1")
     return np.where(label == 0, table[0], table[1])
-
-
-def _shared_axes(ctx_a: ModelContext, ctx_b: ModelContext) -> np.ndarray | None:
-    """The Bloch axes of the measurement, when both contexts' axes agree label by label."""
-    axes = _qubit_basis_axes(ctx_a.measurement)
-    return axes if np.array_equal(axes, _qubit_basis_axes(ctx_b.measurement)) else None
 
 
 class QubitBasisModel(HiddenVariableModel):

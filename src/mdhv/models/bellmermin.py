@@ -18,7 +18,7 @@ import numpy as np
 
 from ..quantum import bloch_from_ket
 from ..sphere import tangent_frame, uniform_cap
-from .base import ModelContext, QubitBasisModel, _label_row, _qubit_basis_axes, _shared_axes
+from .base import ModelContext, QubitBasisModel, _label_row, _qubit_basis_axes
 
 
 def _caps(ctx: ModelContext) -> tuple[np.ndarray, np.ndarray]:
@@ -50,16 +50,19 @@ class BellMermin(QubitBasisModel):
         in_cap = _label_row(axes @ vec.T >= zmin[:, None], label)
         return np.where(in_cap, 1.0 / (4.0 * np.pi), 0.0)
 
-    def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:
+    def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray] | None:
         """Mid-band unit points ({"label", "vec"}) and areas of each label's bands about its k_hat.
 
         For two contexts that share the measurement, label k's bands are cut
         at lam.k = -psi.k and -phi.k, the bounds of its two caps, and both
         densities are constant on each; a band from z0 to z1 has area
-        2 pi (z1 - z0).
+        2 pi (z1 - z0).  Across two measurements each label's caps lie about
+        two axes, and their rims are small circles, so there are no cells.
         """
         axes, zmin_a = _caps(ctx_a)
-        _, zmin_b = _caps(ctx_b)
+        axes_b, zmin_b = _caps(ctx_b)
+        if not np.array_equal(axes, axes_b):
+            return None
         ends = np.ones(2)
         z = np.sort(np.clip(np.column_stack([-ends, zmin_a, zmin_b, ends]), -1.0, 1.0), axis=1)
         mid = 0.5 * (z[:, :-1] + z[:, 1:])  # (label, band)
@@ -67,18 +70,3 @@ class BellMermin(QubitBasisModel):
         vec = mid[..., None] * axes[:, None] + np.sqrt(1.0 - mid * mid)[..., None] * tangents[:, None]
         arrays = {"label": np.repeat([0, 1], 3), "vec": vec.reshape(-1, 3)}
         return arrays, 2.0 * np.pi * np.diff(z, axis=1).ravel()
-
-    def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float | None:
-        """1 - sum_k max(0, psi.k - phi.k)/2 when both contexts share the measurement, else None.
-
-        Tag k's caps about k_hat, lam.k >= -psi.k and lam.k >= -phi.k, are
-        nested, so psi's tag-k mass inside phi's support is
-        min(1 + psi.k, 1 + phi.k)/2; the tags' Born weights (1 + psi.k)/2 sum
-        to 1.  Written this way, psi = phi gives exactly 1.
-        """
-        axes = _shared_axes(ctx_from, ctx_support)
-        if axes is None:
-            return None
-        psi_hat = bloch_from_ket(ctx_from.preparation).as_array()
-        phi_hat = bloch_from_ket(ctx_support.preparation).as_array()
-        return 1.0 - float(np.maximum(0.0, axes @ psi_hat - axes @ phi_hat).sum()) / 2.0

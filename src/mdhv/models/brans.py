@@ -32,10 +32,9 @@ class BransSinglet(SingletModel):
     def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         return np.asarray(arrays["idx"], dtype=int)
 
-    def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float:
-        """Weight of ctx_from's tag pairs in the support of ctx_support: a four-term sum."""
-        tags = {"idx": np.arange(4)}
-        return float(self.density_arrays(tags, ctx_from) @ self.in_support_arrays(tags, ctx_support))
+    def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:
+        """The four tag pairs ({"idx"}), each with width 1."""
+        return {"idx": np.arange(4)}, np.ones(4)
 
     def marginal_density(self, particle: int, outcome: int, ctx: ModelContext) -> float:
         """Weight of one particle's tag: tr(P_singlet Pi_i (x) I) resp. (I (x) Pi_j).

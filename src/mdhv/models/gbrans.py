@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..constants import TOL
 from ..quantum import (
     DensityMatrix,
     Povm,
@@ -58,14 +57,3 @@ class GeneralizedBrans(HiddenVariableModel):
     def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:
         """Every outcome index ({"j"}), each with width 1, for two contexts that share the measurement."""
         return {"j": np.arange(len(ctx_a.measurement))}, np.ones(len(ctx_a.measurement))
-
-    def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float:
-        """Mass of p(.|ctx_from) on the support of p(.|ctx_support), exactly.
-
-        Weights at or below the support threshold are structural zeros and
-        contribute nothing, so disjoint supports give literally 0.0.
-        """
-        p = born_probability(ctx_from.preparation, ctx_from.measurement)
-        q = born_probability(ctx_support.preparation, ctx_support.measurement)
-        mask = (q > TOL.support) & (p > TOL.support)
-        return float(p[mask].sum())

@@ -89,9 +89,8 @@ class HallSinglet(SingletModel):
     def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float:
         """1: every context's support is the whole sphere.
 
-        Near parallel or antiparallel axes at angle theta from the cut, the
-        density on the shrinking branch is about theta/16, smallest at the
-        smallest theta whose cosine is not 1.0: about 9e-10.  On the cut
-        (|a.b| = 1) it is uniform.  Both lie above TOL.support.
+        The density is uniform at |a.b| = 1.  Near it, at angle theta, the
+        shrinking branch is about theta/16, smallest at a.b = +-nextafter(1, 0):
+        9.31e-10 at theta = 1.49e-8 rad, above TOL.support.
         """
         return 1.0

@@ -81,9 +81,3 @@ class IntervalModel(HiddenVariableModel):
         pos = np.asarray(arrays["x"], dtype=float)
         _, edges = self.bin_edges(ctx)
         return self._bin_of(pos, edges)
-
-    def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float:
-        """ctx_from's density * width, summed over the cells inside ctx_support's support."""
-        mids, widths = self.cells(ctx_from, ctx_support)
-        inside = self.in_support_arrays(mids, ctx_support)
-        return float(np.sum(self.density_arrays(mids, ctx_from) * inside * widths))

@@ -40,7 +40,6 @@ from .base import (
     QubitBasisModel,
     _label_row,
     _qubit_basis_axes,
-    _shared_axes,
     rejection_sample,
 )
 
@@ -130,32 +129,16 @@ class KochenSpecker1(QubitBasisModel):
         return np.where(on_k_side, (1.0 / np.pi) * np.maximum(vec @ psi_hat, 0.0), 0.0)
 
     def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:
-        """Mean points ({"label", "vec"}) and areas of the cells cut by k_0, psi, phi and psi - phi.
+        """Mean points ({"label", "vec"}) and areas of the cells cut by both k_0, psi, phi and psi - phi.
 
-        For two contexts that share the measurement: on each cell and label
-        both densities are affine, and so is their difference, whose sign
-        flips only across (psi - phi).lam = 0.  Label 1's axis is -k_0, which
-        cuts the same circle.
+        Label 1's axis -k_0 cuts the same circle as k_0.  On each cell and label both densities
+        are affine, and so is their difference, whose sign flips only across (psi - phi).lam = 0.
         """
         psi_hat = bloch_from_ket(ctx_a.preparation).as_array()
         phi_hat = bloch_from_ket(ctx_b.preparation).as_array()
-        k0 = _qubit_basis_axes(ctx_a.measurement)[0]
-        area, vec = great_circle_cells([k0, psi_hat, phi_hat, psi_hat - phi_hat])
+        k0_a, k0_b = (bloch_from_ket(ctx.measurement.kets[0]).as_array() for ctx in (ctx_a, ctx_b))
+        area, vec = great_circle_cells([k0_a, k0_b, psi_hat, phi_hat, psi_hat - phi_hat])
         return {"label": np.repeat([0, 1], len(area)), "vec": np.tile(vec, (2, 1))}, np.tile(area, 2)
-
-    def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float | None:
-        """(1 + psi.phi)/2 when both contexts share the measurement, else None.
-
-        The labels' hemispheres then partition the sphere and every draw
-        carries the label of its own hemisphere, so the mass is that of
-        phi's hemisphere lam.phi > 0 under the cosine lobe about psi: its
-        projected area, (1 + cos theta)/2.
-        """
-        if _shared_axes(ctx_from, ctx_support) is None:
-            return None
-        psi_hat = bloch_from_ket(ctx_from.preparation).as_array()
-        phi_hat = bloch_from_ket(ctx_support.preparation).as_array()
-        return (1.0 + float(psi_hat @ phi_hat)) / 2.0
 
 
 class KochenSpecker2(HiddenVariableModel):
@@ -211,31 +194,18 @@ class KochenSpecker2(HiddenVariableModel):
         return np.where(vec @ a >= 0.0, np.abs(vec @ b) / np.pi, 0.0)
 
     def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:
-        """Mean points ({"vec"}) and areas of the cells cut by both preparation axes and b.
+        """Mean points ({"vec"}) and areas of the cells cut by both contexts' a and b.
 
-        For two contexts that share the measurement axis b, both densities
-        are affine on each cell.
+        Both densities are affine on each cell.  Their difference is too
+        where the two contexts share b; across two axes |lam.b| - |lam.b'|
+        changes sign inside cells.
         """
         a, b = self._axes(ctx_a)
-        a_other, _ = self._axes(ctx_b)
-        area, vec = great_circle_cells([a, a_other, b])
+        a_other, b_other = self._axes(ctx_b)
+        area, vec = great_circle_cells([a, a_other, b, b_other])
         return {"vec": vec}, area
 
     def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         _, b = self._axes(ctx)
         vec = np.asarray(arrays["vec"], dtype=float)
         return np.where(vec @ b >= 0.0, 0, 1)
-
-    def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float | None:
-        """(1 + a.a')/2 when the support's preparation axis a' is +-b, else None.
-
-        b is ctx_from's measurement axis, and |a'.b| >= 1 - TOL.structural.
-        The support of (a', b') is the hemisphere lam.a' >= 0, up to the null
-        great circle lam.b' = 0.  For a' = +-b, ctx_from's mass there is its
-        Born weight of +-b, (1 +- a.b)/2.
-        """
-        a, b = self._axes(ctx_from)
-        a_support, _ = self._axes(ctx_support)
-        if abs(float(a_support @ b)) < 1.0 - TOL.structural:
-            return None
-        return (1.0 + float(a @ a_support)) / 2.0

@@ -59,6 +59,8 @@ BLOCK_ROWS = 1 << 13
 _GENERIC_CUTS = np.array([[0.8191, 0.3307, 0.4688], [-0.2693, 0.9087, 0.3190], [0.3761, -0.1913, 0.9066]])
 _GENERIC_CUTS /= np.linalg.norm(_GENERIC_CUTS, axis=1)[:, None]
 _NEXT, _PREV = [1, 2, 0], [2, 0, 1]
+# the crossing of circles whose normals are at sine s apart is placed to within this / s
+_PLACEMENT = 16.0 * np.finfo(float).eps
 
 
 def tangent_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,45 +168,83 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(np.einsum("...i,...i->...", v, v))[..., None]
 
 
+def _one_point_each(cross: np.ndarray, placed: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """cross (m, m, 3), each crossing moved onto the best-placed one that it meets, if better placed.
+
+    cross[i, j] = n_i x n_j has length placed[i, j]; t (m, 2m - 2) holds the
+    angles on circle k of its crossings, then of their antipodes.  Two
+    crossings on a circle meet when their angles differ by at most _PLACEMENT
+    over the worse one's placement.  A crossing ends where the one it moves
+    onto ends, so two well-placed ones never join through a badly placed one.
+    """
+    m = placed.shape[0]
+    flat = np.arange(m * m)
+    one = np.minimum(flat, flat % m * m + flat // m)  # (i, j) and (j, i) are one crossing
+    at = np.tile(one[flat % (m + 1) != 0].reshape(m, m - 1), 2)
+    gap = np.abs(t[:, :, None] - t[:, None])
+    worse = np.minimum(placed.flat[at][:, :, None], placed.flat[at][:, None])
+    meet = np.minimum(gap, 2.0 * np.pi - gap) * worse <= _PLACEMENT
+    a, b = (np.broadcast_to(x, meet.shape)[meet] for x in (at[:, :, None], at[:, None]))
+    order = np.argsort(-placed.ravel(), kind="stable")
+    rank = np.argsort(order)
+    best = rank.copy()
+    np.minimum.at(best, a, rank[b])
+    to = order[best]
+    while not np.array_equal(to[to], to):
+        to = to[to]
+    return cross.reshape(-1, 3)[to[one]].reshape(m, m, 3)
+
+
 def great_circle_cells(normals) -> tuple[np.ndarray, np.ndarray]:
     """(areas (K,), mean points (K, 3)) of the cells cut by the circles n.lam = 0.
 
     For any f that is affine on a cell, the integral of f over the cell is
     its area times f at its mean point p = (integral of lam dOmega) / area,
-    which lies inside the cell's convex hull, so every n.p has the cell's
-    sign.  Zero normals are dropped, and normals within TOL.structural of
-    parallel or antiparallel cut one circle.  Three fixed generic cuts join
-    the arrangement, so the cells are convex polygons (and more than the
-    circles alone make).
+    which lies inside the cell, so every n.p has the cell's sign.  Zero
+    normals are dropped, and normals within TOL.arithmetic of parallel or
+    antiparallel cut one circle.  Three fixed generic cuts join the
+    arrangement, so the cells are convex polygons (and more than the circles
+    alone make).
 
-    The circles' crossings, sorted along each circle, give its edges.  Each
-    edge bounds the cell on either side of its circle, and the sign of every
-    other circle at the edge's midpoint names both cells.  A cell's first
-    moment is (1/2) sum of edge length * inward normal (Lambert; Arvo,
+    The circles' crossings, sorted along each circle, give its edges; where
+    circles meet, each places the point along one vector (_one_point_each).
+    Each edge bounds the cell on either side of its circle, and the sign of
+    every other circle at the edge's midpoint names both cells.  A cell's
+    first moment is (1/2) sum of edge length * inward normal (Lambert; Arvo,
     SIGGRAPH 1995), and its area sums the triangles from its moment's
     direction over its edges (Van Oosterom & Strackee, IEEE Trans. Biomed.
-    Eng. 30, 125, 1983).  Edges shorter than TOL.arithmetic are crossings of
-    concurrent circles and are dropped.  A cell thinner than about 1e-7 rad
-    may get a mean point a rounding error outside it, which errs by at most
-    its area.  Cells are named by one bit per circle, so at most 60 distinct
-    normals are taken.
+    Eng. 30, 125, 1983).  Rounding can put the mean point of a cell thinner
+    or smaller than about 1e-5 rad outside it; it is then moved inside, by
+    about the rounding error across a sliver and by less than the cell's
+    size otherwise.  Cells are named by one bit per circle, so at most 60
+    distinct normals are taken.
     """
     n = np.asarray(normals, dtype=float).reshape(-1, 3)
     n = np.concatenate([_unit(n[np.any(n != 0.0, axis=1)]), _GENERIC_CUTS])
     cross = _cross(n[:, None], n[None])
-    parallel = np.einsum("ijk,ijk->ij", cross, cross) <= TOL.structural**2
-    keep = ~np.tril(parallel, -1).any(axis=1)
-    n, cross = n[keep], cross[keep][:, keep]
+    placed = np.einsum("ijk,ijk->ij", cross, cross)
+    keep = ~np.tril(placed <= TOL.arithmetic**2, -1).any(axis=1)
+    n, cross, placed = n[keep], cross[keep][:, keep], np.sqrt(placed[keep][:, keep])
     m = n.shape[0]
-    # a frame on each circle, e1 x e2 = n, and the angles of its crossings
+    off = ~np.eye(m, dtype=bool)
+    # a frame on each circle, e1 x e2 = n, and the angles of its crossings and their antipodes
     e1 = _unit(_cross(n, np.where(np.abs(n[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])))
     e2 = _cross(n, e1)
-    d = cross[~np.eye(m, dtype=bool)].reshape(m, m - 1, 3)
-    t = np.arctan2(np.einsum("kjc,kc->kj", d, e2), np.einsum("kjc,kc->kj", d, e1))
-    t = np.sort(np.concatenate([t, t + np.pi], axis=1) % (2.0 * np.pi), axis=1)
-    arc = np.diff(t, axis=1, append=t[:, :1] + 2.0 * np.pi)
-    k, j = np.nonzero(arc > TOL.arithmetic)
-    t, arc = t[k, j], arc[k, j]
+
+    def arcs(cross):
+        d = cross[off].reshape(m, m - 1, 3)
+        t = np.arctan2(np.einsum("kjc,kc->kj", d, e2), np.einsum("kjc,kc->kj", d, e1))
+        t = np.concatenate([t, t + np.pi], axis=1) % (2.0 * np.pi)
+        s = np.sort(t, axis=1)
+        return t, s, np.diff(s, axis=1, append=s[:, :1] + 2.0 * np.pi)
+
+    t, s, arc = arcs(cross)
+    # an arc no longer than _PLACEMENT joins crossings of concurrent circles,
+    # and a longer one may too if one of its ends is badly placed
+    if arc[arc > _PLACEMENT].min() * placed.min(where=off, initial=1.0) <= _PLACEMENT:
+        t, s, arc = arcs(_one_point_each(cross, placed, t))
+    k, j = np.nonzero(arc > _PLACEMENT)
+    t, arc = s[k, j], arc[k, j]
     # each edge's start, end and midpoint on its circle
     angle = np.stack([t, t + arc, t + 0.5 * arc])[..., None]
     u, w, mid = np.cos(angle) * e1[k] + np.sin(angle) * e2[k]
@@ -221,4 +261,18 @@ def great_circle_cells(normals) -> tuple[np.ndarray, np.ndarray]:
     cn, cu, cw = (np.einsum("ij,ij->i", c, np.concatenate([x, x])) for x in (n[k], u, w))
     sin, cos = np.tile(np.sin(arc), 2), np.tile(np.cos(arc), 2)
     area = member @ (2.0 * np.arctan2(side * sin * cn, 1.0 + cu + cw + cos))
-    return area, moment / area[:, None]
+    mean = moment / area[:, None]
+    # a mean point outside its cell moves along the inward normal of the wall it is furthest
+    # past, to the middle of the cell's chord there, or else to the cell's mean edge midpoint
+    for q in np.flatnonzero((mean @ n.T > 0.0).dot(1 << np.arange(m)) != cells):
+        inward = np.where((cells[q] >> np.arange(m) & 1)[:, None], n, -n)
+        b = inward @ mean[q]
+        v = inward[np.argmin(b)]
+        d = inward @ v
+        lo = np.max(-b[d > 0.0] / d[d > 0.0])
+        hi = np.min(-b[d < 0.0] / d[d < 0.0], initial=2.0 * lo + 1.0)
+        for p in (mean[q] + 0.5 * (lo + hi) * v, _unit(np.tile(mid, (2, 1))[cell == q].sum(axis=0))):
+            if np.all(inward @ p > 0.0):
+                mean[q] = p
+                break
+    return area, mean

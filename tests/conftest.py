@@ -29,6 +29,13 @@ def orthogonal_pair_contexts(model, rng, dim: int = 2):
     return model.basis_context(M.kets[0], M), model.basis_context(M.kets[1], M)
 
 
+def turned(n: np.ndarray, angle: float, rng: np.random.Generator) -> np.ndarray:
+    """Unit n turned by `angle` rad toward a random direction across it."""
+    w = rng.normal(size=3)
+    w -= (w @ n) * n
+    return np.cos(angle) * n + np.sin(angle) * w / np.linalg.norm(w)
+
+
 def cell_contexts(seed: int, count: int):
     """Qubit (psi, phi, M) triples: M contains psi in every fourth, phi in the next, else it is random."""
     rng = stream(seed)

@@ -235,8 +235,34 @@ def sphere_overlap_grid(model: str, psi, phi, basis_kets, nz: int = 400, nphi: i
 
 
 def ks1_support_mass(psi_hat: np.ndarray, phi_hat: np.ndarray) -> float:
-    """ks1's mass of psi's cosine lobe inside phi's hemisphere: its projected area (1 + psi.phi)/2."""
+    """ks1's mass of psi's cosine lobe inside phi's hemisphere: its projected area (1 + psi.phi)/2.
+
+    For two contexts that share the measurement, the labels' hemispheres
+    partition the sphere and every value carries its own hemisphere's label.
+    """
     return (1.0 + float(psi_hat @ phi_hat)) / 2.0
+
+
+def ks2_support_mass(a: np.ndarray, a_support: np.ndarray) -> float:
+    """ks2's mass of the context prepared along a inside the support of one
+    prepared along a' = +-b (its hemisphere lam.a' >= 0): the Born weight (1 + a.a')/2."""
+    return (1.0 + float(a @ a_support)) / 2.0
+
+
+def bellmermin_support_mass(psi_hat: np.ndarray, phi_hat: np.ndarray, axes: np.ndarray) -> float:
+    """Bell-Mermin's mass of psi's caps inside phi's, for the label axes k (rows of axes).
+
+    Label k's caps about k, lam.k >= -psi.k and lam.k >= -phi.k, are nested,
+    so psi's label-k mass in phi's support is min(1 + psi.k, 1 + phi.k)/2; the
+    Born weights (1 + psi.k)/2 sum to 1.
+    """
+    return 1.0 - float(np.maximum(0.0, axes @ psi_hat - axes @ phi_hat).sum()) / 2.0
+
+
+def gbrans_support_mass(p: np.ndarray, q: np.ndarray, tol: float) -> float:
+    """The Born weights p on the outcomes where p and q both exceed tol: weights at or
+    below it are structural zeros."""
+    return float(p[(q > tol) & (p > tol)].sum())
 
 
 def bellmermin_overlap(psi_hat: np.ndarray, phi_hat: np.ndarray, k0: np.ndarray) -> float:

@@ -8,16 +8,19 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import cell_contexts, orthogonal_pair_contexts
+from conftest import cell_contexts, orthogonal_pair_contexts, turned
 from mdhv.constants import TOL
 from mdhv import analysis
 from mdhv.models import ModelContext, create_model, json_form, singlet_context, stream
 from mdhv.models.gbrans import GeneralizedBrans
 from mdhv.quantum import (
     BlochVector,
+    DensityMatrix,
     Povm,
     ProjectiveBasis,
     StateVector,
+    born_probability,
+    ket_from_bloch,
     orthonormal_basis_containing,
     random_basis,
     random_bloch,
@@ -161,7 +164,7 @@ class TestDegreeOfEpistemicity:
 
 
 def closed_form_cases():
-    """(model name, ctx_from, ctx_support) pairs inside each model's closed form."""
+    """(model name, ctx_from, ctx_support) pairs at which each model's support mass is exact."""
     rng = stream(511)
     cases = []
     for name in ("brans", "hall"):
@@ -187,6 +190,11 @@ def closed_form_cases():
         cases.append(("interval", interval.basis_context(psi, M), interval.basis_context(phi, M)))
         # phi a basis ket: its density is 0 beyond its one bin
         cases.append(("interval", interval.basis_context(psi, M), interval.basis_context(M.kets[1], M)))
+    # ks1 across two measurements, ks2 with a support prepared off its measurement axis
+    for name in ("ks1", "ks2"):
+        model = create_model(name)
+        for _ in range(3):
+            cases.append((name, model.random_context(rng), model.random_context(rng)))
     return cases
 
 
@@ -211,32 +219,41 @@ class TestClosedFormSupportMass:
         sigma = np.sqrt(mc * (1.0 - mc) / 200_000)
         assert abs(mc - exact) <= 5.0 * sigma + 1e-12
 
-    def test_ks2_off_axis_support_falls_back_to_monte_carlo(self):
-        model = create_model("ks2")
-        rng = stream(513)
+    def test_bellmermin_falls_back_to_monte_carlo_across_measurements(self):
+        """Its caps about two axes have small-circle rims, so it declares no cells there."""
+        model = create_model("bellmermin")
+        rng = stream(514)
         ctx_from, ctx_support = model.random_context(rng), model.random_context(rng)
         assert model.support_mass_exact(ctx_from, ctx_support) is None
         _, err, method = analysis.support_overlap_mass(model, ctx_from, ctx_support, 1000, 1)
         assert method == "monte-carlo" and err > 0.0
 
-    def test_qubit_basis_models_fall_back_across_measurements(self):
-        rng = stream(514)
-        for name in ("ks1", "bellmermin"):
-            model = create_model(name)
-            ctx_from, ctx_support = model.random_context(rng), model.random_context(rng)
-            assert model.support_mass_exact(ctx_from, ctx_support) is None
-
-    def test_hall_density_clears_the_support_threshold_at_the_degeneracy_cut(self):
-        """Hall's closed form is 1.0 because its density never falls to TOL.support;
-        it is smallest just off the degeneracy cut |a.b| = 1 - TOL.structural."""
+    def test_hall_density_clears_the_support_threshold_next_to_parallel_axes(self):
+        """Hall's support mass is 1.0 because its density never falls to TOL.support.
+        It is uniform at |a.b| = 1 and smallest at a.b = +-nextafter(1, 0), theta =
+        1.49e-8 rad from the axis, where the shrinking branch is theta/16 = 9.31e-10."""
         model = create_model("hall")
-        c = 1.0 - 1.0000001 * TOL.structural
+        c = np.nextafter(1.0, 0.0)
         for sign in (1.0, -1.0):
             b = BlochVector(np.sqrt(1.0 - c * c), 0.0, sign * c)
             ctx = singlet_context(Z_AXIS, b)
             g_plus, g_minus, degenerate = model._branch_values(ctx)
             assert not degenerate
-            assert min(g_plus, g_minus) / (4.0 * np.pi) > TOL.support
+            smallest = min(g_plus, g_minus) / (4.0 * np.pi)
+            assert smallest == pytest.approx(9.31e-10, rel=1e-3)
+            assert smallest > TOL.support
+
+    def test_gbrans_weights_at_or_below_the_support_threshold_add_nothing(self):
+        """psi, 1e-7 rad from the first basis ket, has a Born weight of about 1e-14 on
+        the second: a structural zero.  The cell sum drops it, so psi's mass in the
+        second ket's support is literally 0.0."""
+        model = create_model("gbrans")
+        for dim in (2, 3, 4, 5):
+            M = random_basis(dim, stream(516, dim))
+            psi = StateVector(np.cos(1e-7) * M.kets[0].amplitudes + np.sin(1e-7) * M.kets[1].amplitudes)
+            assert 0.0 < born_probability(psi, M)[1] <= TOL.support
+            ctx_a, ctx_b = model.basis_context(psi, M), model.basis_context(M.kets[1], M)
+            assert model.support_mass_exact(ctx_a, ctx_b) == 0.0
 
     def test_orthogonal_states_give_exactly_zero(self):
         for name in ("ks1", "ks2", "bellmermin"):
@@ -244,6 +261,116 @@ class TestClosedFormSupportMass:
             for trial in range(5):
                 ctx_a, ctx_b = orthogonal_pair_contexts(model, stream(515, trial))
                 assert analysis.support_overlap_mass(model, ctx_a, ctx_b) == (0.0, 0.0, "analytic")
+
+
+# a sign and an angle 1e-k rad, k = 3..9: 14 edge placements, each taken 8 times below
+EDGES = [(sign, 10.0**-k) for k in range(3, 10) for sign in (1.0, -1.0)]
+
+
+def random_unit(rng):
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+def qubit_cases(name: str, seed: int, place):
+    """112 (ctx_from, ctx_support, oracle mass) of ks1 or bellmermin, with Bloch vectors
+    (psi_hat, phi_hat) = place(k0, (sign, angle), rng) and k0 the first axis of a random basis."""
+    model, rng = create_model(name), stream(seed)
+    cases = []
+    for i in range(8 * len(EDGES)):
+        M = random_basis(2, rng)
+        psi_hat, phi_hat = place(oracles.bloch_of(M.kets[0].amplitudes), EDGES[i % len(EDGES)], rng)
+        psi, phi = (ket_from_bloch(BlochVector.normalized(*v)) for v in (psi_hat, phi_hat))
+        psi_hat, phi_hat = oracles.bloch_of(psi.amplitudes), oracles.bloch_of(phi.amplitudes)
+        if name == "ks1":
+            want = oracles.ks1_support_mass(psi_hat, phi_hat)
+        else:
+            axes = np.stack([oracles.bloch_of(k.amplitudes) for k in M.kets])
+            want = oracles.bellmermin_support_mass(psi_hat, phi_hat, axes)
+        cases.append((model.basis_context(psi, M), model.basis_context(phi, M), want))
+    return cases
+
+
+def random_pair(k0, edge, rng):
+    return random_unit(rng), random_unit(rng)
+
+
+def psi_near_k0(k0, edge, rng):
+    sign, angle = edge
+    return turned(sign * k0, angle, rng), random_unit(rng)
+
+
+def psi_near_k0_circle(k0, edge, rng):
+    sign, angle = edge
+    w = turned(k0, np.pi / 2.0, rng)  # a random point of k0's great circle
+    return np.cos(angle) * w + sign * np.sin(angle) * k0, random_unit(rng)
+
+
+def phi_near_psi(k0, edge, rng):
+    sign, angle = edge
+    psi_hat = random_unit(rng)
+    return psi_hat, turned(sign * psi_hat, angle, rng)
+
+
+def ks2_cases(seed: int, near_b: bool):
+    """112 ks2 contexts (a, b) against the support of (+-b, b), a random or 1e-k rad from +-b."""
+    model, rng = create_model("ks2"), stream(seed)
+    cases = []
+    for i in range(8 * len(EDGES)):
+        M = random_basis(2, rng)
+        b = oracles.bloch_of(M.kets[0].amplitudes)
+        sign, angle = EDGES[i % len(EDGES)]
+        a = turned(sign * b, angle, rng) if near_b else random_unit(rng)
+        psi = ket_from_bloch(BlochVector.normalized(*a))
+        support = M.kets[i // len(EDGES) % 2]
+        a, a_support = oracles.bloch_of(psi.amplitudes), oracles.bloch_of(support.amplitudes)
+        want = oracles.ks2_support_mass(a, a_support)
+        cases.append((model.basis_context(psi, M), model.basis_context(support, M), want))
+    return cases
+
+
+def gbrans_cases(seed: int):
+    """112 gbrans contexts in dimensions 2-5 sharing a basis or POVM; phi is a basis ket in
+    every third, so that some outcomes are structural zeros, and psi is mixed in every fifth."""
+    model, rng = create_model("gbrans"), stream(seed)
+    cases = []
+    for i in range(8 * len(EDGES)):
+        ctx_from = model.random_context(rng, dim=2 + i % 4)
+        M, psi = ctx_from.measurement, ctx_from.preparation
+        if i % 5 == 0:
+            v = random_state(M.dim, rng).amplitudes
+            psi = DensityMatrix(0.5 * np.outer(v, v.conj()) + 0.5 * psi.projector())
+        phi = random_state(M.dim, rng) if i % 3 else random_basis(M.dim, rng).kets[0]
+        rho = psi.entries if isinstance(psi, DensityMatrix) else psi.projector()
+        p = np.array([oracles.born_trace(rho, op) for op in M.operators])
+        q = np.array([oracles.born_trace(phi.projector(), op) for op in M.operators])
+        want = oracles.gbrans_support_mass(p, q, TOL.support)
+        cases.append((ModelContext(psi, M), ModelContext(phi, M), want))
+    return cases
+
+
+SUPPORT_ORACLE_FAMILIES = {
+    "ks1-random": ("ks1", lambda: qubit_cases("ks1", 531, random_pair)),
+    "ks1-psi-near-k0": ("ks1", lambda: qubit_cases("ks1", 532, psi_near_k0)),
+    "ks1-psi-near-k0-circle": ("ks1", lambda: qubit_cases("ks1", 533, psi_near_k0_circle)),
+    "ks1-phi-near-psi": ("ks1", lambda: qubit_cases("ks1", 534, phi_near_psi)),
+    "ks2-random": ("ks2", lambda: ks2_cases(535, near_b=False)),
+    "ks2-a-near-b": ("ks2", lambda: ks2_cases(536, near_b=True)),
+    "bellmermin-random": ("bellmermin", lambda: qubit_cases("bellmermin", 537, random_pair)),
+    "gbrans-random": ("gbrans", lambda: gbrans_cases(538)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SUPPORT_ORACLE_FAMILIES))
+def test_support_mass_cell_sum_matches_the_closed_form(family):
+    """support_mass_exact, one sum over the model's cells, against the closed forms it
+    replaced (tests/oracles.py), on random contexts and at 1e-3 to 1e-9 rad from the
+    degenerate ones: psi_hat beside +-k0 or k0's great circle, phi_hat beside +-psi_hat,
+    ks2's a beside +-b."""
+    name, cases = SUPPORT_ORACLE_FAMILIES[family]
+    model = create_model(name)
+    for ctx_from, ctx_support, want in cases():
+        assert abs(model.support_mass_exact(ctx_from, ctx_support) - want) <= TOL.arithmetic
 
 
 def chi2_band(dof: int, alpha: float) -> tuple[float, float]:

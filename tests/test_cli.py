@@ -267,8 +267,8 @@ class TestAudit:
 
     @pytest.mark.parametrize("model", model_choices("audit", "epistemicity"))
     def test_epistemicity_is_closed_form_for_every_model_it_accepts(self, model, capsys):
-        """The command reads no --samples, so a model it accepts must have a
-        closed-form support mass at the contexts the command builds."""
+        """The command reads no --samples, so a model it accepts must have an
+        exact support mass at the contexts the command builds."""
         dims = (2, 3, 4) if MODEL_REGISTRY[model].any_dimension else (2,)
         for dim in dims:
             for seed in range(4):
@@ -337,7 +337,7 @@ class TestBadInput:
             ["audit", "pi", "gbrans", "--samples", "10"],
             ["audit", "epistemicity", "ks1", "--dim", "3"],
             ["audit", "epistemicity", "ks2", "--dim", "3"],
-            # every model epistemicity accepts is closed-form, so it reads no --samples
+            # every model epistemicity accepts has an exact support mass, so it reads no --samples
             ["audit", "epistemicity", "ks1", "--samples", "10"],
             ["audit", "marginal", "gbrans"],
             ["audit"],

@@ -901,6 +901,21 @@ class TestCells:
             mass, _ = self.masses(model, ctx, model.basis_context(M.kets[0], M))
             assert abs(mass - abs(np.vdot(M.kets[0].amplitudes, psi.amplitudes)) ** 2) <= 1e-12
 
+    @pytest.mark.parametrize("name", ["ks1", "ks2", "interval"])
+    def test_cells_give_both_contexts_their_born_weights_across_measurements(self, name):
+        """Each context's density and response are fixed or affine on every cell, so the
+        cells integrate each context's density over each outcome to its Born weight, also
+        for two random contexts that differ in measurement."""
+        model = create_model(name)
+        rng = stream(949)
+        for _ in range(50):
+            ctx_a, ctx_b = model.random_context(rng), model.random_context(rng)
+            points, widths = model.cells(ctx_a, ctx_b)
+            for ctx in (ctx_a, ctx_b):
+                weights = model.density_arrays(points, ctx) * widths
+                masses = np.bincount(model.outcome_index_arrays(points, ctx), weights, minlength=2)
+                assert np.abs(masses - list(model.born_reference(ctx).values())).max() <= 1e-12
+
     def test_hall_tv_through_the_cells_of_its_three_axes(self):
         model = create_model("hall")
 

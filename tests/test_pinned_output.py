@@ -96,7 +96,7 @@ RUNS = {
     ),
     "audit-epistemicity-ks1": (
         ["audit", "epistemicity", "ks1", "--seed", "7"],
-        "d4bfe4ad80d5173f6537d60b4e9e37e181b8932645afd6994524cdc801cc546d",
+        "3081e0ae308a4e971bfa847a60f544ec2da9eea0be1dc30c79406306a95e8db6",
     ),
     "audit-randomness-gbrans": (
         ["audit", "randomness", "gbrans", "--samples", "20000", "--seed", "7"],
@@ -155,7 +155,7 @@ def _gbrans_omega(doc) -> bool:
 
 
 def _omega_analytic(doc) -> bool:
-    # the mass is closed-form; 1e-12 covers the rounding of |<psi|phi>|^2 against the Bloch axes
+    # the mass is an exact cell sum; 1e-12 covers its rounding and that of |<psi|phi>|^2 against the Bloch axes
     e = doc["epistemicity"]
     return e["method"] == "analytic" and abs(e["omega"] - 1.0) <= 1e-12
 
@@ -204,11 +204,11 @@ CLAIMS = {
     ),
     "audit epistemicity ks1 --seed 11": (
         _omega_analytic,
-        "172704fb35e97f43b91d6b0faade9b27b2938245fc9489fbc526ef4c5a342dc8",
+        "7742183983f8a98f04c8148f8816903e7749b18365ff1fbd2680138fa7b57b2f",
     ),
     "audit epistemicity ks2 --seed 11": (
         _omega_analytic,
-        "007a41add35f915756f6dd06e2e43b54408dfba4ce8ca7d4e9d598402dc2cbd7",
+        "3eb39e1102f0f799dd3677b2ec3052952866a609d9bc3e6bcef34e740d945818",
     ),
     "audit epistemicity bellmermin --seed 11": (
         _omega_analytic,

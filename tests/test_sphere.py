@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import turned
 from mdhv.models import stream
 from mdhv.sphere import (
     BLOCK_ROWS,
@@ -207,7 +208,45 @@ DEGENERATE_CUTS = {
 }
 
 
-CUT_SETS = {name: [cuts] for name, cuts in DEGENERATE_CUTS.items()} | {"random": random_cut_sets()}
+def near_degenerate_cut_sets(kind: str, per_angle: int = 5):
+    """Cut sets with each unit normal n beside n', n turned by 1e-k rad, k = 3..9:
+    the pair (parallel), n with -n' (antiparallel), or n, n' and n - n' (concurrent)."""
+    rng = stream(16, ("parallel", "antiparallel", "concurrent").index(kind))
+    sets = []
+    for k in range(3, 10):
+        for _ in range(per_angle):
+            n = rng.normal(size=3)
+            n /= np.linalg.norm(n)
+            n_turned = turned(n, 10.0**-k, rng)
+            pair = [n, -n_turned] if kind == "antiparallel" else [n, n_turned]
+            sets.append(pair + [n - n_turned] if kind == "concurrent" else pair)
+    return sets
+
+
+def mixed_near_degenerate_cut_sets(count: int = 300):
+    """Up to 7 cuts: 1-3 random normals, then 1-3 steps that each add a normal beside an
+    earlier one (turned by 1e-2 to 1e-11 rad, either sign), a concurrent triple about one,
+    or the sum or difference of two."""
+    rng = stream(17)
+    sets = []
+    for _ in range(count):
+        cuts = [v / np.linalg.norm(v) for v in rng.normal(size=(int(rng.integers(1, 4)), 3))]
+        for _ in range(int(rng.integers(1, 4))):
+            step, a = int(rng.integers(0, 4)), cuts[int(rng.integers(len(cuts)))]
+            a_turned = turned(a, 10.0 ** -rng.uniform(2.0, 11.0), rng)
+            other = cuts[int(rng.integers(len(cuts)))]
+            sign = rng.choice([-1.0, 1.0])
+            cuts += [[a_turned], [-a_turned], [a_turned, a - a_turned], [a + sign * other]][step]
+        sets.append(cuts[:7])
+    return sets
+
+
+CUT_SETS = (
+    {name: [cuts] for name, cuts in DEGENERATE_CUTS.items()}
+    | {"random": random_cut_sets()}
+    | {f"near-{kind}": near_degenerate_cut_sets(kind) for kind in ("parallel", "antiparallel", "concurrent")}
+    | {"near-degenerate-mixed": mixed_near_degenerate_cut_sets()}
+)
 
 
 @pytest.mark.parametrize("case", sorted(CUT_SETS))
