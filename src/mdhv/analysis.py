@@ -4,11 +4,11 @@ Degree of epistemicity, classical overlap, response randomness,
 reciprocity, preparation-independence residuals, support/compatibility
 predicates, and remote-setting marginal dependence.
 
-Two conventions run through everything here: a Monte Carlo mass counts as
-zero when it is at most five standard errors from zero, and closed-form
-("analytic") zero paths are preferred whenever a model exposes exact support
-masses, because almost-everywhere statements need an exact witness, not a
-statistical one.
+Support masses, w_C, randomness and reciprocity are exact sums over a
+model's `cells`, because almost-everywhere statements need an exact witness,
+not a statistical one.  Only the support mass of a model without cells falls
+back to Monte Carlo, which counts a mass as zero when it is at most five
+standard errors from zero.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TOL
-from .models.base import HiddenVariableModel, ModelContext, OnticKind, singlet_context, stream
+from .models.base import HiddenVariableModel, ModelContext, OnticKind, _cell_mass, singlet_context, stream
 from .quantum import DensityMatrix, Povm, ProjectiveBasis, StateVector, born_probability
 from .sphere import bootstrap_stderr, stratified_sphere_points
 
@@ -56,9 +56,11 @@ def projector_index(M: ProjectiveBasis, phi: StateVector) -> int:
     return k
 
 
-def _mc_mass(mask: np.ndarray) -> tuple[float, float]:
-    mass = float(mask.mean())
-    return mass, float(np.sqrt(mass * (1.0 - mass) / mask.size))
+def _cells(model: HiddenVariableModel, ctx_a: ModelContext, ctx_b: ModelContext, quantity: str):
+    """model.cells(ctx_a, ctx_b); a model without cells raises TypeError."""
+    if (cells := model.cells(ctx_a, ctx_b)) is None:
+        raise TypeError(f"{quantity} is undefined for {model.name} models")
+    return cells
 
 
 def _sampled_support_mass(
@@ -71,7 +73,8 @@ def _sampled_support_mass(
     """Share of `samples` draws of ctx_from's ensemble (stream(seed, 0)) inside
     ctx_support's support, with its binomial stderr."""
     arrays = model.sample_arrays(ctx_from, samples, stream(seed, 0))
-    return _mc_mass(model.in_support_arrays(arrays, ctx_support))
+    mass = float(model.in_support_arrays(arrays, ctx_support).mean())
+    return mass, float(np.sqrt(mass * (1.0 - mass) / samples))
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +107,8 @@ def support_overlap_mass(
     """
     model.validate_context(ctx_from)
     model.validate_context(ctx_support)
-    exact = model.support_mass_exact(ctx_from, ctx_support)
-    if exact is not None:
-        # a cell sum rounds an exact 0 (a pole of a cap) to dust
-        return (float(exact) if exact > TOL.arithmetic else 0.0), 0.0, "analytic"
+    if (exact := model.support_mass_exact(ctx_from, ctx_support)) is not None:
+        return exact, 0.0, "analytic"
     mass, err = _sampled_support_mass(model, ctx_from, ctx_support, samples, seed)
     return mass, err, "monte-carlo"
 
@@ -171,9 +172,7 @@ def classical_overlap(
     ctx_b = model.basis_context(phi, M)
     model.validate_context(ctx_a)
     model.validate_context(ctx_b)
-    if (cells := model.cells(ctx_a, ctx_b)) is None:
-        raise TypeError(f"classical overlap is undefined for {model.name} models")
-    points, widths = cells
+    points, widths = _cells(model, ctx_a, ctx_b, "classical overlap")
     diff = np.abs(model.density_arrays(points, ctx_a) - model.density_arrays(points, ctx_b))
     return 1.0 - 0.5 * float(diff @ widths)
 
@@ -183,58 +182,52 @@ def classical_overlap(
 # ---------------------------------------------------------------------------
 
 
+def _response_mass(model: HiddenVariableModel, ctx: ModelContext, k: int, quantity: str, weigh) -> float:
+    """ctx's ensemble mass weighted by weigh(r), r label k's response probability, over ctx's cells."""
+    cells = _cells(model, ctx, ctx, quantity)
+    return _cell_mass(model, ctx, cells, lambda pts: weigh(model.respond_probability_arrays(pts, ctx, k)))
+
+
 def randomness(
     model: HiddenVariableModel,
     psi: StateVector,
     M: ProjectiveBasis,
     outcome_label: str,
-    samples: int = 100_000,
-    seed: int = 0,
 ) -> float:
     """Response-weighted ensemble mass where the outcome is genuinely random.
 
-    Monte Carlo estimate of the integral of p(outcome|lam) p(lam|psi, M) over
-    the region 0 < p(outcome|lam) < 1.  Deterministic responses contribute
-    exact 0/1 weights, so the result is literal 0.0 for deterministic models.
+    The integral of p(outcome|lam) p(lam|psi, M) over the region 0 < p(outcome|lam) < 1,
+    an exact sum over the model's `cells`.  Deterministic responses contribute exact 0/1
+    weights, so the result is literal 0.0 for deterministic models.
     `outcome_label` is one of the model's labels for the context (ks2: +b, -b).
     """
     ctx = model.basis_context(psi, M)
     model.validate_context(ctx)
     k = model.outcome_labels(ctx).index(outcome_label)
-    arrays = model.sample_arrays(ctx, samples, stream(seed, 0))
-    r = model.respond_probability_arrays(arrays, ctx, k)
-    fuzzy = (r > 0.0) & (r < 1.0)
-    return float(np.sum(r * fuzzy) / samples)
+    return _response_mass(model, ctx, k, "randomness", lambda r: r * ((r > 0.0) & (r < 1.0)))
 
 
 @dataclass(frozen=True)
 class ReciprocityReport:
     reciprocal: bool
     violation_mass: float
-    mc_stderr: float
 
 
 def reciprocity_check(
     model: HiddenVariableModel,
     psi: StateVector,
     M: ProjectiveBasis,
-    samples: int = 100_000,
-    seed: int = 0,
 ) -> ReciprocityReport:
     """Does psi's ensemble sit inside the core of its own outcome's response?
 
-    Samples p(.|psi, M) and measures the mass where the response probability
-    of psi's outcome falls short of 1.  Requires M to contain |psi><psi|.
+    The mass of p(.|psi, M), summed over the model's `cells`, where the response
+    probability of psi's outcome falls short of 1.  Requires M to contain |psi><psi|.
     """
     k = projector_index(M, psi)
     ctx = model.basis_context(psi, M)
     model.validate_context(ctx)
-    arrays = model.sample_arrays(ctx, samples, stream(seed, 0))
-    r = model.respond_probability_arrays(arrays, ctx, k)
-    violation, err = _mc_mass(r < 1.0)
-    return ReciprocityReport(
-        reciprocal=violation <= 5.0 * err, violation_mass=violation, mc_stderr=err
-    )
+    violation = _response_mass(model, ctx, k, "reciprocity", lambda r: r < 1.0)
+    return ReciprocityReport(reciprocal=violation == 0.0, violation_mass=violation)
 
 
 # ---------------------------------------------------------------------------

@@ -280,17 +280,14 @@ def audit_randomness(args) -> dict[str, float]:
     M = random_basis(args.dim, rng)
     model = create_model(args.model)
     labels = model.outcome_labels(model.basis_context(psi, M))
-    return {
-        label: analysis.randomness(model, psi, M, label, args.samples, args.seed)
-        for label in labels
-    }
+    return {label: analysis.randomness(model, psi, M, label) for label in labels}
 
 
 def audit_reciprocity(args) -> analysis.ReciprocityReport:
     psi = random_state(args.dim, stream(args.seed, 99))
     M = orthonormal_basis_containing(psi)
     model = create_model(args.model)
-    return analysis.reciprocity_check(model, psi, M, args.samples, args.seed)
+    return analysis.reciprocity_check(model, psi, M)
 
 
 def audit_pi(args) -> analysis.PiReport:
@@ -394,17 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
     checks = sub.add_parser("audit", help="analysis-module audits").add_subparsers(
         dest="check", required=True
     )
-    # every model epistemicity accepts has an exact support mass, so it samples nothing
-    for check, func, samples, summary in (
-        ("epistemicity", audit_epistemicity, False, "degree of epistemicity of two random states"),
-        ("randomness", audit_randomness, True, "ensemble mass with non-deterministic responses"),
-        ("reciprocity", audit_reciprocity, True, "does a state's ensemble sit in its outcome's core"),
+    # every model these accept has cells, so each audit is an exact sum and samples nothing
+    for check, func, summary in (
+        ("epistemicity", audit_epistemicity, "degree of epistemicity of two random states"),
+        ("randomness", audit_randomness, "ensemble mass with non-deterministic responses"),
+        ("reciprocity", audit_reciprocity, "does a state's ensemble sit in its outcome's core"),
     ):
         p = checks.add_parser(check, help=summary)
         _add_model(p, lambda cls: not _is_singlet(cls))
         p.add_argument("--dim", type=_int_at_least(2), default=2)
-        if samples:
-            p.add_argument("--samples", type=_int_at_least(1), default=100_000)
         _add_common(p, _audit(func))
     for check, flag, default, func, summary in (
         ("pi", "--state", "+,0", audit_pi, "preparation-independence residual of a product state"),

@@ -262,28 +262,36 @@ class HiddenVariableModel(ABC):
         return self.outcome_index_arrays(arrays, ctx)
 
     def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray] | None:
-        """Points (named arrays) and widths of cells on which both contexts' densities are affine.
-
-        An integral of such a function is the widths times its values at the points.  None: no cells.
+        """Points (named arrays) and widths of cells on which both contexts' responses are fixed
+        and densities affine: an integral of such a function is the widths times its values at
+        the points.  None: no cells.
         """
         return None
 
     def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float | None:
         """Mass of p(.|ctx_from) inside the support of ctx_support, summed over `cells`, or None.
 
-        A cell adds width * p_from where p_from exceeds TOL.support and its
-        point lies in ctx_support's support, so structural zeros add nothing.
+        The _cell_mass of the cells whose point lies in ctx_support's support.
         None (no cells) sends analysis.support_overlap_mass to Monte Carlo.
         """
         if (cells := self.cells(ctx_from, ctx_support)) is None:
             return None
-        points, widths = cells
-        p_from = self.density_arrays(points, ctx_from)
-        inside = (p_from > TOL.support) & self.in_support_arrays(points, ctx_support)
-        return float((widths * p_from * inside).sum())
+        return _cell_mass(self, ctx_from, cells, lambda pts: self.in_support_arrays(pts, ctx_support))
 
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def _cell_mass(model: HiddenVariableModel, ctx: ModelContext, cells: tuple, weigh) -> float:
+    """Sum of width * p * weigh(points) over `cells`, p being ctx's density at the cell points.
+
+    A cell counts only where p > TOL.support (structural zeros add nothing), and a total at
+    most TOL.arithmetic is 0.0 (a cell sum rounds an exact 0, such as a cap's pole, to dust).
+    """
+    points, widths = cells
+    p = model.density_arrays(points, ctx)
+    total = float((widths * p * (p > TOL.support) * weigh(points)).sum())
+    return total if total > TOL.arithmetic else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -55,5 +55,8 @@ class GeneralizedBrans(HiddenVariableModel):
         return np.asarray(arrays["j"], dtype=int)
 
     def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:
-        """Every outcome index ({"j"}), each with width 1, for two contexts that share the measurement."""
-        return {"j": np.arange(len(ctx_a.measurement))}, np.ones(len(ctx_a.measurement))
+        """Every outcome index ({"j"}), each with width 1, for two contexts with one outcome count."""
+        n, n_b = len(ctx_a.measurement), len(ctx_b.measurement)
+        if n != n_b:
+            raise ValueError(f"cells need one outcome count, got {n} and {n_b} outcomes")
+        return {"j": np.arange(n)}, np.ones(n)

@@ -251,7 +251,7 @@ class TestAudit:
 
     def test_randomness_zero(self, capsys):
         code, out = run_cli(
-            ["audit", "randomness", "gbrans", "--samples", "2000", "--seed", "6", "--format", "json"],
+            ["audit", "randomness", "gbrans", "--seed", "6", "--format", "json"],
             capsys,
         )
         assert code == 0
@@ -259,7 +259,7 @@ class TestAudit:
 
     def test_randomness_ks2_uses_its_own_labels(self, capsys):
         code, out = run_cli(
-            ["audit", "randomness", "ks2", "--samples", "2000", "--seed", "7", "--format", "json"],
+            ["audit", "randomness", "ks2", "--seed", "7", "--format", "json"],
             capsys,
         )
         assert code == 0
@@ -278,9 +278,25 @@ class TestAudit:
                 assert code == 0
                 assert report["method"] == "analytic" and report["mass_stderr"] == 0.0
 
+    @pytest.mark.parametrize("check", ["randomness", "reciprocity"])
+    def test_response_audits_are_exact_for_every_model_they_accept(self, check, capsys):
+        """The commands read no --samples: each is an exact sum over the model's
+        cells, which for every model they accept gives literal zeros."""
+        for model in model_choices("audit", check):
+            dims = (2, 3, 4) if MODEL_REGISTRY[model].any_dimension else (2,)
+            for dim in dims:
+                for seed in range(4):
+                    argv = ["audit", check, model, "--dim", str(dim), "--seed", str(seed)]
+                    code, out = run_cli(argv + ["--format", "json"], capsys)
+                    doc = json.loads(out)
+                    assert code == 0
+                    assert "samples" not in doc["config"]
+                    values = doc[check].values() if check == "randomness" else [doc[check]["violation_mass"]]
+                    assert all(v == 0.0 for v in values)
+
     def test_reciprocity(self, capsys):
         code, out = run_cli(
-            ["audit", "reciprocity", "ks2", "--samples", "2000", "--seed", "7", "--format", "json"],
+            ["audit", "reciprocity", "ks2", "--seed", "7", "--format", "json"],
             capsys,
         )
         assert code == 0
@@ -299,7 +315,7 @@ class TestBadInput:
             ["verify", "gbrans", "--seed", "-1"],
             ["verify", "gbrans", "--dim", "1"],
             ["channel", "--accepted", "0"],
-            ["audit", "randomness", "gbrans", "--samples", "0"],
+            ["audit", "marginal", "hall", "--samples", "0"],
         ],
         ids=["shots", "trials", "seed", "dim", "accepted", "samples"],
     )
@@ -339,6 +355,8 @@ class TestBadInput:
             ["audit", "epistemicity", "ks2", "--dim", "3"],
             # every model epistemicity accepts has an exact support mass, so it reads no --samples
             ["audit", "epistemicity", "ks1", "--samples", "10"],
+            # randomness and reciprocity are exact sums over cells too
+            ["audit", "randomness", "gbrans", "--samples", "10"],
             ["audit", "marginal", "gbrans"],
             ["audit"],
             ["verify"],
@@ -443,8 +461,8 @@ ECHO_RUNS = {
     "channel": "channel --alice 140,285 --bob 0.6,0,0.8 --accepted 300 --trace t.csv",
     "info": "info",
     "epistemicity": "audit epistemicity gbrans --dim 3",
-    "randomness": "audit randomness ks2 --samples 2000",
-    "reciprocity": "audit reciprocity ks1 --samples 2000",
+    "randomness": "audit randomness ks2",
+    "reciprocity": "audit reciprocity ks1",
     "pi": "audit pi gbrans --state=-,1 --basis bell",
     "compat": "audit compat gbrans --states 1,+ --basis pbr",
     "marginal": "audit marginal hall --particle 2 --bob 140,285 --samples 4000",

@@ -99,20 +99,20 @@ RUNS = {
         "3081e0ae308a4e971bfa847a60f544ec2da9eea0be1dc30c79406306a95e8db6",
     ),
     "audit-randomness-gbrans": (
-        ["audit", "randomness", "gbrans", "--samples", "20000", "--seed", "7"],
-        "187550d8b1293c196d261127b8eb78f79c25f0191596a4674eafe4c4e03c7e23",
+        ["audit", "randomness", "gbrans", "--seed", "7"],
+        "9aea5711af1501bed0bd5730236ec7468bc78cc2d217e6a972f2db5603a3c243",
     ),
     "audit-randomness-ks1": (
-        ["audit", "randomness", "ks1", "--samples", "20000", "--seed", "7"],
-        "fc60f523aa20f634395b2efdeb4669b1bfd0cdafc680ba6bcfe3824390454ce1",
+        ["audit", "randomness", "ks1", "--seed", "7"],
+        "0e51e041ec2608805642dc2782e9ef26d011e14e80df160a7715429855958df4",
     ),
     "audit-reciprocity-gbrans": (
-        ["audit", "reciprocity", "gbrans", "--samples", "20000", "--seed", "7"],
-        "8320ce789541996a19f0f2ccd9893844c08512ed2a7370ed36377d4331ff47f6",
+        ["audit", "reciprocity", "gbrans", "--seed", "7"],
+        "ae62e1acaf3d63681c9eba2e49bbeb2fcf6931699c831b0a2f46a43771e32dcf",
     ),
     "audit-reciprocity-ks1": (
-        ["audit", "reciprocity", "ks1", "--samples", "20000", "--seed", "7"],
-        "f256d4da9faa8cb3e47028cd5448b794927b831861b7f1fc7833c9067f41db3b",
+        ["audit", "reciprocity", "ks1", "--seed", "7"],
+        "3707aaf610fb2ad013549e0e1da0f28097b301d81002d49d9f2503ca0924c9c6",
     ),
     "audit-pi": (
         ["audit", "pi", "gbrans", "--seed", "7"],
@@ -237,11 +237,11 @@ CLAIMS = {
     ),
     "audit randomness gbrans --dim 3 --seed 1": (
         lambda doc: list(doc["randomness"].values()) == [0.0, 0.0, 0.0],
-        "da02871b574407ed9fa5fb5128cc33fdad8b86fc3a5b07298f10bde2fdf65912",
+        "30b9fc009620c9ac887bac53165ae69fd816f8ca60746b07e2664c5494398eed",
     ),
     "audit reciprocity gbrans --dim 3 --seed 1": (
         lambda doc: doc["reciprocity"]["violation_mass"] == 0.0,
-        "12fb4bad8256b025f775ab567dc8b9dccb07cf9331ab9a50d8522ebec0555e76",
+        "5b747d68f88a80f3941f5fa6d1a952246d0b1fc3594071f979f60c3158a3d0a5",
     ),
     "verify gbrans --shots 100000 --trials 100 --seed 7": (
         _gate,
