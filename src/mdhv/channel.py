@@ -15,15 +15,13 @@ thread takes them in order.  The output does not depend on the worker count.
 Cost accounting separates the NOMINAL asymptotic figure (1 bit of mutual
 information between axis and message, doubled by the self-selection to
 2 bits per accepted round) from the EMPIRICAL figure measured off a finite
-transcript (sent/accepted times the quadrature value of the mutual
-information in bits).
+transcript (sent/accepted times the mutual information in bits).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,7 +45,6 @@ _BLOCK = 1 << 16  # rounds per Alice block; part of the stream layout
 _UNIT = 1 << 14  # rounds per pool task; divides _BLOCK, so no unit spans two blocks
 _SLACK = 1024  # acceptances held back when sizing the units in flight: 16 sd of one unit's count
 _TRACE_SLICE = 4096  # trace rows formatted and written per write call
-MI_RESOLUTION = 512  # quadrature nodes per axis of the reported mutual information
 TRACE_HEADER = ("round_id", "lambda_x", "lambda_y", "lambda_z", "accepted", "outcome")
 
 
@@ -206,26 +203,15 @@ def run_channel(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
 def mutual_information_report(resolution: int = 512) -> InfoReport:
     """Entropies of (axis, message) under uniform priors p(a) = p(lam) = 1/4pi.
 
-    h(a) and h(lam) are closed forms (ln 4pi each).  The joint entropy is a
-    product Gauss-Legendre quadrature of -f ln f with f = step(lam.a)/8pi^2;
-    fixing a = +z by isotropy (outer sphere contributes its area 4pi) and
-    restricting the polar range to the step's support removes the
-    discontinuity from the integrand.
+    h(a) = h(lam) = ln 4pi.  The joint density step(lam.a)/8pi^2 is constant on
+    a support of measure 4pi * 2pi, so h(a, lam) = ln 8pi^2 and I = ln 2.
+    `resolution` is unused; the benchmark in perfbench/ still passes it.
     """
-    h_a = float(np.log(4.0 * np.pi))
-    h_lambda = float(np.log(4.0 * np.pi))
-
-    nodes, weights = np.polynomial.legendre.leggauss(resolution)
-    wz = 0.5 * weights  # cos(theta) mapped to [0, 1]: the step's support
-    wphi = np.pi * weights  # azimuth mapped to [0, 2pi]
-    f = 1.0 / (8.0 * np.pi**2)  # p(lam|a) p(a) on the restricted domain
-    integrand = -f * np.log(f) * np.ones((resolution, resolution))
-    h_joint = 4.0 * np.pi * float(wz @ integrand @ wphi)
-
+    h_a = h_lambda = float(np.log(4 * np.pi))
+    h_joint = float(np.log(8 * np.pi**2))
     return InfoReport(
         h_a=h_a,
         h_lambda=h_lambda,
@@ -238,5 +224,5 @@ def communication_cost(t: ChannelTranscript) -> float:
     """Empirical bits per accepted round: I(lam:a) in bits times sent/accepted."""
     if t.accepted < 1:
         raise ValueError("transcript has no accepted rounds")
-    bits = mutual_information_report(MI_RESOLUTION).mutual_information / np.log(2.0)
+    bits = mutual_information_report().mutual_information / np.log(2.0)
     return float(bits * t.sent / t.accepted)

@@ -252,7 +252,7 @@ def cmd_channel(args) -> int:
 
 
 def cmd_info(args) -> int:
-    _emit(args, {"info": channel.mutual_information_report(channel.MI_RESOLUTION)})
+    _emit(args, {"info": channel.mutual_information_report()})
     return 0
 
 

@@ -183,7 +183,7 @@ def test_criterion_06_channel_protocol():
 
 def test_criterion_07_information_accounting():
     """h(a) = ln(4 pi) in closed form; mutual information ln 2 nats (1 bit)
-    by quadrature within 1e-3."""
+    within 1e-3."""
     rep = channel.mutual_information_report()
     da = abs(rep.h_a - np.log(4.0 * np.pi))
     di = abs(rep.mutual_information - np.log(2.0))

@@ -935,6 +935,22 @@ class TestCells:
             assert abs(tv(a, b, b_alt) - want) <= 1e-12
 
 
+    def test_hall_joint_masses_through_the_cells_of_its_two_axes_are_the_born_weights(self):
+        """Both signs, and so the joint outcome, are fixed on each cell of the two
+        circles, so the cells integrate hall's law to (1 - x y a.b)/4 exactly.
+        Axes a few ulp from parallel are left out: see ROADMAP item 16."""
+        model = create_model("hall")
+        xy = np.array([1, -1, -1, 1])  # outcome index 2 [A = -1] + [B = -1]
+        rng = stream(951)
+        pairs = [(Z_AXIS, Z_AXIS), (Z_AXIS, BlochVector(0, 0, -1)), (Z_AXIS, X_AXIS)]
+        pairs += [(random_bloch(rng), random_bloch(rng)) for _ in range(50)]
+        for a, b in pairs:
+            area, mean = great_circle_cells([a.as_array(), b.as_array()])
+            arrays, ctx = {"vec": mean}, singlet_context(a, b)
+            weights = model.density_arrays(arrays, ctx) * area
+            masses = np.bincount(model.outcome_index_arrays(arrays, ctx), weights, minlength=4)
+            assert np.abs(masses - (1 - xy * a.dot(b)) / 4).max() <= 1e-12
+
 def _random_unit_rows(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rng.normal(size=(n, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)

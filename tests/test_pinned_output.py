@@ -88,7 +88,7 @@ RUNS = {
     # the JSON form of every report type, in table and json output
     "info": (
         ["info", "--seed", "7"],
-        "d52514226f42bbf1a2a198157e5be104426361d181573f0be7531bd4136d946e",
+        "24e15be473b705b149c8e7a467a9e56cf54e3f7e77b0a0bd36741b5cf3ecaf7b",
     ),
     "audit-epistemicity-gbrans": (
         ["audit", "epistemicity", "gbrans", "--seed", "7"],
@@ -132,7 +132,7 @@ RUNS = {
     ),
     "channel-json": (
         ["channel", "--bob", "60,0", "--accepted", "500", "--seed", "7", "--format", "json"],
-        "bb10225c9d4075b476ef670e10e20f9ad2749f368fbf20c1eaeac6045a19ec42",
+        "c55485546bb39b09a33dd9f62311a558eb51996f377fc173cdff9f25ca28fc00",
     ),
 }
 
@@ -180,11 +180,11 @@ CLAIMS = {
     ),
     "channel --bob 60,0 --accepted 100000 --seed 3 --format json": (
         _channel,
-        "e524a0907324ddce573c8af34c2edcc494736a681862d859cb068bc0bd805c49",
+        "41a5b632d4ac6f93dbbccd8a678f1ec6bcda39f1c4095ac070803a2aec26d27d",
     ),
     "info --seed 1 --format json": (
         lambda doc: abs(doc["info"]["mutual_information"] - math.log(2.0)) <= 2e-15,
-        "bb44a37bab3cc4b8855a577719c4db059537865b104be83747a331ffa8e28ce8",
+        "16b358fe1dd16eae1472f44d2249484dc0ea44f0d67cda482796fa08175ea075",
     ),
     "audit epistemicity gbrans --dim 2 --seed 2 --format json": (
         _gbrans_omega,
@@ -334,7 +334,7 @@ def traced_channel_hashes(argv, tmp_path, monkeypatch, capsys) -> tuple[str, str
 def test_channel_stdout_and_trace_hash(tmp_path, monkeypatch, capsys):
     argv = ["--bob", "60,0", "--accepted", "500", "--seed", "7"]
     assert traced_channel_hashes(argv, tmp_path, monkeypatch, capsys) == (
-        "f1ded55edd1c9ebf04aeeb7ebbed1ee21ce8c73b656ffed6d3ff5dc07762255a",
+        "be084875e5d1f8952719f94a6ef0294679cb809424a97226e501215ade49ecf2",
         "bb010eae532346117701583e71913a9dbdc6db9e3549bbe5f8558ddc96714463",
     )
 
@@ -345,6 +345,6 @@ def test_generic_axis_channel_stdout_and_trace_hash(tmp_path, monkeypatch, capsy
     # the embedding's float order shows in the trace
     argv = ["--alice=0.3,-0.5,0.8", "--bob=-0.6,0.2,0.7", "--accepted", "500", "--seed", "7"]
     assert traced_channel_hashes(argv, tmp_path, monkeypatch, capsys) == (
-        "f0bafd70760de890edf67929c465a53bb02c026240be7f4ecab7eddcac620454",
+        "460e9a6a853ebc3f11ee40a647621ecd75e2a790af9ea2ef1e8fd227d6b2afaf",
         "b6249014a3f574919fd3f351a6c08ef179b000588a6d1f99687087e6ec50b1bc",
     )

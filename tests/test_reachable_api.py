@@ -1,9 +1,9 @@
 """Public functions and methods are reached: none exists for its tests alone.
 
-Every function in `__all__` of `mdhv.analysis`, `mdhv.quantum` and
-`mdhv.models.base`, and every public method and property of the classes in
-`__all__` of those modules and of `mdhv.channel` and of the classes in
-`MODEL_REGISTRY`, is referenced somewhere in `src/mdhv` outside its own
+Every function in `__all__` of `mdhv.analysis`, `mdhv.quantum`,
+`mdhv.models.base`, `mdhv.sphere` and `mdhv.channel`, and every public method
+and property of the classes in `__all__` of those modules and of the classes
+in `MODEL_REGISTRY`, is referenced somewhere in `src/mdhv` outside its own
 `def`, its `__all__` string and import lines, or is a call that perfbench
 makes: one of the calls perfbench/workloads.py makes directly (the
 `UNTRACED_CALLS` of tests/test_perfbench_names.py) or a model or channel
@@ -26,8 +26,7 @@ from mdhv.models import MODEL_REGISTRY
 from test_perfbench_names import UNTRACED_CALLS, tracing
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mdhv"
-MODULES = ("mdhv.analysis", "mdhv.quantum", "mdhv.models.base")
-CLASS_MODULES = MODULES + ("mdhv.channel",)
+MODULES = ("mdhv.analysis", "mdhv.quantum", "mdhv.models.base", "mdhv.sphere", "mdhv.channel")
 
 
 class References(ast.NodeVisitor):
@@ -90,7 +89,7 @@ def test_public_function_is_reached(qualname):
 
 
 def public_classes():
-    for module_name in CLASS_MODULES:
+    for module_name in MODULES:
         module = importlib.import_module(module_name)
         for name in module.__all__:
             cls = getattr(module, name)
