@@ -126,8 +126,11 @@ def degree_of_epistemicity(
 
     Requires M to contain the projector of phi (support overlaps against a
     measurement that resolves neither state say nothing about
-    distinguishability) and a nonzero Born overlap.
+    distinguishability) and a nonzero Born overlap.  `method` is "auto" (the
+    exact cell sum where the model has cells) or "monte-carlo".
     """
+    if method not in ("auto", "monte-carlo"):
+        raise ValueError(f"method must be 'auto' or 'monte-carlo', got {method!r}")
     k = projector_index(M, phi)
     q = float(born_probability(psi, M)[k])
     if q <= 0.0:

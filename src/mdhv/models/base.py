@@ -47,6 +47,7 @@ __all__ = [
     "HiddenVariableModel",
     "QubitBasisModel",
     "SingletModel",
+    "OutcomeIndexModel",
     "JOINT_LABELS",
     "OUTCOME_PAIRS",
     "singlet_context",
@@ -98,7 +99,7 @@ class OnticKind(Enum):
     reference measure that the model's densities are stated against:
 
       DISCRETE_INDEX         {"j"}             counting measure on the outcome indices
-      SETTINGS_OUTCOME_PAIR  {"idx"}           counting measure on the four tag pairs
+      SETTINGS_OUTCOME_PAIR  {"j"}             counting measure on the four tag pairs
                                                (the setting axes are the context's own)
       INTERVAL               {"x"}             Lebesgue measure on the interval
       SPHERE                 {"vec"}           sphere surface measure
@@ -194,7 +195,9 @@ class HiddenVariableModel(ABC):
     `any_dimension` (contexts in every Hilbert-space dimension, not only
     qubits) where it holds, and implement the array-level operations.
     Densities are always stated with respect to the reference measure of
-    the ontic kind.
+    the ontic kind.  `born_weights` is the model's one Born law: the exact
+    outcome distribution that `verify` gates against and that samplers and
+    bins read.
     """
 
     name: str = ""
@@ -208,14 +211,14 @@ class HiddenVariableModel(ABC):
         """Raise TypeError/ValueError if the context is malformed for this model."""
 
     def outcome_labels(self, ctx: ModelContext) -> tuple[str, ...]:
-        """Outcome labels, in a fixed order shared with born_reference."""
+        """Outcome labels, in a fixed order shared with born_weights."""
         return ctx.measurement.labels
 
-    def born_reference(self, ctx: ModelContext) -> dict[str, float]:
-        """Exact quantum outcome distribution for the context: the Born
-        distribution of its preparation over its Povm measurement."""
-        M = ctx.measurement
-        return dict(zip(M.labels, born_probability(ctx.preparation, M).tolist()))
+    def born_weights(self, ctx: ModelContext) -> np.ndarray:
+        """Exact quantum outcome distribution for the context, in outcome_labels order:
+        the Born distribution of its preparation over its Povm measurement.  A model
+        whose measurement is not a Povm states its own."""
+        return born_probability(ctx.preparation, ctx.measurement)
 
     @abstractmethod
     def random_context(self, rng: np.random.Generator, dim: int = 2) -> ModelContext:
@@ -341,11 +344,9 @@ class QubitBasisModel(HiddenVariableModel):
     def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         return np.asarray(arrays["label"], dtype=int)
 
-    @staticmethod
-    def _labels(ctx: ModelContext, n: int, rng: np.random.Generator) -> np.ndarray:
+    def _labels(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> np.ndarray:
         """n outcome labels, label 0 with its Born weight, from the next n uniforms."""
-        p0 = born_probability(ctx.preparation, ctx.measurement)[0]
-        return (rng.random(n) >= p0).astype(int)
+        return (rng.random(n) >= self.born_weights(ctx)[0]).astype(int)
 
     def sample_outcomes(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.outcome_index_arrays({"label": self._labels(ctx, n, rng)}, ctx)
@@ -378,16 +379,40 @@ class SingletModel(HiddenVariableModel):
     def outcome_labels(self, ctx: ModelContext) -> tuple[str, ...]:
         return JOINT_LABELS
 
-    def joint_probabilities(self, ctx: ModelContext) -> np.ndarray:
+    def born_weights(self, ctx: ModelContext) -> np.ndarray:
         a, b = ctx.measurement.alice, ctx.measurement.bob
         return np.array([singlet_outcome_probability(a, b, i, j) for i, j in OUTCOME_PAIRS])
 
-    def born_reference(self, ctx: ModelContext) -> dict[str, float]:
-        p = self.joint_probabilities(ctx)
-        return {label: float(p[k]) for k, label in enumerate(JOINT_LABELS)}
-
     def random_context(self, rng: np.random.Generator, dim: int = 2) -> ModelContext:
         return singlet_context(random_bloch(rng), random_bloch(rng))
+
+
+class OutcomeIndexModel(HiddenVariableModel):
+    """Ontic value j ({"j"}), an index into outcome_labels drawn with its Born
+    weight, whose response is the point mass on outcome j.  Subclasses supply
+    the contexts and, where it is not the base default, born_weights.
+    """
+
+    def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:
+        return {"j": categorical(self.born_weights(ctx), n, rng)}
+
+    def density_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
+        j = np.asarray(arrays["j"], dtype=int)
+        p = self.born_weights(ctx)
+        # p[j] raises IndexError past the end; only a negative j would wrap
+        if j.size and j.min() < 0:
+            raise IndexError(f"ontic index out of range for {p.size} outcomes")
+        return p[j]
+
+    def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
+        return np.asarray(arrays["j"], dtype=int)
+
+    def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:
+        """Every outcome index ({"j"}), each with width 1, for two contexts with one outcome count."""
+        n, n_b = len(self.outcome_labels(ctx_a)), len(self.outcome_labels(ctx_b))
+        if n != n_b:
+            raise ValueError(f"cells need one outcome count, got {n} and {n_b} outcomes")
+        return {"j": np.arange(n)}, np.ones(n)
 
 
 # ---------------------------------------------------------------------------
@@ -479,5 +504,5 @@ def run_experiment(
         seed=seed,
         counts={label: int(counts[k]) for k, label in enumerate(labels)},
         estimates={label: float(estimates[k]) for k, label in enumerate(labels)},
-        born_reference=model.born_reference(ctx),
+        born_reference=dict(zip(labels, model.born_weights(ctx).tolist())),
     )

@@ -3,7 +3,7 @@
 The ontic value is (i, j, A_hat, B_hat): the two particles' outcome tags plus
 the setting axes they were conditioned on.  The delta factors tying A_hat,
 B_hat to the chosen axes are resolved analytically (the arrays store only the
-tag pair's index in OUTCOME_PAIRS; the axes are the context's), leaving a
+tag pair's index j in OUTCOME_PAIRS; the axes are the context's), leaving a
 four-point counting density (1 - i j a.b)/4; the responses are A = i and B = j.
 
 Each particle's tag is correlated only with its local setting: the marginal
@@ -16,25 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..quantum import singlet_state, spin_eigenket
-from .base import ModelContext, OnticKind, SingletModel, categorical
+from .base import ModelContext, OnticKind, OutcomeIndexModel, SingletModel
 
 
-class BransSinglet(SingletModel):
+class BransSinglet(SingletModel, OutcomeIndexModel):
     name = "brans"
     ontic_kind = OnticKind.SETTINGS_OUTCOME_PAIR
-
-    def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:
-        return {"idx": categorical(self.joint_probabilities(ctx), n, rng)}
-
-    def density_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
-        return self.joint_probabilities(ctx)[np.asarray(arrays["idx"], dtype=int)]
-
-    def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
-        return np.asarray(arrays["idx"], dtype=int)
-
-    def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:
-        """The four tag pairs ({"idx"}), each with width 1."""
-        return {"idx": np.arange(4)}, np.ones(4)
 
     def marginal_density(self, particle: int, outcome: int, ctx: ModelContext) -> float:
         """Weight of one particle's tag: tr(P_singlet Pi_i (x) I) resp. (I (x) Pi_j).

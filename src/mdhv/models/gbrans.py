@@ -10,19 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..quantum import (
-    DensityMatrix,
-    Povm,
-    StateVector,
-    born_probability,
-    random_basis,
-    random_povm,
-    random_state,
-)
-from .base import HiddenVariableModel, ModelContext, OnticKind, categorical
+from ..quantum import DensityMatrix, Povm, StateVector, random_basis, random_povm, random_state
+from .base import ModelContext, OnticKind, OutcomeIndexModel
 
 
-class GeneralizedBrans(HiddenVariableModel):
+class GeneralizedBrans(OutcomeIndexModel):
     name = "gbrans"
     ontic_kind = OnticKind.DISCRETE_INDEX
     any_dimension = True
@@ -40,23 +32,3 @@ class GeneralizedBrans(HiddenVariableModel):
         if rng.random() < 0.3:
             return ModelContext(prep, random_povm(dim, dim + 1, rng))
         return ModelContext(prep, random_basis(dim, rng))
-
-    def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:
-        return {"j": categorical(born_probability(ctx.preparation, ctx.measurement), n, rng)}
-
-    def density_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
-        j = np.asarray(arrays["j"], dtype=int)
-        p = born_probability(ctx.preparation, ctx.measurement)
-        if j.size and (j.min() < 0 or j.max() >= p.size):
-            raise IndexError(f"ontic index out of range for {p.size} outcomes")
-        return p[j]
-
-    def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
-        return np.asarray(arrays["j"], dtype=int)
-
-    def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:
-        """Every outcome index ({"j"}), each with width 1, for two contexts with one outcome count."""
-        n, n_b = len(ctx_a.measurement), len(ctx_b.measurement)
-        if n != n_b:
-            raise ValueError(f"cells need one outcome count, got {n} and {n_b} outcomes")
-        return {"j": np.arange(n)}, np.ones(n)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..quantum import ProjectiveBasis, StateVector, born_probability, random_basis, random_state
+from ..quantum import ProjectiveBasis, StateVector, random_basis, random_state
 from .base import HiddenVariableModel, ModelContext, OnticKind, categorical
 
 
@@ -30,7 +30,7 @@ class IntervalModel(HiddenVariableModel):
 
     def bin_edges(self, ctx: ModelContext) -> tuple[np.ndarray, np.ndarray]:
         """(x_i amplitudes-magnitudes, cumulative edges [0, c_1, ..., c_n])."""
-        x = np.sqrt(born_probability(ctx.preparation, ctx.measurement))
+        x = np.sqrt(self.born_weights(ctx))
         return x, np.concatenate([[0.0], np.cumsum(x)])
 
     def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:

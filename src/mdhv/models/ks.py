@@ -168,10 +168,10 @@ class KochenSpecker2(HiddenVariableModel):
     def outcome_labels(self, ctx: ModelContext) -> tuple[str, ...]:
         return self.LABELS
 
-    def born_reference(self, ctx: ModelContext) -> dict[str, float]:
+    def born_weights(self, ctx: ModelContext) -> np.ndarray:
         a, b = self._axes(ctx)
         d = float(np.clip(a @ b, -1.0, 1.0))
-        return {"+b": (1.0 + d) / 2.0, "-b": (1.0 - d) / 2.0}
+        return np.array([(1.0 + d) / 2.0, (1.0 - d) / 2.0])
 
     def random_context(self, rng: np.random.Generator, dim: int = 2) -> ModelContext:
         return self.context(random_bloch(rng), random_bloch(rng))

@@ -34,6 +34,19 @@ def singlet_expectation_sum(a: np.ndarray, b: np.ndarray) -> float:
     return sum(i * j * singlet_prob(a, b, i, j) for i in (+1, -1) for j in (+1, -1))
 
 
+def singlet_born_weights(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(1 - i j a.b)/4 clamped to [0, 1] for (i, j) = ++, +-, -+, --, a.b summed left to right."""
+    d = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    pairs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    return np.array([float(min(1.0, max(0.0, (1.0 - i * j * d) / 4.0))) for i, j in pairs])
+
+
+def ks2_born_weights(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(1 + d)/2 and (1 - d)/2 for d = a.b clipped to [-1, 1]."""
+    d = float(np.clip(a @ b, -1.0, 1.0))
+    return np.array([(1.0 + d) / 2.0, (1.0 - d) / 2.0])
+
+
 def born_trace(rho: np.ndarray, effect: np.ndarray) -> float:
     return float(np.trace(rho @ effect).real)
 

@@ -158,6 +158,12 @@ class TestDegreeOfEpistemicity:
         with pytest.raises(ValueError):
             analysis.degree_of_epistemicity(model, ONE, ZERO, Z_BASIS)
 
+    @pytest.mark.parametrize("method", ["montecarlo", "analytic", "Auto", ""])
+    def test_unknown_method_is_refused(self, method):
+        model = create_model("gbrans")
+        with pytest.raises(ValueError, match="'auto' or 'monte-carlo'"):
+            analysis.degree_of_epistemicity(model, PLUS, ZERO, Z_BASIS, method=method)
+
     def test_report_serializes(self):
         model = create_model("gbrans")
         rep = analysis.degree_of_epistemicity(model, PLUS, ZERO, Z_BASIS)

@@ -176,21 +176,63 @@ def _born_contexts(name: str):
 
 
 class TestBornReferenceHasOneHome:
-    """Every model measured with a Povm takes its Born reference from
+    """Every model measured with a Povm takes its Born weights from
     quantum.born_probability, bit for bit, rather than from its own ontic model."""
 
     @pytest.mark.parametrize("name", ["gbrans", "interval", "ks1", "bellmermin"])
     def test_reference_is_born_probability(self, name):
         model = create_model(name)
         for ctx in _born_contexts(name):
-            ref = model.born_reference(ctx)
-            assert list(ref) == list(model.outcome_labels(ctx))
-            assert list(ref.values()) == born_probability(ctx.preparation, ctx.measurement).tolist()
+            ref = model.born_weights(ctx)
+            assert ref.shape == (len(model.outcome_labels(ctx)),)
+            assert ref.tolist() == born_probability(ctx.preparation, ctx.measurement).tolist()
 
     def test_interval_reference_is_not_read_from_its_bins(self):
         interval, gbrans = create_model("interval"), create_model("gbrans")
         for ctx in _born_contexts("interval"):
-            assert interval.born_reference(ctx) == gbrans.born_reference(ctx)
+            assert interval.born_weights(ctx).tolist() == gbrans.born_weights(ctx).tolist()
+
+
+def _axis_pairs(rng: np.random.Generator):
+    """(a, b) Bloch axis pairs: random, parallel, antiparallel and orthogonal, four of each."""
+    for _ in range(4):
+        a, b = random_bloch(rng), random_bloch(rng)
+        across = np.cross(a.as_array(), b.as_array())
+        yield from ((a, b), (a, a), (a, -a), (a, BlochVector.normalized(*across)))
+
+
+class TestBornWeights:
+    """Each model's born_weights is a distribution over its outcome labels; the
+    singlet models' and ks2's are the closed forms they state, bit for bit."""
+
+    @staticmethod
+    def contexts(model):
+        rng = stream(133)
+        dims = (2, 3, 4) if model.any_dimension else (2,)
+        yield from (model.random_context(rng, dim=dim) for dim in dims for _ in range(8))
+        if model.name in ("brans", "hall"):
+            yield from (singlet_context(a, b) for a, b in _axis_pairs(rng))
+        elif model.name == "ks2":
+            yield from (KochenSpecker2.context(a, b) for a, b in _axis_pairs(rng))
+
+    def test_one_distribution_per_outcome_label(self, any_model):
+        for ctx in self.contexts(any_model):
+            w = any_model.born_weights(ctx)
+            assert w.shape == (len(any_model.outcome_labels(ctx)),)
+            assert np.all(w >= 0.0)
+            assert abs(w.sum() - 1.0) <= TOL.arithmetic
+
+    @pytest.mark.parametrize("name", ["brans", "hall", "ks2"])
+    def test_axis_models_state_their_closed_form(self, name):
+        model = create_model(name)
+        for ctx in self.contexts(model):
+            if name == "ks2":
+                a, b = bloch_from_ket(ctx.preparation).as_array(), ctx.measurement.as_array()
+                want = oracles.ks2_born_weights(a, b)
+            else:
+                a, b = ctx.measurement.alice.as_array(), ctx.measurement.bob.as_array()
+                want = oracles.singlet_born_weights(a, b)
+            assert model.born_weights(ctx).tobytes() == want.tobytes()
 
 
 def test_json_form_writes_fields_in_order_and_bloch_vectors_as_lists():
@@ -329,10 +371,7 @@ class TestNormalization:
         model = create_model(name)
         for trial in range(100):
             ctx = model.random_context(stream(211, trial), dim=2 + trial % 3)
-            if name == "gbrans":
-                total = model.density_arrays({"j": np.arange(len(ctx.measurement))}, ctx).sum()
-            else:
-                total = model.density_arrays({"idx": np.arange(4)}, ctx).sum()
+            total = model.density_arrays({"j": np.arange(len(model.outcome_labels(ctx)))}, ctx).sum()
             assert total == pytest.approx(1.0, abs=TOL.structural)
 
     def test_interval_density_integrates_to_one(self):
@@ -468,6 +507,20 @@ class TestSamplerMatchesDensity:
 # ---------------------------------------------------------------------------
 # Per-model identities
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["brans", "gbrans"])
+def test_outcome_index_out_of_range_raises(name):
+    # a negative index must not wrap to the last outcome's weight
+    model = create_model(name)
+    for trial in range(6):
+        ctx = model.random_context(stream(127, trial), dim=2 + trial % 3)
+        count = len(model.outcome_labels(ctx))
+        for j in (-1, count):
+            for call in (model.density_arrays, model.in_support_arrays):
+                for rows in ([j], [0, j]):
+                    with pytest.raises(IndexError):
+                        call({"j": np.array(rows)}, ctx)
 
 
 class TestGeneralizedBrans:
@@ -655,7 +708,7 @@ class TestKochenSpecker2:
 
     def test_aligned_axes_deterministic(self):
         ctx = KochenSpecker2.context(Z_AXIS, Z_AXIS)
-        assert self.model.born_reference(ctx)["+b"] == 1.0
+        assert self.model.born_weights(ctx)[0] == 1.0
         rep = run_experiment(self.model, ctx, 1000, seed=3)
         assert rep.counts["+b"] == 1000
 
@@ -711,7 +764,7 @@ class TestBransSinglet:
         ctx = singlet_context(Z_AXIS, DEG60)
         arrays = self.model.sample_arrays(ctx, 50, stream(53))
         got = [JOINT_LABELS[k] for k in self.model.outcome_index_arrays(arrays, ctx)]
-        tags = [OUTCOME_PAIRS[k] for k in arrays["idx"]]
+        tags = [OUTCOME_PAIRS[k] for k in arrays["j"]]
         assert got == [("+" if i > 0 else "-") + ("+" if j > 0 else "-") for i, j in tags]
 
 
@@ -901,20 +954,23 @@ class TestCells:
             mass, _ = self.masses(model, ctx, model.basis_context(M.kets[0], M))
             assert abs(mass - abs(np.vdot(M.kets[0].amplitudes, psi.amplitudes)) ** 2) <= 1e-12
 
-    @pytest.mark.parametrize("name", ["ks1", "ks2", "interval"])
+    @pytest.mark.parametrize("name", ["ks1", "ks2", "interval", "brans", "gbrans"])
     def test_cells_give_both_contexts_their_born_weights_across_measurements(self, name):
         """Each context's density and response are fixed or affine on every cell, so the
         cells integrate each context's density over each outcome to its Born weight, also
-        for two random contexts that differ in measurement."""
+        for two random contexts that differ in measurement (with one outcome count)."""
         model = create_model(name)
         rng = stream(949)
         for _ in range(50):
             ctx_a, ctx_b = model.random_context(rng), model.random_context(rng)
+            count = len(model.outcome_labels(ctx_a))
+            while len(model.outcome_labels(ctx_b)) != count:  # gbrans mixes d- and (d+1)-outcome POVMs
+                ctx_b = model.random_context(rng)
             points, widths = model.cells(ctx_a, ctx_b)
             for ctx in (ctx_a, ctx_b):
                 weights = model.density_arrays(points, ctx) * widths
-                masses = np.bincount(model.outcome_index_arrays(points, ctx), weights, minlength=2)
-                assert np.abs(masses - list(model.born_reference(ctx).values())).max() <= 1e-12
+                masses = np.bincount(model.outcome_index_arrays(points, ctx), weights, minlength=count)
+                assert np.abs(masses - model.born_weights(ctx)).max() <= 1e-12
 
     def test_hall_tv_through_the_cells_of_its_three_axes(self):
         model = create_model("hall")
