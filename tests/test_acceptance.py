@@ -227,11 +227,12 @@ def test_criterion_09_cross_correlation_dichotomy():
     both particles at the pinned axes a = z, b at 60 deg vs b' = x."""
     brans = create_model("brans")
     hall = create_model("hall")
-    # At a = b = z vs b' = x the Hall density (1/4pi)(1 + c s)/(1 + t s) is
-    # uniform in both contexts (|a.b| = 1 is the uniform limit; c = a.b' = 0
-    # and t = 1 - 2 phi/pi = 0 make both branch values 1), so its TV is 0
-    # there.  With b at 60 deg the two densities, in units of 1/4pi, differ
-    # by 1/8 on a lune of area fraction 2/3 and by 1/4 on the rest:
+    # At a = b = z vs b' = x the Hall density, sin^2(x/2)/(4x) on a lune of
+    # angle x, is uniform in both contexts (parallel axes leave two lunes of
+    # angle 0 and two of angle pi; orthogonal ones give four lunes of angle
+    # pi/2), so its TV is 0 there.  With b at 60 deg the two densities, in
+    # units of 1/4pi, differ by 1/8 on a lune of area fraction 2/3 and by 1/4
+    # on the rest:
     # TV = (1/2)[(2/3)(1/8) + (1/3)(1/4)] = 1/12.
     tv_brans = max(
         analysis.setting_marginal_dependence(brans, particle, Z_AXIS, b, X_AXIS).tv_distance

@@ -12,6 +12,7 @@ from conftest import cell_contexts, orthogonal_pair_contexts, turned
 from mdhv.constants import TOL
 from mdhv import analysis
 from mdhv.models import ModelContext, create_model, json_form, singlet_context, stream
+from mdhv.models import hall as hall_model
 from mdhv.models.gbrans import GeneralizedBrans
 from mdhv.quantum import (
     BlochVector,
@@ -236,19 +237,30 @@ class TestClosedFormSupportMass:
         assert method == "monte-carlo" and err > 0.0
 
     def test_hall_density_clears_the_support_threshold_next_to_parallel_axes(self):
-        """Hall's support mass is 1.0 because its density never falls to TOL.support.
-        It is uniform at |a.b| = 1 and smallest at a.b = +-nextafter(1, 0), theta =
-        1.49e-8 rad from the axis, where the shrinking branch is theta/16 = 9.31e-10."""
-        model = create_model("hall")
+        """Hall's support mass is 1.0 because its density never falls to TOL.support
+        on a lune of positive angle.  The smallest such density is at a.b =
+        +-nextafter(1, 0), theta = 1.49e-8 rad from the axis: theta/16 = 9.31e-10."""
         c = np.nextafter(1.0, 0.0)
         for sign in (1.0, -1.0):
             b = BlochVector(np.sqrt(1.0 - c * c), 0.0, sign * c)
-            ctx = singlet_context(Z_AXIS, b)
-            g_plus, g_minus, degenerate = model._branch_values(ctx)
-            assert not degenerate
-            smallest = min(g_plus, g_minus) / (4.0 * np.pi)
+            smallest = hall_model._lune_density(singlet_context(Z_AXIS, b)).min()
             assert smallest == pytest.approx(9.31e-10, rel=1e-3)
             assert smallest > TOL.support
+
+    def test_hall_density_clears_the_support_threshold_where_the_dot_rounds_to_one(self):
+        """At b 1e-8 rad from a = z, a.b rounds to 1.0 while |a x b| = 1e-8.  A law
+        read from (1 - x y a.b)/4 would put nothing on the lunes of ++ and --;
+        their density is theta/16 = 6.25e-10, so the support stays the whole sphere."""
+        model = create_model("hall")
+        b = BlochVector.normalized(1e-8, 0.0, 1.0)
+        assert Z_AXIS.dot(b) == 1.0
+        ctx = singlet_context(Z_AXIS, b)
+        # one point inside each lune: ++ and -- lie between the two circles
+        lam = np.array([[-1.0, 0.0, 1e-9], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, -1e-9]])
+        arrays = {"vec": lam / np.linalg.norm(lam, axis=1, keepdims=True)}
+        assert model.outcome_index_arrays(arrays, ctx).tolist() == [0, 1, 2, 3]
+        density = model.density_arrays(arrays, ctx)
+        assert (density > TOL.support).all()
 
     def test_gbrans_weights_at_or_below_the_support_threshold_add_nothing(self):
         """psi, 1e-7 rad from the first basis ket, has a Born weight of about 1e-14 on

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import STATE_MODEL_NAMES, cell_contexts, orthogonal_pair_contexts
@@ -768,6 +770,28 @@ class TestBransSinglet:
         assert got == [("+" if i > 0 else "-") + ("+" if j > 0 else "-") for i, j in tags]
 
 
+@st.composite
+def hall_edge_axes(draw):
+    """(a, b, axis_aligned): signed-zero axis vectors, or b 10^-k rad (k = 1..9)
+    from parallel, antiparallel or orthogonal to a random a, tilted in a random direction."""
+    if draw(st.booleans()):
+        rows = _axis_rows()
+        a, b = (rows[draw(st.integers(0, len(rows) - 1))] for _ in range(2))
+        return BlochVector(*a), BlochVector(*b), True
+    kind = draw(st.sampled_from(["parallel", "antiparallel", "orthogonal"]))
+    theta = 10.0 ** -draw(st.integers(1, 9))
+    rng = stream(draw(st.integers(0, 10_000)))
+    a = random_bloch(rng).as_array()
+    w = rng.normal(size=3)
+    w -= (w @ a) * a
+    w /= np.linalg.norm(w)
+    if kind == "orthogonal":
+        b = np.cos(theta) * w + draw(st.sampled_from([1.0, -1.0])) * np.sin(theta) * a
+    else:
+        b = np.sin(theta) * w + (np.cos(theta) if kind == "parallel" else -np.cos(theta)) * a
+    return BlochVector(*a), BlochVector.normalized(*b), False
+
+
 class TestHallSinglet:
     def setup_method(self):
         self.model = create_model("hall")
@@ -799,17 +823,34 @@ class TestHallSinglet:
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["parallel", "antiparallel"])
     def test_axes_near_parallel_are_not_the_uniform_limit(self, sign, theta):
         b = BlochVector(sign * np.sin(theta), 0.0, sign * np.cos(theta))
-        g_plus, g_minus, degenerate = self.model._branch_values(singlet_context(Z_AXIS, b))
-        assert not degenerate
-        # the branch on the lune between the circles shrinks to about |theta| pi / 4
-        assert min(g_plus, g_minus) == pytest.approx(abs(theta) * np.pi / 4.0, rel=1e-4)
+        # the density * 4pi on the lunes between the circles shrinks to about |theta| pi / 4
+        smallest = hall_model._lune_density(singlet_context(Z_AXIS, b)).min() * 4.0 * np.pi
+        assert smallest > 0.0
+        assert smallest == pytest.approx(abs(theta) * np.pi / 4.0, rel=1e-4)
 
     def test_only_exactly_parallel_axes_are_the_uniform_limit(self):
-        for b in (Z_AXIS, BlochVector(0.0, 0.0, -1.0)):
-            assert self.model._branch_values(singlet_context(Z_AXIS, b)) == (1.0, 1.0, True)
+        # the lunes of angle pi carry the uniform density, the two of angle 0 nothing
+        uniform = 1.0 / (4.0 * np.pi)
+        cases = ((Z_AXIS, [0.0, uniform, uniform, 0.0]), (-Z_AXIS, [uniform, 0.0, 0.0, uniform]))
+        for b, want in cases:
+            assert hall_model._lune_density(singlet_context(Z_AXIS, b)).tolist() == want
+
+    @given(hall_edge_axes())
+    @settings(max_examples=300, deadline=None)
+    def test_lune_densities_at_the_structural_edges(self, axes):
+        a, b, axis_aligned = axes
+        table = hall_model._lune_density(singlet_context(a, b))
+        theta = np.arctan2(np.linalg.norm(np.cross(a.as_array(), b.as_array())), a.dot(b))
+        angles = np.array([theta, np.pi - theta, np.pi - theta, theta])
+        assert np.isfinite(table).all() and (table >= 0.0).all()
+        assert (table[angles > 0.0] > TOL.support).all()
+        # each lune of angle x has area 2x, and the four hold the whole singlet weight
+        assert abs(table @ (2.0 * angles) - 1.0) <= 1e-15
+        if axis_aligned and a.dot(b) == 0.0:
+            assert table.tolist() == [1.0 / (4.0 * np.pi)] * 4
 
     def test_marginal_depends_on_both_settings(self):
-        # generic geometry: the s = -1 lune carries a different value
+        # generic geometry: the thin lune between the circles carries a different value
         ctx = singlet_context(Z_AXIS, DEG60)
         inside = np.array([[np.sin(2.0), 0.0, np.cos(2.0)]])  # between the great circles
         outside = np.array([[0.0, 0.0, 1.0]])
@@ -829,17 +870,15 @@ class TestHallSinglet:
     )
     def test_sign_at_zero_reads_plus(self, a, b, want_index):
         # outcome index 2*(A < 0) + (B < 0), A = sign(lam.a), B = sign(-lam.b), sign(0) = +1;
-        # s = sign(lam.a) sign(lam.b) is -1 only for lam = -x, whose other dot is -0.6
+        # only lam = -x, whose other dot is -0.6, lies on the thin lune of ++ or --
         ctx = singlet_context(BlochVector(*a), BlochVector(*b))
         lam = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
         assert self.model.outcome_index_arrays({"vec": lam}, ctx).tolist() == want_index
-        want_same = [True, False, True, True]
-        # the branch the rejection weight and the marginal both read
-        assert hall_model._same_sign(lam, np.array(a), np.array(b)).tolist() == want_same
-        g_plus, g_minus, degenerate = self.model._branch_values(ctx)
-        assert not degenerate and g_plus != g_minus
-        want = np.where(want_same, g_plus, g_minus) / (4.0 * np.pi)
-        assert self.model.density_arrays({"vec": lam}, ctx).tolist() == want.tolist()
+        # the lune the rejection weight and the marginal both read
+        assert hall_model._outcome(lam, np.array(a), np.array(b)).tolist() == want_index
+        table = hall_model._lune_density(ctx)
+        assert table[0] != table[1]
+        assert self.model.density_arrays({"vec": lam}, ctx).tolist() == table[want_index].tolist()
 
 
 class TestBellMermin:
@@ -993,19 +1032,48 @@ class TestCells:
 
     def test_hall_joint_masses_through_the_cells_of_its_two_axes_are_the_born_weights(self):
         """Both signs, and so the joint outcome, are fixed on each cell of the two
-        circles, so the cells integrate hall's law to (1 - x y a.b)/4 exactly.
-        Axes a few ulp from parallel are left out: see ROADMAP item 16."""
+        circles, so the cells integrate hall's law to its Born weights exactly,
+        also 1e-7 rad from parallel and antiparallel axes.  Below that, the cells
+        themselves become slivers too thin to read back their outcome."""
         model = create_model("hall")
-        xy = np.array([1, -1, -1, 1])  # outcome index 2 [A = -1] + [B = -1]
         rng = stream(951)
-        pairs = [(Z_AXIS, Z_AXIS), (Z_AXIS, BlochVector(0, 0, -1)), (Z_AXIS, X_AXIS)]
+        pairs = [(Z_AXIS, Z_AXIS), (Z_AXIS, -Z_AXIS), (Z_AXIS, X_AXIS)]
         pairs += [(random_bloch(rng), random_bloch(rng)) for _ in range(50)]
+        for k in range(1, 8):
+            theta = 10.0**-k
+            for tilt in (1.0, -1.0):  # toward +x and toward -x
+                for cz in (np.cos(theta), -np.cos(theta)):
+                    pairs.append((Z_AXIS, BlochVector.normalized(tilt * np.sin(theta), 0.0, cz)))
         for a, b in pairs:
             area, mean = great_circle_cells([a.as_array(), b.as_array()])
             arrays, ctx = {"vec": mean}, singlet_context(a, b)
             weights = model.density_arrays(arrays, ctx) * area
             masses = np.bincount(model.outcome_index_arrays(arrays, ctx), weights, minlength=4)
-            assert np.abs(masses - (1 - xy * a.dot(b)) / 4).max() <= 1e-12
+            assert np.abs(masses - model.born_weights(ctx)).max() <= 1e-12, (a, b)
+
+    def test_hall_chsh_value_through_the_cells_of_its_four_axes_is_tsirelsons_bound(self):
+        """E(a, b) = sum of area * A(lam) B(lam) * rho over the cells of the four
+        circles, on each of which every response is fixed; at the CHSH axes the
+        four correlations reach |S| = 2 sqrt 2."""
+        model = create_model("hall")
+        xy = np.array([1, -1, -1, 1])  # A B at outcome index 2 [A = -1] + [B = -1]
+        s2 = 1.0 / np.sqrt(2.0)
+        axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [s2, 0.0, s2], [-s2, 0.0, s2]])
+        rng = stream(953)
+        orthogonal = [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(20)]
+        rotations = [np.eye(3)] + [q * np.sign(np.linalg.det(q)) for q in orthogonal]
+        for rotation in rotations:
+            a, a2, b, b2 = (BlochVector.normalized(*row) for row in axes @ rotation.T)
+            area, mean = great_circle_cells([v.as_array() for v in (a, a2, b, b2)])
+            arrays = {"vec": mean}
+
+            def correlation(x, y):
+                ctx = singlet_context(x, y)
+                ab = xy[model.outcome_index_arrays(arrays, ctx)]
+                return float(area @ (ab * model.density_arrays(arrays, ctx)))
+
+            chsh = correlation(a, b) + correlation(a, b2) + correlation(a2, b) - correlation(a2, b2)
+            assert abs(abs(chsh) - 2.0 * np.sqrt(2.0)) <= 1e-12
 
 def _random_unit_rows(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rng.normal(size=(n, 3))

@@ -83,7 +83,7 @@ RUNS = {
     ),
     "audit-marginal-hall": (
         ["audit", "marginal", "hall", "--bob", "60,0", "--samples", "20000", "--seed", "7"],
-        "64e48fc762c77a5c469f3477325cc2e351db8eafe5917c1b97cde32da72cc3eb",
+        "0e678c91c8277297df9e656361c50ec8a4c74431cc9981e6bb567609ef7e3007",
     ),
     # the JSON form of every report type, in table and json output
     "info": (
@@ -216,11 +216,11 @@ CLAIMS = {
     ),
     "audit marginal hall --alice 0,0 --bob 60,0 --bob2 90,0 --seed 1": (
         _hall_tv,
-        "2f5abe03bed954b7548b35d036cd4cb9459f55fc4fbb55af8edae6f184202dfe",
+        "fa3328a351f7bd1521b040306266ab7cd348c6a226edd09de1168e6c363e2a83",
     ),
     "audit marginal hall --alice 0,0 --bob 60,0 --bob2 90,0 --particle 2 --seed 1": (
         _hall_tv,
-        "2f8f819a62b888f7c62c57b6e31fa0ef9c3d47c668cbca1f65e9f2755ec5084d",
+        "bc8cabcf500687f28b333f9d654f0ebdba031a84abc28ffd5c9abfc8e7a2659b",
     ),
     "audit marginal brans --alice 0,0 --bob 60,0 --bob2 90,0 --seed 1": (
         lambda doc: doc["marginal"]["tv_distance"] == 0.0,
