@@ -22,8 +22,9 @@ from . import analysis, channel
 from .constants import TOL
 from .models import (
     MODEL_REGISTRY,
+    AxisPair,
     OnticKind,
-    SingletModel,
+    SingletFlag,
     create_model,
     json_form,
     run_experiment,
@@ -178,7 +179,7 @@ def cmd_verify(args) -> int:
         ctx = model.random_context(stream(args.seed, 10_000 + trial), dim=args.dim)
         report = run_experiment(model, ctx, args.shots, args.seed + trial, threads=args.threads)
         corr = None
-        if isinstance(model, SingletModel):
+        if isinstance(ctx.measurement, AxisPair):
             corr = singlet_correlation(report.estimates)
             corr_expected = singlet_expectation(ctx.measurement.alice, ctx.measurement.bob)
         for label in model.outcome_labels(ctx):
@@ -348,7 +349,7 @@ def _add_common(p: argparse.ArgumentParser, func, formats=("table", "json")) -> 
 
 
 def _is_singlet(cls) -> bool:
-    return issubclass(cls, SingletModel)
+    return SingletFlag in cls.preparations
 
 
 @functools.cache
@@ -398,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("reciprocity", audit_reciprocity, "does a state's ensemble sit in its outcome's core"),
     ):
         p = checks.add_parser(check, help=summary)
-        _add_model(p, lambda cls: not _is_singlet(cls))
+        _add_model(p, lambda cls: StateVector in cls.preparations)
         p.add_argument("--dim", type=_int_at_least(2), default=2)
         _add_common(p, _audit(func))
     for check, flag, default, func, summary in (

@@ -191,24 +191,44 @@ def rejection_sample(
 class HiddenVariableModel(ABC):
     """Behavioral contract shared by all models in the registry.
 
-    Subclasses declare `name` and `ontic_kind` (an OnticKind), set
-    `any_dimension` (contexts in every Hilbert-space dimension, not only
-    qubits) where it holds, and implement the array-level operations.
-    Densities are always stated with respect to the reference measure of
-    the ontic kind.  `born_weights` is the model's one Born law: the exact
-    outcome distribution that `verify` gates against and that samplers and
-    bins read.
+    Subclasses declare `name`, `ontic_kind` (an OnticKind) and the context
+    classes they are conditioned on: `preparations` and `measurements`, each
+    a tuple of classes.  They set `any_dimension` (contexts in every
+    Hilbert-space dimension, not only qubits) where it holds, and implement
+    the array-level operations.  `validate_context` is the one check of a
+    context against these declarations.  Densities are always stated with
+    respect to the reference measure of the ontic kind.  `born_weights` is
+    the model's one Born law: the exact outcome distribution that `verify`
+    gates against and that samplers and bins read.
     """
 
     name: str = ""
     ontic_kind: OnticKind
+    preparations: tuple[type, ...]
+    measurements: tuple[type, ...]
     any_dimension: bool = False
 
     # -- context handling ---------------------------------------------------
 
-    @abstractmethod
     def validate_context(self, ctx: ModelContext) -> None:
-        """Raise TypeError/ValueError if the context is malformed for this model."""
+        """Raise TypeError unless the preparation is one of `preparations` and the
+        measurement one of `measurements`, both of dimension 2 unless `any_dimension`
+        (a class without `dim` is a qubit's), and ValueError if the two dimensions differ.
+        """
+        prep, meas = ctx.preparation, ctx.measurement
+        d_prep, d_meas = getattr(prep, "dim", 2), getattr(meas, "dim", 2)
+        if not (
+            isinstance(prep, self.preparations)
+            and isinstance(meas, self.measurements)
+            and (self.any_dimension or d_prep == d_meas == 2)
+        ):
+            raise TypeError(
+                f"model {self.name!r} takes {_one_of(self.preparations)} x {_one_of(self.measurements)} "
+                f"contexts{'' if self.any_dimension else ' of dimension 2'}, "
+                f"got {type(prep).__name__} (dim {d_prep}) x {type(meas).__name__} (dim {d_meas})"
+            )
+        if d_prep != d_meas:
+            raise ValueError(f"model {self.name!r}: preparation dim {d_prep} != measurement dim {d_meas}")
 
     def outcome_labels(self, ctx: ModelContext) -> tuple[str, ...]:
         """Outcome labels, in a fixed order shared with born_weights."""
@@ -220,9 +240,10 @@ class HiddenVariableModel(ABC):
         whose measurement is not a Povm states its own."""
         return born_probability(ctx.preparation, ctx.measurement)
 
-    @abstractmethod
     def random_context(self, rng: np.random.Generator, dim: int = 2) -> ModelContext:
-        """A random context of the shape this model accepts (dim where meaningful)."""
+        """A random context of the shape this model accepts: by default a random state
+        measured in a random projective basis, both of dimension dim."""
+        return ModelContext(random_state(dim, rng), random_basis(dim, rng))
 
     def basis_context(self, state: StateVector, M: ProjectiveBasis) -> ModelContext:
         """Context for a pure state measured in a projective basis."""
@@ -285,6 +306,10 @@ class HiddenVariableModel(ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+def _one_of(classes: tuple[type, ...]) -> str:
+    return "|".join(cls.__name__ for cls in classes)
+
+
 def _cell_mass(model: HiddenVariableModel, ctx: ModelContext, cells: tuple, weigh) -> float:
     """Sum of width * p * weigh(points) over `cells`, p being ctx's density at the cell points.
 
@@ -331,15 +356,8 @@ class QubitBasisModel(HiddenVariableModel):
     """
 
     ontic_kind = OnticKind.LABELED_SPHERE
-
-    def validate_context(self, ctx: ModelContext) -> None:
-        if not isinstance(ctx.preparation, StateVector) or ctx.preparation.dim != 2:
-            raise TypeError("preparation must be a qubit StateVector")
-        if not isinstance(ctx.measurement, ProjectiveBasis) or ctx.measurement.dim != 2:
-            raise TypeError("measurement must be a qubit ProjectiveBasis")
-
-    def random_context(self, rng: np.random.Generator, dim: int = 2) -> ModelContext:
-        return ModelContext(random_state(2, rng), random_basis(2, rng))
+    preparations = (StateVector,)
+    measurements = (ProjectiveBasis,)
 
     def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         return np.asarray(arrays["label"], dtype=int)
@@ -370,11 +388,8 @@ class SingletModel(HiddenVariableModel):
     labels as outcomes.  Subclasses supply the ontic space and its marginals.
     """
 
-    def validate_context(self, ctx: ModelContext) -> None:
-        if not isinstance(ctx.preparation, SingletFlag):
-            raise TypeError("preparation must be the singlet flag")
-        if not isinstance(ctx.measurement, AxisPair):
-            raise TypeError("measurement must be an AxisPair of Bloch axes")
+    preparations = (SingletFlag,)
+    measurements = (AxisPair,)
 
     def outcome_labels(self, ctx: ModelContext) -> tuple[str, ...]:
         return JOINT_LABELS

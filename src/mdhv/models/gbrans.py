@@ -17,15 +17,9 @@ from .base import ModelContext, OnticKind, OutcomeIndexModel
 class GeneralizedBrans(OutcomeIndexModel):
     name = "gbrans"
     ontic_kind = OnticKind.DISCRETE_INDEX
+    preparations = (StateVector, DensityMatrix)
+    measurements = (Povm,)
     any_dimension = True
-
-    def validate_context(self, ctx: ModelContext) -> None:
-        if not isinstance(ctx.preparation, (StateVector, DensityMatrix)):
-            raise TypeError("preparation must be a StateVector or DensityMatrix")
-        if not isinstance(ctx.measurement, Povm):
-            raise TypeError("measurement must be a Povm")
-        if ctx.preparation.dim != ctx.measurement.dim:
-            raise ValueError("preparation and measurement dimensions differ")
 
     def random_context(self, rng: np.random.Generator, dim: int = 2) -> ModelContext:
         prep = random_state(dim, rng)

@@ -11,22 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..quantum import ProjectiveBasis, StateVector, random_basis, random_state
+from ..quantum import ProjectiveBasis, StateVector
 from .base import HiddenVariableModel, ModelContext, OnticKind, categorical
 
 
 class IntervalModel(HiddenVariableModel):
     name = "interval"
     ontic_kind = OnticKind.INTERVAL
+    preparations = (StateVector,)
+    measurements = (ProjectiveBasis,)
     any_dimension = True
-
-    def validate_context(self, ctx: ModelContext) -> None:
-        if not isinstance(ctx.preparation, StateVector):
-            raise TypeError("preparation must be a StateVector")
-        if not isinstance(ctx.measurement, ProjectiveBasis):
-            raise TypeError("measurement must be a ProjectiveBasis")
-        if ctx.preparation.dim != ctx.measurement.dim:
-            raise ValueError("preparation and measurement dimensions differ")
 
     def bin_edges(self, ctx: ModelContext) -> tuple[np.ndarray, np.ndarray]:
         """(x_i amplitudes-magnitudes, cumulative edges [0, c_1, ..., c_n])."""
@@ -43,9 +37,6 @@ class IntervalModel(HiddenVariableModel):
         _, edges_b = self.bin_edges(ctx_b)
         edges = np.unique(np.concatenate([edges_a, edges_b]))
         return {"x": 0.5 * (edges[:-1] + edges[1:])}, np.diff(edges)
-
-    def random_context(self, rng: np.random.Generator, dim: int = 2) -> ModelContext:
-        return ModelContext(random_state(dim, rng), random_basis(dim, rng))
 
     def _bin_of(self, pos: np.ndarray, edges: np.ndarray) -> np.ndarray:
         """Bin of each position: the count of interior edges it lies above.

@@ -144,14 +144,10 @@ class KochenSpecker1(QubitBasisModel):
 class KochenSpecker2(HiddenVariableModel):
     name = "ks2"
     ontic_kind = OnticKind.SPHERE
+    preparations = (StateVector,)
+    measurements = (BlochVector,)
 
     LABELS = ("+b", "-b")
-
-    def validate_context(self, ctx: ModelContext) -> None:
-        if not isinstance(ctx.preparation, StateVector) or ctx.preparation.dim != 2:
-            raise TypeError("preparation must be a qubit StateVector")
-        if not isinstance(ctx.measurement, BlochVector):
-            raise TypeError("measurement must be a single BlochVector axis")
 
     @staticmethod
     def context(a: BlochVector, b: BlochVector) -> ModelContext:

@@ -6,12 +6,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mdhv.models import MODEL_REGISTRY, create_model, stream
-from mdhv.quantum import orthonormal_basis_containing, random_basis, random_state
+from mdhv.models import MODEL_REGISTRY, SingletFlag, create_model, stream
+from mdhv.quantum import StateVector, orthonormal_basis_containing, random_basis, random_state
 
 ALL_MODEL_NAMES = tuple(MODEL_REGISTRY)
-STATE_MODEL_NAMES = ("gbrans", "interval", "ks1", "ks2", "bellmermin")
-BIPARTITE_MODEL_NAMES = ("brans", "hall")
+# read from each model's declared preparations, so a new model joins the suites that fit it
+STATE_MODEL_NAMES = tuple(n for n, cls in MODEL_REGISTRY.items() if StateVector in cls.preparations)
+BIPARTITE_MODEL_NAMES = tuple(n for n, cls in MODEL_REGISTRY.items() if SingletFlag in cls.preparations)
 
 
 @pytest.fixture(params=ALL_MODEL_NAMES)

@@ -30,6 +30,24 @@ def model_choices(*command: str) -> list[str]:
     return sorted(next(a for a in p._actions if a.dest == "model").choices)
 
 
+STATE_MODELS = ["bellmermin", "gbrans", "interval", "ks1", "ks2"]
+COMMAND_MODELS = {
+    "verify": ["bellmermin", "brans", "gbrans", "hall", "interval", "ks1", "ks2"],
+    "scan": ["brans", "hall"],
+    "audit marginal": ["brans", "hall"],
+    "audit epistemicity": STATE_MODELS,
+    "audit randomness": STATE_MODELS,
+    "audit reciprocity": STATE_MODELS,
+    "audit pi": ["gbrans"],
+    "audit compat": ["gbrans"],
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODELS, ids=lambda command: command.replace(" ", "-"))
+def test_each_command_takes_the_models_it_names(command):
+    assert model_choices(*command.split()) == COMMAND_MODELS[command]
+
+
 class TestParsing:
     def test_polar_direction(self):
         v = parse_direction("90,0")

@@ -13,8 +13,11 @@ from mdhv.channel import ChannelTranscript
 from mdhv.constants import TOL
 from mdhv.models import (
     MODEL_REGISTRY,
+    SINGLET,
+    AxisPair,
     ModelContext,
     OnticKind,
+    SingletFlag,
     create_model,
     run_experiment,
     singlet_context,
@@ -33,6 +36,7 @@ from mdhv.models.ks import KochenSpecker2
 from mdhv.quantum import (
     BlochVector,
     DensityMatrix,
+    Povm,
     ProjectiveBasis,
     StateVector,
     bloch_from_ket,
@@ -149,17 +153,77 @@ class TestInterfaceContracts:
 
 
 def test_each_model_declares_its_ontic_kind():
-    # the ontic spaces the README lists; each kind fixes its reference measure
+    # the ontic spaces and context classes the README lists; each kind fixes its reference measure
     expected = {
-        "brans": OnticKind.SETTINGS_OUTCOME_PAIR,
-        "gbrans": OnticKind.DISCRETE_INDEX,
-        "interval": OnticKind.INTERVAL,
-        "ks2": OnticKind.SPHERE,
-        "hall": OnticKind.ANTIPODAL_PAIR,
-        "ks1": OnticKind.LABELED_SPHERE,
-        "bellmermin": OnticKind.LABELED_SPHERE,
+        "brans": (OnticKind.SETTINGS_OUTCOME_PAIR, (SingletFlag,), (AxisPair,)),
+        "gbrans": (OnticKind.DISCRETE_INDEX, (StateVector, DensityMatrix), (Povm,)),
+        "interval": (OnticKind.INTERVAL, (StateVector,), (ProjectiveBasis,)),
+        "ks2": (OnticKind.SPHERE, (StateVector,), (BlochVector,)),
+        "hall": (OnticKind.ANTIPODAL_PAIR, (SingletFlag,), (AxisPair,)),
+        "ks1": (OnticKind.LABELED_SPHERE, (StateVector,), (ProjectiveBasis,)),
+        "bellmermin": (OnticKind.LABELED_SPHERE, (StateVector,), (ProjectiveBasis,)),
     }
-    assert {name: cls.ontic_kind for name, cls in MODEL_REGISTRY.items()} == expected
+    declared = {n: (c.ontic_kind, c.preparations, c.measurements) for n, c in MODEL_REGISTRY.items()}
+    assert declared == expected
+
+
+def _context_shapes() -> list[ModelContext]:
+    """One context of each shape in the columns of CONTEXT_VERDICTS, in order."""
+    rng = stream(141)
+    q_state, d3_state = random_state(2, rng), random_state(3, rng)
+    q_basis, d3_basis = random_basis(2, rng), random_basis(3, rng)
+    d3_mixture = DensityMatrix(0.3 * random_state(3, rng).projector() + 0.7 * d3_state.projector())
+    axis, pair = random_bloch(rng), AxisPair(random_bloch(rng), random_bloch(rng))
+    return [
+        ModelContext(q_state, q_basis),
+        ModelContext(d3_state, d3_basis),
+        ModelContext(q_state, d3_basis),
+        ModelContext(d3_mixture, random_povm(3, 4, rng)),
+        ModelContext(q_state, axis),
+        ModelContext(d3_state, axis),
+        ModelContext(SINGLET, pair),
+        ModelContext(q_state, pair),
+        ModelContext(SINGLET, q_basis),
+    ]
+
+
+# validate_context's verdict on each context shape: ok, T (TypeError) or V (ValueError)
+CONTEXT_VERDICTS = {
+    #              qubit    d3       qubit    d3 mix   qubit    d3       singlet  qubit    singlet
+    #              q basis  d3 basis d3 basis d3 POVM  axis     axis     pair     pair     q basis
+    "brans":      ("T",     "T",     "T",     "T",     "T",     "T",     "ok",    "T",     "T"),
+    "hall":       ("T",     "T",     "T",     "T",     "T",     "T",     "ok",    "T",     "T"),
+    "gbrans":     ("ok",    "ok",    "V",     "ok",    "T",     "T",     "T",     "T",     "T"),
+    "interval":   ("ok",    "ok",    "V",     "T",     "T",     "T",     "T",     "T",     "T"),
+    "ks1":        ("ok",    "T",     "T",     "T",     "T",     "T",     "T",     "T",     "T"),
+    "bellmermin": ("ok",    "T",     "T",     "T",     "T",     "T",     "T",     "T",     "T"),
+    "ks2":        ("T",     "T",     "T",     "T",     "ok",    "T",     "T",     "T",     "T"),
+}
+
+
+def _verdict(model, ctx: ModelContext) -> str:
+    try:
+        model.validate_context(ctx)
+    except TypeError:
+        return "T"
+    except ValueError:
+        return "V"
+    return "ok"
+
+
+@pytest.mark.parametrize("name", CONTEXT_VERDICTS)
+def test_each_model_accepts_exactly_its_declared_contexts(name):
+    model = create_model(name)
+    assert tuple(_verdict(model, ctx) for ctx in _context_shapes()) == CONTEXT_VERDICTS[name]
+
+
+@pytest.mark.parametrize("name", CONTEXT_VERDICTS)
+def test_a_refused_context_names_the_model(name):
+    model = create_model(name)
+    for ctx, verdict in zip(_context_shapes(), CONTEXT_VERDICTS[name]):
+        if verdict != "ok":
+            with pytest.raises((TypeError, ValueError), match=f"model '{name}'"):
+                model.validate_context(ctx)
 
 
 def _born_contexts(name: str):
