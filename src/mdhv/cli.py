@@ -159,11 +159,10 @@ def _emit(args, payload: dict, rows: list[dict] = ()) -> None:
             for key, value in payload.items():
                 out.write(f"{key}: {_dumps(value)}\n")
         sep = "," if csv else "  "
-        if rows:
-            keys = list(rows[0])
-            out.write(sep.join(keys) + "\n")
+        if rows:  # every row has the first row's keys, in its order
+            out.write(sep.join(rows[0]) + "\n")
             for row in rows:
-                out.write(sep.join(str(row[k]) for k in keys) + "\n")
+                out.write(sep.join(map(str, row.values())) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +177,13 @@ def cmd_verify(args) -> int:
     for trial in range(args.trials):
         ctx = model.random_context(stream(args.seed, 10_000 + trial), dim=args.dim)
         report = run_experiment(model, ctx, args.shots, args.seed + trial, threads=args.threads)
-        corr = None
+        corr = {}
         if isinstance(ctx.measurement, AxisPair):
-            corr = singlet_correlation(report.estimates)
             corr_expected = singlet_expectation(ctx.measurement.alice, ctx.measurement.bob)
+            corr = {
+                "corr_est": f"{singlet_correlation(report.estimates):.9f}",
+                "corr_expected": f"{corr_expected:.9f}",
+            }
         for label in model.outcome_labels(ctx):
             p = report.born_reference[label]
             gate = 5.0 * math.sqrt(p * (1.0 - p) / args.shots)
@@ -196,10 +198,8 @@ def cmd_verify(args) -> int:
                 "abs_error": f"{delta:.9f}",
                 "gate_5se": f"{gate:.9f}",
                 "ok": int(ok),
+                **corr,
             }
-            if corr is not None:
-                row["corr_est"] = f"{corr:.9f}"
-                row["corr_expected"] = f"{corr_expected:.9f}"
             rows.append(row)
     _emit(args, {"model": args.model, "all_within_5_stderr": all_ok}, rows)
     return 0 if all_ok else 1

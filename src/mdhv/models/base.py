@@ -34,7 +34,6 @@ from ..quantum import (
     random_basis,
     random_bloch,
     random_state,
-    singlet_outcome_probability,
 )
 from ..sphere import BLOCK_ROWS
 
@@ -82,6 +81,12 @@ class AxisPair:
 
     alice: BlochVector
     bob: BlochVector
+
+    def __post_init__(self):
+        # a BlochVector has unit norm; an array in its place would bypass that check
+        if not (isinstance(self.alice, BlochVector) and isinstance(self.bob, BlochVector)):
+            got = f"{type(self.alice).__name__} and {type(self.bob).__name__}"
+            raise TypeError(f"axis pair takes two BlochVectors, got {got}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,6 +377,7 @@ class QubitBasisModel(HiddenVariableModel):
 
 JOINT_LABELS = ("++", "+-", "-+", "--")
 OUTCOME_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+_SIGN_PRODUCTS = np.array([x * y for x, y in OUTCOME_PAIRS], dtype=float)
 
 
 def singlet_context(a: BlochVector, b: BlochVector) -> ModelContext:
@@ -395,8 +401,9 @@ class SingletModel(HiddenVariableModel):
         return JOINT_LABELS
 
     def born_weights(self, ctx: ModelContext) -> np.ndarray:
-        a, b = ctx.measurement.alice, ctx.measurement.bob
-        return np.array([singlet_outcome_probability(a, b, i, j) for i, j in OUTCOME_PAIRS])
+        """The singlet law (1 - x y a.b)/4 of each joint outcome (x, y), clamped to [0, 1]."""
+        a_dot_b = ctx.measurement.alice.dot(ctx.measurement.bob)
+        return np.clip((1.0 - _SIGN_PRODUCTS * a_dot_b) / 4.0, 0.0, 1.0)
 
     def random_context(self, rng: np.random.Generator, dim: int = 2) -> ModelContext:
         return singlet_context(random_bloch(rng), random_bloch(rng))

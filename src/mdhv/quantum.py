@@ -13,6 +13,7 @@ is only ever judged through |<a|b>|^2, never through a canonical global phase.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,7 +32,6 @@ __all__ = [
     "bloch_from_ket",
     "spin_eigenket",
     "singlet_state",
-    "singlet_outcome_probability",
     "singlet_expectation",
     "orthonormal_basis_containing",
     "random_state",
@@ -86,7 +86,7 @@ class StateVector:
         amp = np.array(amplitudes, dtype=complex).reshape(-1)
         if amp.size < 2:
             raise ValueError("state dimension must be at least 2")
-        norm = np.linalg.norm(amp)
+        norm = math.sqrt(np.vdot(amp, amp).real)
         if not abs(norm - 1.0) <= TOL.structural:
             raise ValueError(f"state vector must be normalized, got norm {norm!r}")
         amp.setflags(write=False)
@@ -154,23 +154,18 @@ class Povm:
                 dim = m.shape[0]
             elif m.shape[0] != dim:
                 raise ValueError("POVM elements must share one dimension")
+            if not np.max(np.abs(m - m.conj().T)) <= TOL.structural:
+                raise ValueError(f"element {label!r} is not Hermitian")
+            if not np.linalg.eigvalsh(m).min() >= -TOL.structural:
+                raise ValueError(f"element {label!r} is not PSD")
             m.setflags(write=False)
             ops.append(m)
-        self._check_elements(labels, ops)
         total = sum(ops)
         if not np.max(np.abs(total - np.eye(dim))) <= TOL.structural:
             raise ValueError("POVM elements must sum to the identity")
         self.dim = dim
         self.labels = labels
         self.operators = tuple(ops)
-
-    def _check_elements(self, labels: tuple[str, ...], ops: list[np.ndarray]) -> None:
-        """Each element is Hermitian and PSD."""
-        for label, m in zip(labels, ops):
-            if not np.max(np.abs(m - m.conj().T)) <= TOL.structural:
-                raise ValueError(f"element {label!r} is not Hermitian")
-            if not np.linalg.eigvalsh(m).min() >= -TOL.structural:
-                raise ValueError(f"element {label!r} is not PSD")
 
     def __len__(self):
         return len(self.labels)
@@ -182,26 +177,44 @@ class Povm:
 class ProjectiveBasis(Povm):
     """POVM of the rank-1 projectors |e_i><e_i| of orthonormal kets, labelled "0".."d-1".
 
-    Keeps the defining kets so callers can work with amplitudes directly.
+    Keeps the defining kets so callers can work with amplitudes directly, and
+    is validated from them.  The projectors are built on the first read of
+    `operators`: only the Born weights of a DensityMatrix need them.
     """
 
-    __slots__ = ("kets",)
+    __slots__ = ("kets", "_operators")
 
     def __init__(self, kets: Sequence[StateVector]):
-        self.kets = tuple(kets)
-        super().__init__([(str(k), ket.projector()) for k, ket in enumerate(self.kets)])
+        """Kets K (as rows) that are orthonormal, max|K K^dagger - I| <= tol, and complete,
+        max|K^T conj(K) - I| <= tol; kets of two dimensions raise ValueError too.
 
-    def _check_elements(self, labels: tuple[str, ...], ops: list[np.ndarray]) -> None:
-        """Orthonormal kets: max|K K^dagger - I| <= tol, the kets K as rows.
-
-        This implies the POVM and projector checks: off-diagonal |<a|b>| bounds
-        max|P_a P_b| = |<a|b>| max|a_i b_j|, the diagonal bounds the idempotence
-        error (|a|^2 - 1) P_a, and a unit ket's outer product is Hermitian and PSD.
-        More than dim kets cannot be orthonormal, and fewer fail completeness.
+        K^T conj(K) is the sum of the projectors, so the second is the POVM's completeness
+        check.  The first implies the POVM's per-element checks: off-diagonal |<a|b>| bounds
+        max|P_a P_b| = |<a|b>| max|a_i b_j|, the diagonal bounds the idempotence error
+        (|a|^2 - 1) P_a, and a unit ket's outer product is Hermitian and PSD.  More than
+        dim kets cannot be orthonormal, and fewer fail completeness.
         """
+        self.kets = tuple(kets)
+        if not self.kets:
+            raise ValueError("POVM needs at least one element")
         k = np.array([ket.amplitudes for ket in self.kets])
         if not np.max(np.abs(k @ k.conj().T - np.eye(len(k)))) <= TOL.structural:
             raise ValueError("projective basis kets must be orthonormal")
+        if not np.max(np.abs(k.T @ k.conj() - np.eye(k.shape[1]))) <= TOL.structural:
+            raise ValueError("POVM elements must sum to the identity")
+        self.dim = k.shape[1]
+        self.labels = tuple(str(i) for i in range(len(k)))
+        self._operators = None
+
+    @property
+    def operators(self) -> tuple[np.ndarray, ...]:
+        """The projectors |e_i><e_i| in label order, read-only, built once."""
+        if self._operators is None:
+            ops = tuple(ket.projector() for ket in self.kets)
+            for m in ops:
+                m.setflags(write=False)
+            self._operators = ops
+        return self._operators
 
 
 def born_probability(prep: DensityMatrix | StateVector, M: Povm) -> np.ndarray:
@@ -249,13 +262,6 @@ def spin_eigenket(axis: BlochVector, outcome: int) -> StateVector:
 def singlet_state() -> StateVector:
     """(|01> - |10>)/sqrt(2)."""
     return StateVector(np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0))
-
-
-def singlet_outcome_probability(a: BlochVector, b: BlochVector, i: int, j: int) -> float:
-    """Probability of joint outcome (i, j) for spin measurements along a and b."""
-    if i not in (+1, -1) or j not in (+1, -1):
-        raise ValueError("outcomes must be +1 or -1")
-    return float(min(1.0, max(0.0, (1.0 - i * j * a.dot(b)) / 4.0)))
 
 
 def singlet_expectation(a: BlochVector, b: BlochVector) -> float:

@@ -155,6 +155,65 @@ class TestScan:
         assert sorted(set(asked)) == [1, 2, 3]
 
 
+def emitted_rows(argv, capsys, monkeypatch) -> tuple[list, list[str]]:
+    """The rows that `argv` hands to the report writer, and its stdout lines."""
+    emitted = []
+    emit = cli._emit
+
+    def spy(args, payload, rows=()):
+        emitted.append(rows)
+        emit(args, payload, rows)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    code, out = run_cli(argv, capsys)
+    assert code == 0, out
+    (rows,) = emitted
+    return list(rows), out.splitlines()
+
+
+ROW_COMMANDS = {
+    "verify-brans": "verify brans --shots 500 --trials 3 --seed 3",
+    "verify-ks1": "verify ks1 --shots 500 --trials 3 --seed 3",
+    # gbrans draws a POVM in some trials and a basis in others, with other labels
+    "verify-gbrans-dim3": "verify gbrans --dim 3 --shots 500 --trials 8 --seed 3",
+    "scan-hall": "scan hall --angles 0,45,90 --shots 500 --seed 3",
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@pytest.mark.parametrize("key", ROW_COMMANDS)
+def test_every_printed_row_has_the_header_keys_in_order(key, fmt, capsys, monkeypatch):
+    # the writer joins each row's values in order under the first row's keys
+    argv = shlex.split(ROW_COMMANDS[key]) + ["--format", fmt]
+    rows, lines = emitted_rows(argv, capsys, monkeypatch)
+    header = list(rows[0])
+    assert [list(row) for row in rows] == [header] * len(rows)
+    sep = "," if fmt == "csv" else "  "
+    printed = lines[-len(rows) - 1 :]
+    assert printed[0].split(sep) == header
+    assert [dict(zip(header, line.split(sep))) for line in printed[1:]] == [
+        {k: str(v) for k, v in row.items()} for row in rows
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "audit epistemicity ks1 --seed 3",
+        "audit randomness gbrans --dim 3 --seed 3",
+        "audit reciprocity ks1 --seed 3",
+        "audit pi gbrans --seed 3",
+        "audit compat gbrans --seed 3",
+        "audit marginal hall --samples 2000 --seed 3",
+    ],
+    ids=lambda argv: "-".join(argv.split()[1:3]),
+)
+def test_audits_print_a_report_and_no_rows(argv, capsys, monkeypatch):
+    rows, lines = emitted_rows(shlex.split(argv), capsys, monkeypatch)
+    assert rows == []
+    assert all(": " in line for line in lines)
+
+
 class TestPrintedErrorBarCoverage:
     """verify's per-row sigma (gate_5se/5) and scan's stderr match the spread
     they claim: over R rows, z = (estimate - exact)/sigma has var(z) inside

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import STATE_MODEL_NAMES, cell_contexts, orthogonal_pair_contexts
+from conftest import BIPARTITE_MODEL_NAMES, STATE_MODEL_NAMES, cell_contexts, orthogonal_pair_contexts
 from mdhv.channel import ChannelTranscript
 from mdhv.constants import TOL
 from mdhv.models import (
@@ -224,6 +224,26 @@ def test_a_refused_context_names_the_model(name):
         if verdict != "ok":
             with pytest.raises((TypeError, ValueError), match=f"model '{name}'"):
                 model.validate_context(ctx)
+
+
+@pytest.mark.parametrize("name", BIPARTITE_MODEL_NAMES)
+@pytest.mark.parametrize(
+    "alice, bob",
+    [
+        # a non-unit axis: brans' Born weights would read [0, 1, 1, 0], which sums to 2
+        (np.array([0, 0, 3.0]), np.array([0, 0, 1.0])),
+        # unit axes, but as arrays that no BlochVector check has seen
+        (np.array([0, 0, 1.0]), np.array([1.0, 0, 0])),
+    ],
+    ids=["non-unit-array", "unit-arrays"],
+)
+def test_an_axis_pair_takes_bloch_vectors_only(name, alice, bob):
+    model = create_model(name)
+    with pytest.raises(TypeError, match="BlochVector"):
+        model.born_weights(ModelContext(SINGLET, AxisPair(alice, bob)))
+    with pytest.raises(TypeError, match="BlochVector"):
+        AxisPair(Z_AXIS, bob)
+    assert model.born_weights(singlet_context(Z_AXIS, X_AXIS)).tolist() == [0.25] * 4
 
 
 def _born_contexts(name: str):

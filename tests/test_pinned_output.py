@@ -130,6 +130,30 @@ RUNS = {
         ["verify", "ks1", "--shots", "2000", "--trials", "2", "--seed", "7", "--format", "json"],
         "5351286036f01bbfd4fc225092214403e260ec84f007d88c276b17097037b8f7",
     ),
+    # many contexts of few shots: fifty random contexts per model, so the basis,
+    # POVM and axis-pair constructions and the row writer run on varied inputs
+    **{
+        f"verify-50-{model}{'' if dim == 2 else f'-dim{dim}'}": (
+            ["verify", model, "--shots", "1000", "--trials", "50", "--seed", "5"]
+            + ([] if dim == 2 else ["--dim", str(dim)]),
+            digest,
+        )
+        for model, dim, digest in (
+            ("bellmermin", 2, "1a2a9da3c6c78f289a8d0479d29ba9fa7c18c55dcda28e1ba1b78778423c6675"),
+            ("brans", 2, "0f5658bf40b8b303937c3ff111b248a22b02cfdbe89e73ecc394add3a973e3c9"),
+            ("gbrans", 2, "b66263bb9fdd89d4d5d2e91f3107b3eca257fe603a8d23d8d760c4806dc98907"),
+            ("hall", 2, "acd7ed0a3ac755b4245a531e93ed1e507c18e75bbcd228334cc797f91d3267da"),
+            ("interval", 2, "392004a876244ead948468ef3cb0fb0e8bc21e0f302e506639ba0dc45c804772"),
+            ("ks1", 2, "fdd83c6e5697cce505bc186cf1eaf7fb09e66ce1259d53bcf2434ae774ed05dc"),
+            ("ks2", 2, "c2559e1ac7bf4be5c5d7896164caa6cc122d885afe68ee3eea11e8040ab9d2f4"),
+            ("gbrans", 4, "f852de72c1496f6637926202717baa12399f9702400e7a87990ebb6363b70e76"),
+            ("interval", 4, "5166bca99d4a30eafddc4bfc8d754db209d3b68c087a60bf069a0e1089c48f2b"),
+        )
+    },
+    "verify-50-brans-csv": (
+        ["verify", "brans", "--shots", "1000", "--trials", "50", "--seed", "5", "--format", "csv"],
+        "ffb92df5e4e46bdf619e81e9848c8305d1bab8c3266400f29550445cad07a88e",
+    ),
     "channel-json": (
         ["channel", "--bob", "60,0", "--accepted", "500", "--seed", "7", "--format", "json"],
         "c55485546bb39b09a33dd9f62311a558eb51996f377fc173cdff9f25ca28fc00",

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 from mdhv.constants import TOL
-from mdhv.models import stream
+from mdhv.models import create_model, singlet_context, stream
+from mdhv.models.base import OUTCOME_PAIRS
 from mdhv.quantum import (
     BlochVector,
     DensityMatrix,
@@ -25,7 +26,6 @@ from mdhv.quantum import (
     random_povm,
     random_state,
     singlet_expectation,
-    singlet_outcome_probability,
     singlet_state,
     spin_eigenket,
 )
@@ -198,17 +198,22 @@ class TestBlochParametrization:
             )
 
 
+def singlet_weights(a: BlochVector, b: BlochVector) -> dict:
+    """The singlet models' Born weights along a and b, keyed by the outcome pair (i, j)."""
+    return dict(zip(OUTCOME_PAIRS, create_model("brans").born_weights(singlet_context(a, b))))
+
+
 class TestSinglet:
     def test_perfect_anticorrelation(self):
         a = random_bloch(stream(1))
-        assert singlet_outcome_probability(a, a, +1, +1) == pytest.approx(0.0, abs=TOL.arithmetic)
+        assert singlet_weights(a, a)[+1, +1] == pytest.approx(0.0, abs=TOL.arithmetic)
         assert singlet_expectation(a, a) == pytest.approx(-1.0, abs=TOL.arithmetic)
 
     def test_orthogonal_axes(self):
         a, b = BlochVector(0, 0, 1), BlochVector(1, 0, 0)
         for i in (+1, -1):
             for j in (+1, -1):
-                assert singlet_outcome_probability(a, b, i, j) == 0.25
+                assert singlet_weights(a, b)[i, j] == 0.25
         assert singlet_expectation(a, b) == 0.0
 
     def test_sixty_degrees(self):
@@ -216,7 +221,7 @@ class TestSinglet:
         b = BlochVector.from_polar(np.pi / 3.0, 0.0)
         oracle = oracles.singlet_prob(a.as_array(), b.as_array(), +1, -1)
         assert oracle == pytest.approx(0.375, abs=TOL.structural)
-        assert singlet_outcome_probability(a, b, +1, -1) == pytest.approx(oracle, abs=TOL.structural)
+        assert singlet_weights(a, b)[+1, -1] == pytest.approx(oracle, abs=TOL.structural)
         assert singlet_expectation(a, b) == pytest.approx(-0.5, abs=TOL.structural)
 
     def test_projector_oracle_over_random_pairs(self):
@@ -231,19 +236,13 @@ class TestSinglet:
         rng = stream(13)
         for _ in range(200):
             a, b = random_bloch(rng), random_bloch(rng)
-            total = sum(
-                i * j * singlet_outcome_probability(a, b, i, j)
-                for i in (+1, -1)
-                for j in (+1, -1)
-            )
+            total = sum(i * j * w for (i, j), w in singlet_weights(a, b).items())
             assert total == pytest.approx(singlet_expectation(a, b), abs=TOL.arithmetic)
 
     def test_outcomes_sum_to_one(self):
         rng = stream(17)
         a, b = random_bloch(rng), random_bloch(rng)
-        total = sum(
-            singlet_outcome_probability(a, b, i, j) for i in (+1, -1) for j in (+1, -1)
-        )
+        total = sum(singlet_weights(a, b).values())
         assert total == pytest.approx(1.0, abs=TOL.arithmetic)
 
     def test_spin_eigenkets_are_eigenstates(self):
@@ -351,6 +350,12 @@ class TestBasisCheck:
             with pytest.raises(ValueError):
                 ProjectiveBasis([StateVector(k) for k in case])
 
+    def test_no_kets_or_kets_of_two_dimensions_are_rejected(self):
+        with pytest.raises(ValueError):
+            ProjectiveBasis([])
+        with pytest.raises(ValueError):
+            ProjectiveBasis([ZERO, StateVector([0, 1, 0])])
+
     def test_building_a_basis_computes_no_eigenvalues(self, monkeypatch):
         calls = []
         eigvalsh = np.linalg.eigvalsh
@@ -362,3 +367,22 @@ class TestBasisCheck:
         assert calls == []
         random_povm(3, 4, rng)  # a general POVM still checks each element's eigenvalues
         assert len(calls) == 4
+
+    def test_a_basis_forms_no_projector_until_one_is_read(self, monkeypatch):
+        calls = []
+        projector = StateVector.projector
+        monkeypatch.setattr(StateVector, "projector", lambda ket: calls.append(ket) or projector(ket))
+        rng = stream(61)
+        bases = []
+        for dim in DIMS:
+            bases += [random_basis(dim, rng), orthonormal_basis_containing(random_state(dim, rng))]
+        assert calls == []
+        for M in bases:
+            ops = M.operators
+            assert M.operators is ops
+            assert len(ops) == M.dim
+            for ket, op in zip(M.kets, ops):
+                assert op.dtype == projector(ket).dtype
+                assert op.tobytes() == projector(ket).tobytes()
+                assert not op.flags.writeable
+        assert len(calls) == sum(M.dim for M in bases)
