@@ -47,12 +47,14 @@ class IntervalModel(HiddenVariableModel):
         min(searchsorted(edges[1:], pos, "left"), K - 1) for K bins bit for
         bit, NaN included: NaN fails every `pos <= edge`, so it gets the
         last bin, where searchsorted sorts it too.  The cost is one
-        comparison pass per bin, at parity with the binary search near 64.
+        comparison pass per bin, added into the narrowest unsigned integer
+        that holds K - 1 and widened to intp once, as in `categorical`: at
+        parity with the binary search near 256 bins.
         """
-        idx = np.zeros(pos.shape, np.intp)
+        idx = np.zeros(pos.shape, np.min_scalar_type(edges.size - 2))
         for edge in edges[1:-1]:
             idx += ~(pos <= edge)
-        return idx
+        return idx.astype(np.intp)
 
     def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:
         x, edges = self.bin_edges(ctx)

@@ -198,12 +198,20 @@ class ProjectiveBasis(Povm):
         if not self.kets:
             raise ValueError("POVM needs at least one element")
         k = np.array([ket.amplitudes for ket in self.kets])
-        if not np.max(np.abs(k @ k.conj().T - np.eye(len(k)))) <= TOL.structural:
+        n, d = k.shape
+        kc = k.conj()
+        if n == d:
+            # both Gram matrices from one stacked product
+            orth, comp = np.abs(np.array([k, k.T]) @ np.array([kc.T, kc]) - np.eye(d)).max(axis=(1, 2))
+        else:
+            orth = np.abs(k @ kc.T - np.eye(n)).max()
+            comp = np.abs(k.T @ kc - np.eye(d)).max()
+        if not orth <= TOL.structural:
             raise ValueError("projective basis kets must be orthonormal")
-        if not np.max(np.abs(k.T @ k.conj() - np.eye(k.shape[1]))) <= TOL.structural:
+        if not comp <= TOL.structural:
             raise ValueError("POVM elements must sum to the identity")
-        self.dim = k.shape[1]
-        self.labels = tuple(str(i) for i in range(len(k)))
+        self.dim = d
+        self.labels = tuple(str(i) for i in range(n))
         self._operators = None
 
     @property
@@ -295,7 +303,8 @@ def orthonormal_basis_containing(phi: StateVector) -> ProjectiveBasis:
 def random_state(dim: int, rng: np.random.Generator) -> StateVector:
     """Haar-random pure state."""
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return StateVector(v / np.linalg.norm(v))
+    # the sum np.linalg.norm forms for a complex vector, without its dispatch
+    return StateVector(v / math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag)))
 
 
 def random_basis(dim: int, rng: np.random.Generator) -> ProjectiveBasis:

@@ -151,6 +151,28 @@ class TestInterfaceContracts:
             assert got.dtype == want.dtype and got.shape == want.shape == (n,)
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("shots", [1000, 65536, 65537])
+    def test_counts_are_the_bincount_of_sample_outcomes(self, any_model, shots, threads, monkeypatch):
+        drawn = []
+        sample_outcomes = any_model.sample_outcomes
+
+        def spy(ctx, n, rng):
+            drawn.append(sample_outcomes(ctx, n, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(any_model, "sample_outcomes", spy)
+        for dim in (2, 7) if any_model.any_dimension else (2,):
+            ctx = any_model.random_context(stream(131, dim), dim=dim)
+            drawn.clear()
+            rep = run_experiment(any_model, ctx, shots, seed=dim, threads=threads)
+            labels = any_model.outcome_labels(ctx)
+            want = np.bincount(np.concatenate(drawn), minlength=len(labels))
+            assert list(rep.counts) == list(rep.estimates) == list(labels)
+            assert list(rep.counts.values()) == want.tolist()
+            assert all(type(v) is int for v in rep.counts.values())
+            assert all(type(v) is float for v in rep.estimates.values())
+
 
 def test_each_model_declares_its_ontic_kind():
     # the ontic spaces and context classes the README lists; each kind fixes its reference measure
@@ -378,6 +400,10 @@ ZERO_WEIGHTS = {
 }
 
 
+# 2..65 outcomes, then both sides of 256, where an index outgrows 8 bits
+WIDE_OUTCOME_COUNTS = (*range(2, 66), 255, 256, 257, 300)
+
+
 def _dyadic_weights(k: int) -> np.ndarray:
     """k weights that are multiples of 2**-20 summing to exactly 1.0, some of them 0."""
     rng = stream(123, k)
@@ -397,8 +423,8 @@ class TestCategoricalDraw:
 
     @pytest.mark.parametrize(
         "weights",
-        [*ZERO_WEIGHTS.values(), *(_dyadic_weights(k) for k in range(2, 66))],
-        ids=[*ZERO_WEIGHTS.keys(), *(f"k{k}" for k in range(2, 66))],
+        [*ZERO_WEIGHTS.values(), *(_dyadic_weights(k) for k in WIDE_OUTCOME_COUNTS)],
+        ids=[*ZERO_WEIGHTS.keys(), *(f"k{k}" for k in WIDE_OUTCOME_COUNTS)],
     )
     def test_matches_binary_search_bit_for_bit(self, weights):
         weights = np.array(weights)
@@ -609,6 +635,27 @@ def test_outcome_index_out_of_range_raises(name):
                         call({"j": np.array(rows)}, ctx)
 
 
+@pytest.mark.parametrize("bad", ["-1", "K", "short"])
+@pytest.mark.parametrize("name, dim", [("brans", 2), ("gbrans", 3), ("interval", 7)])
+def test_run_experiment_refuses_an_outcome_index_out_of_range(name, dim, bad):
+    # a count of the indices by np.bincount would take K as a (K+1)-th outcome
+    # that no label names; "short" hands back one index too few
+    model = create_model(name)
+    ctx = model.random_context(stream(133, dim), dim=dim)
+    count = len(model.outcome_labels(ctx))
+
+    class Stub(type(model)):
+        def sample_outcomes(self, ctx, n, rng):
+            idx = super().sample_outcomes(ctx, n, rng)
+            if bad == "short":
+                return idx[:-1]
+            idx[-1] = -1 if bad == "-1" else count
+            return idx
+
+    with pytest.raises(ValueError):
+        run_experiment(Stub(), ctx, 70_000, seed=1)
+
+
 class TestGeneralizedBrans:
     def setup_method(self):
         self.model = create_model("gbrans")
@@ -654,6 +701,10 @@ class TestGeneralizedBrans:
     def test_eigenstate_counts(self):
         rep = run_experiment(self.model, ModelContext(ZERO, Z_BASIS), 100, seed=123)
         assert rep.counts == {"0": 100, "1": 0}
+
+
+# 2..6 bins, then both sides of 256, where a bin index outgrows 8 bits
+INTERVAL_DIMS = (*range(2, 7), 255, 256, 257, 300)
 
 
 def _interval_edges(dim: int) -> np.ndarray:
@@ -703,11 +754,11 @@ class TestIntervalModel:
     @pytest.mark.parametrize(
         "edges",
         [
-            *(_interval_edges(d) for d in range(2, 7)),
+            *(_interval_edges(d) for d in INTERVAL_DIMS),
             # four bins of widths 0.5, 0, 0, 0.5: a zero amplitude repeats an edge
             np.array([0.0, 0.5, 0.5, 0.5, 1.0]),
         ],
-        ids=[*(f"d{d}" for d in range(2, 7)), "empty-bins"],
+        ids=[*(f"d{d}" for d in INTERVAL_DIMS), "empty-bins"],
     )
     def test_bin_lookup_matches_binary_search_bit_for_bit(self, edges):
         # every edge and its two neighbours, -0.0, below 0, above the last

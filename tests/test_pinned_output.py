@@ -154,6 +154,30 @@ RUNS = {
         ["verify", "brans", "--shots", "1000", "--trials", "50", "--seed", "5", "--format", "csv"],
         "ffb92df5e4e46bdf619e81e9848c8305d1bab8c3266400f29550445cad07a88e",
     ),
+    # few contexts of many shots: three full chunks and one of 3,392 rows per run,
+    # tallied on one thread and on two
+    **{
+        f"verify-200k-{model}-t{threads}": (
+            ["verify", model, "--shots", "200000", "--trials", "1", "--seed", "5", "--threads", str(threads)],
+            digest,
+        )
+        for model, threads, digest in (
+            ("bellmermin", 1, "37027a54c5d780714f4098693de0dc93d5f860a3b3ffd3f02350fdf910455fb4"),
+            ("bellmermin", 2, "bb62b3bdb32aa86cd14249067cfdab31d14e8602d3e2807c2219935e7c8fdfdc"),
+            ("brans", 1, "466439486c6784e5460dd3b56ac6f2818b01facd14f6fc49247cf6f68f50bf84"),
+            ("brans", 2, "950c5b0934d2761abef119a82ba6b2cd2e39a8c206278435e0a34a13c31e21a1"),
+            ("gbrans", 1, "4b67f13539769107a2d88ed2fb4f3d59a2eff3d8e3e954fca1f0c1ece9a14021"),
+            ("gbrans", 2, "e12a3a00ce20c9ba8e57d446e9128921118b4dd5cec25e9321c7d7ffd70bb944"),
+            ("hall", 1, "92106816c0e4c2d1f7afe3b75605d6b48a5007767880835beb2b24b8fdf9b629"),
+            ("hall", 2, "b8ce8c3f2062ce23a97fddab290e6d50ef76868c33ae24d25b14f2fa92952592"),
+            ("interval", 1, "9c6a3e9e89d3db84e7e123b46b8b7722cbda9aaef3d991e6a93974c2f25fe12b"),
+            ("interval", 2, "545f84cb6cd3d1ccf6a049eb5db4e53720d84157dc08bcd54aa770f19eb27ae8"),
+            ("ks1", 1, "d591959fc9f6754a0fab78edd1121d7ab4b1c5a387dbaeac444c3c06e46485f0"),
+            ("ks1", 2, "b74a148de1ca876f6ae5fa8f7fbe814fc715860dac771ea9cef1c492e2843179"),
+            ("ks2", 1, "59bf9db9e9b28ed543a9f01a6334dabcb4f90cf83d72dea79a1188e44468b36d"),
+            ("ks2", 2, "d1bb27e3c8fd5ebe3080928a49bad232147a3962f00f0c2179a219bfa333703f"),
+        )
+    },
     "channel-json": (
         ["channel", "--bob", "60,0", "--accepted", "500", "--seed", "7", "--format", "json"],
         "c55485546bb39b09a33dd9f62311a558eb51996f377fc173cdff9f25ca28fc00",
