@@ -4,11 +4,11 @@ Degree of epistemicity, classical overlap, response randomness,
 reciprocity, preparation-independence residuals, support/compatibility
 predicates, and remote-setting marginal dependence.
 
-Support masses, w_C, randomness and reciprocity are exact sums over a
-model's `cells`, because almost-everywhere statements need an exact witness,
-not a statistical one.  Only the support mass of a model without cells falls
-back to Monte Carlo, which counts a mass as zero when it is at most five
-standard errors from zero.
+Support masses, w_C, randomness and reciprocity are each one exact
+`integrate` over a model's `cells`, because almost-everywhere statements
+need an exact witness, not a statistical one.  Only the support mass of a
+model without cells falls back to Monte Carlo, which counts a mass as zero
+when it is at most five standard errors from zero.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TOL
-from .models.base import HiddenVariableModel, ModelContext, OnticKind, _cell_mass, singlet_context, stream
+from .models.base import HiddenVariableModel, ModelContext, OnticKind, integrate, singlet_context, stream
 from .quantum import DensityMatrix, Povm, ProjectiveBasis, StateVector, born_probability
 from .sphere import bootstrap_stderr, stratified_sphere_points
 
@@ -54,13 +54,6 @@ def projector_index(M: ProjectiveBasis, phi: StateVector) -> int:
     if overlaps[k] < 1.0 - TOL.structural:
         raise ValueError("measurement does not contain the projector of the given state")
     return k
-
-
-def _cells(model: HiddenVariableModel, ctx_a: ModelContext, ctx_b: ModelContext, quantity: str):
-    """model.cells(ctx_a, ctx_b); a model without cells raises TypeError."""
-    if (cells := model.cells(ctx_a, ctx_b)) is None:
-        raise TypeError(f"{quantity} is undefined for {model.name} models")
-    return cells
 
 
 def _sampled_support_mass(
@@ -166,7 +159,7 @@ def classical_overlap(
     The model's `cells` cut the ontic space into pieces on which both
     densities and their difference are affine, with a point and a width
     each: outcome indices of width 1, interval cells, sphere cells at their
-    mean points, or Bell-Mermin's latitude bands.  The integral is the
+    mean points, or Bell-Mermin's latitude bands.  `integrate` sums the
     widths times |difference| at the points.  A model whose `cells` is None
     raises TypeError.  `resolution` and `seed` are unused; the benchmark in
     perfbench/ still passes them.
@@ -175,20 +168,14 @@ def classical_overlap(
     ctx_b = model.basis_context(phi, M)
     model.validate_context(ctx_a)
     model.validate_context(ctx_b)
-    points, widths = _cells(model, ctx_a, ctx_b, "classical overlap")
-    diff = np.abs(model.density_arrays(points, ctx_a) - model.density_arrays(points, ctx_b))
-    return 1.0 - 0.5 * float(diff @ widths)
+    if (distance := integrate(model, (ctx_a, ctx_b), lambda _, p, q: np.abs(p - q))) is None:
+        raise TypeError(f"classical overlap is undefined for {model.name} models")
+    return 1.0 - 0.5 * distance
 
 
 # ---------------------------------------------------------------------------
 # Randomness and reciprocity
 # ---------------------------------------------------------------------------
-
-
-def _response_mass(model: HiddenVariableModel, ctx: ModelContext, k: int, quantity: str, weigh) -> float:
-    """ctx's ensemble mass weighted by weigh(r), r label k's response probability, over ctx's cells."""
-    cells = _cells(model, ctx, ctx, quantity)
-    return _cell_mass(model, ctx, cells, lambda pts: weigh(model.respond_probability_arrays(pts, ctx, k)))
 
 
 def randomness(
@@ -207,7 +194,14 @@ def randomness(
     ctx = model.basis_context(psi, M)
     model.validate_context(ctx)
     k = model.outcome_labels(ctx).index(outcome_label)
-    return _response_mass(model, ctx, k, "randomness", lambda r: r * ((r > 0.0) & (r < 1.0)))
+
+    def random_share(points, p):
+        r = model.respond_probability_arrays(points, ctx, k)
+        return p * (r * ((r > 0.0) & (r < 1.0)))
+
+    if (mass := integrate(model, (ctx,), random_share)) is None:
+        raise TypeError(f"randomness is undefined for {model.name} models")
+    return mass
 
 
 @dataclass(frozen=True)
@@ -229,7 +223,12 @@ def reciprocity_check(
     k = projector_index(M, psi)
     ctx = model.basis_context(psi, M)
     model.validate_context(ctx)
-    violation = _response_mass(model, ctx, k, "reciprocity", lambda r: r < 1.0)
+
+    def short_of_one(points, p):
+        return p * (model.respond_probability_arrays(points, ctx, k) < 1.0)
+
+    if (violation := integrate(model, (ctx,), short_of_one)) is None:
+        raise TypeError(f"reciprocity is undefined for {model.name} models")
     return ReciprocityReport(reciprocal=violation == 0.0, violation_mass=violation)
 
 

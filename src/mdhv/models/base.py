@@ -57,6 +57,7 @@ __all__ = [
     "stream",
     "stream_at",
     "categorical",
+    "integrate",
     "rejection_sample",
     "workers",
 ]
@@ -292,22 +293,15 @@ class HiddenVariableModel(ABC):
         arrays = self.sample_arrays(ctx, n, rng)
         return self.outcome_index_arrays(arrays, ctx)
 
-    def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray] | None:
-        """Points (named arrays) and widths of cells on which both contexts' responses are fixed
-        and densities affine: an integral of such a function is the widths times its values at
-        the points.  None: no cells.
-        """
+    def cells(self, *contexts: ModelContext) -> tuple[dict, np.ndarray] | None:
+        """Points (named arrays) and widths of cells on which every given context's response is
+        fixed and its density affine, so that `integrate` is exact over them.  None: no cells."""
         return None
 
     def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float | None:
-        """Mass of p(.|ctx_from) inside the support of ctx_support, summed over `cells`, or None.
-
-        The _cell_mass of the cells whose point lies in ctx_support's support.
-        None (no cells) sends analysis.support_overlap_mass to Monte Carlo.
-        """
-        if (cells := self.cells(ctx_from, ctx_support)) is None:
-            return None
-        return _cell_mass(self, ctx_from, cells, lambda pts: self.in_support_arrays(pts, ctx_support))
+        """Mass of p(.|ctx_from) inside ctx_support's support over `cells`; None (no cells) sends
+        analysis.support_overlap_mass to Monte Carlo."""
+        return integrate(self, (ctx_from, ctx_support), lambda _, p, q: p * (q > 0.0))
 
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r})"
@@ -317,15 +311,19 @@ def _one_of(classes: tuple[type, ...]) -> str:
     return "|".join(cls.__name__ for cls in classes)
 
 
-def _cell_mass(model: HiddenVariableModel, ctx: ModelContext, cells: tuple, weigh) -> float:
-    """Sum of width * p * weigh(points) over `cells`, p being ctx's density at the cell points.
+def integrate(model: HiddenVariableModel, contexts: tuple, f) -> float | None:
+    """Sum of width * f(points, *densities) over model.cells(*contexts), or None without cells.
 
-    A cell counts only where p > TOL.support (structural zeros add nothing), and a total at
-    most TOL.arithmetic is 0.0 (a cell sum rounds an exact 0, such as a cap's pole, to dust).
+    densities[i] is contexts[i]'s density at the cell points, read as 0 where it is at most
+    TOL.support (structural zeros add nothing), and a total at most TOL.arithmetic is 0.0
+    (a cell sum rounds an exact 0, such as a cap's pole, to dust).  The sum is exact for an
+    f affine on each cell, as every density and response on the model's cells is.
     """
+    if (cells := model.cells(*contexts)) is None:
+        return None
     points, widths = cells
-    p = model.density_arrays(points, ctx)
-    total = float((widths * p * (p > TOL.support) * weigh(points)).sum())
+    densities = [p * (p > TOL.support) for p in (model.density_arrays(points, ctx) for ctx in contexts)]
+    total = float((widths * f(points, *densities)).sum())
     return total if total > TOL.arithmetic else 0.0
 
 
@@ -431,12 +429,12 @@ class OutcomeIndexModel(HiddenVariableModel):
     def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:
         return np.asarray(arrays["j"], dtype=int)
 
-    def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:
-        """Every outcome index ({"j"}), each with width 1, for two contexts with one outcome count."""
-        n, n_b = len(self.outcome_labels(ctx_a)), len(self.outcome_labels(ctx_b))
-        if n != n_b:
-            raise ValueError(f"cells need one outcome count, got {n} and {n_b} outcomes")
-        return {"j": np.arange(n)}, np.ones(n)
+    def cells(self, *contexts: ModelContext) -> tuple[dict, np.ndarray]:
+        """Every outcome index ({"j"}), each with width 1, for contexts with one outcome count."""
+        counts = [len(self.outcome_labels(ctx)) for ctx in contexts]
+        if len(set(counts)) != 1:
+            raise ValueError(f"cells need one outcome count, got {' and '.join(map(str, counts))} outcomes")
+        return {"j": np.arange(counts[0])}, np.ones(counts[0])
 
 
 # ---------------------------------------------------------------------------

@@ -50,23 +50,23 @@ class BellMermin(QubitBasisModel):
         in_cap = _label_row(axes @ vec.T >= zmin[:, None], label)
         return np.where(in_cap, 1.0 / (4.0 * np.pi), 0.0)
 
-    def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray] | None:
+    def cells(self, *contexts: ModelContext) -> tuple[dict, np.ndarray] | None:
         """Mid-band unit points ({"label", "vec"}) and areas of each label's bands about its k_hat.
 
-        For two contexts that share the measurement, label k's bands are cut
-        at lam.k = -psi.k and -phi.k, the bounds of its two caps, and both
-        densities are constant on each; a band from z0 to z1 has area
-        2 pi (z1 - z0).  Across two measurements each label's caps lie about
-        two axes, and their rims are small circles, so there are no cells.
+        For contexts that share the measurement, label k's bands are cut at
+        every context's cap bound lam.k = -psi.k, and every density is
+        constant on each; a band from z0 to z1 has area 2 pi (z1 - z0).
+        Across measurements each label's caps lie about several axes, and
+        their rims are small circles, so there are no cells.
         """
-        axes, zmin_a = _caps(ctx_a)
-        axes_b, zmin_b = _caps(ctx_b)
-        if not np.array_equal(axes, axes_b):
+        caps = [_caps(ctx) for ctx in contexts]
+        axes = caps[0][0]
+        if not all(np.array_equal(axes, other) for other, _ in caps[1:]):
             return None
         ends = np.ones(2)
-        z = np.sort(np.clip(np.column_stack([-ends, zmin_a, zmin_b, ends]), -1.0, 1.0), axis=1)
+        z = np.sort(np.clip(np.column_stack([-ends, *(zmin for _, zmin in caps), ends]), -1.0, 1.0), axis=1)
         mid = 0.5 * (z[:, :-1] + z[:, 1:])  # (label, band)
         tangents = np.stack([tangent_frame(k)[0] for k in axes])
         vec = mid[..., None] * axes[:, None] + np.sqrt(1.0 - mid * mid)[..., None] * tangents[:, None]
-        arrays = {"label": np.repeat([0, 1], 3), "vec": vec.reshape(-1, 3)}
+        arrays = {"label": np.repeat([0, 1], mid.shape[1]), "vec": vec.reshape(-1, 3)}
         return arrays, 2.0 * np.pi * np.diff(z, axis=1).ravel()

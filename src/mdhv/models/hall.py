@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from ..sphere import uniform_sphere
+from ..sphere import great_circle_cells, uniform_sphere
 from .base import ModelContext, OnticKind, SingletModel, rejection_sample
 
 
@@ -83,10 +83,17 @@ class HallSinglet(SingletModel):
         a, b = ctx.measurement.alice.as_array(), ctx.measurement.bob.as_array()
         return _outcome(np.asarray(arrays["vec"], dtype=float), a, b)
 
+    def cells(self, *contexts: ModelContext) -> tuple[dict, np.ndarray]:
+        """Mean points ({"vec"}) and areas of the cells cut by every context's two axes: on each,
+        every context's two signs, and so its outcome, are fixed and its density constant."""
+        axes = [axis.as_array() for ctx in contexts for axis in (ctx.measurement.alice, ctx.measurement.bob)]
+        area, vec = great_circle_cells(axes)
+        return {"vec": vec}, area
+
     def support_mass_exact(self, ctx_from: ModelContext, ctx_support: ModelContext) -> float:
         """1: every context's support is the whole sphere, up to the lunes of area 0
         of exactly parallel or antiparallel axes.  The thinnest lune of positive
         angle is at a.b = +-nextafter(1, 0), theta = 1.49e-8 rad, where the density
-        is theta/16 = 9.31e-10, above TOL.support.
-        """
+        is theta/16 = 9.31e-10, above TOL.support.  The integral over `cells` gives 1
+        only to within rounding, after arranging four circles, so it is not taken."""
         return 1.0

@@ -27,15 +27,10 @@ class IntervalModel(HiddenVariableModel):
         x = np.sqrt(self.born_weights(ctx))
         return x, np.concatenate([[0.0], np.cumsum(x)])
 
-    def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:
-        """Midpoints ({"x"}) and widths of the cells cut by both contexts' bin edges.
-
-        Both densities are constant on each cell, so an integral of the two
-        is a sum over cells.
-        """
-        _, edges_a = self.bin_edges(ctx_a)
-        _, edges_b = self.bin_edges(ctx_b)
-        edges = np.unique(np.concatenate([edges_a, edges_b]))
+    def cells(self, *contexts: ModelContext) -> tuple[dict, np.ndarray]:
+        """Midpoints ({"x"}) and widths of the cells cut by every context's bin edges, on each of
+        which every density is constant."""
+        edges = np.unique(np.concatenate([self.bin_edges(ctx)[1] for ctx in contexts]))
         return {"x": 0.5 * (edges[:-1] + edges[1:])}, np.diff(edges)
 
     def _bin_of(self, pos: np.ndarray, edges: np.ndarray) -> np.ndarray:

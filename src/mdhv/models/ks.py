@@ -128,16 +128,16 @@ class KochenSpecker1(QubitBasisModel):
         on_k_side = _label_row(axes @ vec.T, label) >= 0.0
         return np.where(on_k_side, (1.0 / np.pi) * np.maximum(vec @ psi_hat, 0.0), 0.0)
 
-    def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:
-        """Mean points ({"label", "vec"}) and areas of the cells cut by both k_0, psi, phi and psi - phi.
+    def cells(self, *contexts: ModelContext) -> tuple[dict, np.ndarray]:
+        """Mean points ({"label", "vec"}) and areas of the cells cut by every context's k_0 and psi,
+        and by psi_i - psi_j for each pair of contexts.
 
-        Label 1's axis -k_0 cuts the same circle as k_0.  On each cell and label both densities
-        are affine, and so is their difference, whose sign flips only across (psi - phi).lam = 0.
+        Label 1's axis -k_0 cuts the same circle as k_0.  On each cell and label every density
+        is affine, and so is the difference of any two, whose sign flips only across a cut.
         """
-        psi_hat = bloch_from_ket(ctx_a.preparation).as_array()
-        phi_hat = bloch_from_ket(ctx_b.preparation).as_array()
-        k0_a, k0_b = (bloch_from_ket(ctx.measurement.kets[0]).as_array() for ctx in (ctx_a, ctx_b))
-        area, vec = great_circle_cells([k0_a, k0_b, psi_hat, phi_hat, psi_hat - phi_hat])
+        psis = [bloch_from_ket(ctx.preparation).as_array() for ctx in contexts]
+        k0s = [bloch_from_ket(ctx.measurement.kets[0]).as_array() for ctx in contexts]
+        area, vec = great_circle_cells(k0s + psis + [p - q for i, p in enumerate(psis) for q in psis[i + 1 :]])
         return {"label": np.repeat([0, 1], len(area)), "vec": np.tile(vec, (2, 1))}, np.tile(area, 2)
 
 
@@ -189,16 +189,15 @@ class KochenSpecker2(HiddenVariableModel):
         vec = np.asarray(arrays["vec"], dtype=float)
         return np.where(vec @ a >= 0.0, np.abs(vec @ b) / np.pi, 0.0)
 
-    def cells(self, ctx_a: ModelContext, ctx_b: ModelContext) -> tuple[dict, np.ndarray]:
-        """Mean points ({"vec"}) and areas of the cells cut by both contexts' a and b.
+    def cells(self, *contexts: ModelContext) -> tuple[dict, np.ndarray]:
+        """Mean points ({"vec"}) and areas of the cells cut by every context's a and b.
 
-        Both densities are affine on each cell.  Their difference is too
-        where the two contexts share b; across two axes |lam.b| - |lam.b'|
+        Every density is affine on each cell.  So is a difference of two
+        where the contexts share b; across two axes |lam.b| - |lam.b'|
         changes sign inside cells.
         """
-        a, b = self._axes(ctx_a)
-        a_other, b_other = self._axes(ctx_b)
-        area, vec = great_circle_cells([a, a_other, b, b_other])
+        a_axes, b_axes = zip(*(self._axes(ctx) for ctx in contexts))
+        area, vec = great_circle_cells(a_axes + b_axes)
         return {"vec": vec}, area
 
     def outcome_index_arrays(self, arrays: dict, ctx: ModelContext) -> np.ndarray:

@@ -214,10 +214,10 @@ def great_circle_cells(normals) -> tuple[np.ndarray, np.ndarray]:
     SIGGRAPH 1995), and its area sums the triangles from its moment's
     direction over its edges (Van Oosterom & Strackee, IEEE Trans. Biomed.
     Eng. 30, 125, 1983).  Rounding can put the mean point of a cell thinner
-    or smaller than about 1e-5 rad outside it; it is then moved inside, by
-    about the rounding error across a sliver and by less than the cell's
-    size otherwise.  Cells are named by one bit per circle, so at most 60
-    distinct normals are taken.
+    or smaller than about 1e-5 rad outside it or exactly on one of its
+    circles; it is then moved inside, by about the rounding error across a
+    sliver and by less than the cell's size otherwise.  Cells are named by
+    one bit per circle, so at most 60 distinct normals are taken.
     """
     n = np.asarray(normals, dtype=float).reshape(-1, 3)
     n = np.concatenate([_unit(n[np.any(n != 0.0, axis=1)]), _GENERIC_CUTS])
@@ -262,9 +262,10 @@ def great_circle_cells(normals) -> tuple[np.ndarray, np.ndarray]:
     sin, cos = np.tile(np.sin(arc), 2), np.tile(np.cos(arc), 2)
     area = member @ (2.0 * np.arctan2(side * sin * cn, 1.0 + cu + cw + cos))
     mean = moment / area[:, None]
-    # a mean point outside its cell moves along the inward normal of the wall it is furthest
-    # past, to the middle of the cell's chord there, or else to the cell's mean edge midpoint
-    for q in np.flatnonzero((mean @ n.T > 0.0).dot(1 << np.arange(m)) != cells):
+    # a mean point outside its cell or on a wall moves along the inward normal of the wall it is
+    # furthest past, to the middle of the cell's chord there, or else to the cell's mean edge midpoint
+    dots = mean @ n.T
+    for q in np.flatnonzero(((dots > 0.0).dot(1 << np.arange(m)) != cells) | (dots == 0.0).any(axis=1)):
         inward = np.where((cells[q] >> np.arange(m) & 1)[:, None], n, -n)
         b = inward @ mean[q]
         v = inward[np.argmin(b)]

@@ -574,7 +574,7 @@ class TestRandomnessAndReciprocityAreExact:
             psi = random_state(2, rng)
             M = orthonormal_basis_containing(psi)
             ctx = model.basis_context(psi, M)
-            points, widths = model.cells(ctx, ctx)
+            points, widths = model.cells(ctx)
             p = model.density_arrays(points, ctx)
             r = model.respond_probability_arrays(points, ctx, analysis.projector_index(M, psi))
             raw.append(float((widths * p * (p > TOL.support) * (r < 1.0)).sum()))
@@ -611,7 +611,7 @@ class TestRandomnessAndReciprocityAreExact:
 
     def test_a_model_without_cells_raises_the_classical_overlap_type_error(self, monkeypatch):
         model = create_model("gbrans")
-        monkeypatch.setattr(model, "cells", lambda ctx_a, ctx_b: None)
+        monkeypatch.setattr(model, "cells", lambda *contexts: None)
         with pytest.raises(TypeError, match="^classical overlap is undefined for gbrans models$"):
             analysis.classical_overlap(model, ZERO, PLUS, Z_BASIS)
         with pytest.raises(TypeError, match="^randomness is undefined for gbrans models$"):

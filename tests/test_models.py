@@ -29,6 +29,7 @@ from mdhv.models.base import (
     OUTCOME_PAIRS,
     _qubit_basis_axes,
     categorical,
+    integrate,
     json_form,
     rejection_sample,
 )
@@ -48,7 +49,7 @@ from mdhv.quantum import (
     random_povm,
     random_state,
 )
-from mdhv.sphere import BLOCK_ROWS, great_circle_cells, stratified_sphere_points, uniform_cap, uniform_sphere
+from mdhv.sphere import BLOCK_ROWS, stratified_sphere_points, uniform_cap, uniform_sphere
 
 S = 1.0 / np.sqrt(2.0)
 ZERO = StateVector([1, 0])
@@ -1146,16 +1147,41 @@ class TestCells:
                 masses = np.bincount(model.outcome_index_arrays(points, ctx), weights, minlength=count)
                 assert np.abs(masses - model.born_weights(ctx)).max() <= 1e-12
 
+    @pytest.mark.parametrize("name", ["ks1", "ks2", "hall", "brans", "bellmermin", "interval", "gbrans"])
+    def test_one_cell_set_gives_four_contexts_their_born_weights(self, name):
+        """cells(*contexts) fixes every context's response and makes its density affine on
+        each cell, so one cell set integrates each of four contexts to its Born weights.
+        The sphere and singlet models take four random contexts; bellmermin, interval
+        and gbrans four preparations measured one way."""
+        model = create_model(name)
+        rng = stream(955)
+        shared = name in ("bellmermin", "interval", "gbrans")
+        dim = 3 if model.any_dimension else 2
+        for _ in range(20):
+            contexts = [model.random_context(rng, dim) for _ in range(4)]
+            if shared:
+                contexts = [ModelContext(random_state(dim, rng), contexts[0].measurement) for _ in contexts]
+            points, widths = model.cells(*contexts)
+            for ctx in contexts:
+                count = len(model.outcome_labels(ctx))
+                weights = model.density_arrays(points, ctx) * widths
+                masses = np.bincount(model.outcome_index_arrays(points, ctx), weights, minlength=count)
+                assert np.abs(masses - model.born_weights(ctx)).max() <= 1e-12
+
+    def test_bellmermin_has_no_cells_across_two_measurements(self):
+        model = create_model("bellmermin")
+        rng = stream(957)
+        psi = random_state(2, rng)
+        contexts = [ModelContext(psi, random_basis(2, rng)) for _ in range(2)]
+        assert model.cells(*contexts) is None
+        assert model.cells(contexts[0], contexts[0], contexts[1]) is None
+
     def test_hall_tv_through_the_cells_of_its_three_axes(self):
         model = create_model("hall")
 
         def tv(a, b, b_alt):
-            area, mean = great_circle_cells([a.as_array(), b.as_array(), b_alt.as_array()])
-            arrays = {"vec": mean}
-            diff = model.density_arrays(arrays, singlet_context(a, b)) - model.density_arrays(
-                arrays, singlet_context(a, b_alt)
-            )
-            return 0.5 * float(np.abs(diff) @ area)
+            contexts = (singlet_context(a, b), singlet_context(a, b_alt))
+            return 0.5 * integrate(model, contexts, lambda _, p, q: np.abs(p - q))
 
         assert abs(tv(Z_AXIS, DEG60, X_AXIS) - 1.0 / 12.0) <= 1e-12
         rng = stream(947)
@@ -1164,31 +1190,30 @@ class TestCells:
             want = oracles.hall_tv_goemans_williamson(a.as_array(), b.as_array(), b_alt.as_array())
             assert abs(tv(a, b, b_alt) - want) <= 1e-12
 
-
     def test_hall_joint_masses_through_the_cells_of_its_two_axes_are_the_born_weights(self):
         """Both signs, and so the joint outcome, are fixed on each cell of the two
         circles, so the cells integrate hall's law to its Born weights exactly,
-        also 1e-7 rad from parallel and antiparallel axes.  Below that, the cells
-        themselves become slivers too thin to read back their outcome."""
+        also 1e-9 rad from parallel and antiparallel axes, where some cells are
+        slivers whose mean points rounding puts on or past their circles."""
         model = create_model("hall")
         rng = stream(951)
         pairs = [(Z_AXIS, Z_AXIS), (Z_AXIS, -Z_AXIS), (Z_AXIS, X_AXIS)]
         pairs += [(random_bloch(rng), random_bloch(rng)) for _ in range(50)]
-        for k in range(1, 8):
+        for k in range(1, 10):
             theta = 10.0**-k
             for tilt in (1.0, -1.0):  # toward +x and toward -x
                 for cz in (np.cos(theta), -np.cos(theta)):
                     pairs.append((Z_AXIS, BlochVector.normalized(tilt * np.sin(theta), 0.0, cz)))
         for a, b in pairs:
-            area, mean = great_circle_cells([a.as_array(), b.as_array()])
-            arrays, ctx = {"vec": mean}, singlet_context(a, b)
-            weights = model.density_arrays(arrays, ctx) * area
-            masses = np.bincount(model.outcome_index_arrays(arrays, ctx), weights, minlength=4)
+            ctx = singlet_context(a, b)
+            points, widths = model.cells(ctx)
+            weights = model.density_arrays(points, ctx) * widths
+            masses = np.bincount(model.outcome_index_arrays(points, ctx), weights, minlength=4)
             assert np.abs(masses - model.born_weights(ctx)).max() <= 1e-12, (a, b)
 
     def test_hall_chsh_value_through_the_cells_of_its_four_axes_is_tsirelsons_bound(self):
         """E(a, b) = sum of area * A(lam) B(lam) * rho over the cells of the four
-        circles, on each of which every response is fixed; at the CHSH axes the
+        contexts, on each of which every response is fixed; at the CHSH axes the
         four correlations reach |S| = 2 sqrt 2."""
         model = create_model("hall")
         xy = np.array([1, -1, -1, 1])  # A B at outcome index 2 [A = -1] + [B = -1]
@@ -1199,16 +1224,16 @@ class TestCells:
         rotations = [np.eye(3)] + [q * np.sign(np.linalg.det(q)) for q in orthogonal]
         for rotation in rotations:
             a, a2, b, b2 = (BlochVector.normalized(*row) for row in axes @ rotation.T)
-            area, mean = great_circle_cells([v.as_array() for v in (a, a2, b, b2)])
-            arrays = {"vec": mean}
+            contexts = [singlet_context(x, y) for x, y in ((a, b), (a, b2), (a2, b), (a2, b2))]
+            points, widths = model.cells(*contexts)
 
-            def correlation(x, y):
-                ctx = singlet_context(x, y)
-                ab = xy[model.outcome_index_arrays(arrays, ctx)]
-                return float(area @ (ab * model.density_arrays(arrays, ctx)))
+            def correlation(ctx):
+                ab = xy[model.outcome_index_arrays(points, ctx)]
+                return float(widths @ (ab * model.density_arrays(points, ctx)))
 
-            chsh = correlation(a, b) + correlation(a, b2) + correlation(a2, b) - correlation(a2, b2)
-            assert abs(abs(chsh) - 2.0 * np.sqrt(2.0)) <= 1e-12
+            e_ab, e_ab2, e_a2b, e_a2b2 = (correlation(ctx) for ctx in contexts)
+            assert abs(abs(e_ab + e_ab2 + e_a2b - e_a2b2) - 2.0 * np.sqrt(2.0)) <= 1e-12
+
 
 def _random_unit_rows(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rng.normal(size=(n, 3))
