@@ -182,6 +182,33 @@ RUNS = {
         ["channel", "--bob", "60,0", "--accepted", "500", "--seed", "7", "--format", "json"],
         "c55485546bb39b09a33dd9f62311a558eb51996f377fc173cdff9f25ca28fc00",
     ),
+    # the benchmark's shapes, where the sphere samplers and the channel's block loop take the time;
+    # outcomes read the sign or size of a dot, so the last bits of a drawn vector do not show here
+    "verify-1m-ks2": (
+        ["verify", "ks2", "--shots", "1000000", "--trials", "1", "--seed", "7"],
+        "cd505172cf14a7bc2abc734c8cbdaa96f21e0ef286ed845a3492518cc221e04e",
+    ),
+    "verify-1m-hall": (
+        ["verify", "hall", "--shots", "1000000", "--trials", "1", "--seed", "7"],
+        "58e8a40f6be427288c890dcb7ed9b66a3fb6e157c05f2da04a7fbdbe2ddd60e8",
+    ),
+    "channel-300k-json": (
+        ["channel", "--accepted", "300000", "--seed", "7", "--format", "json"],
+        "e7a0b6e185113004512b66962759e40b22cbc929de479768c3b24493278bc9d5",
+    ),
+    "channel-300k-generic-json": (
+        ["channel", "--alice=0.3,-0.5,0.8", "--bob=-0.6,0.2,0.7", "--accepted", "300000", "--seed", "7",
+         "--format", "json"],
+        "911154655059969b98fb6536e33b6be91364e62b60ff47d7d7fbaca7a29d3932",
+    ),
+    "scan-hall-defaults": (
+        ["scan", "hall", "--seed", "7"],
+        "072d95ee72b69543b0457d602221d644c4b7ebbec8097b85af4a2aa325ddd12e",
+    ),
+    "audit-marginal-hall-defaults": (
+        ["audit", "marginal", "hall", "--seed", "7"],
+        "fc42199dbeddf6619b2ea393e780e173a5784ac5f830d965d2f649718b084aea",
+    ),
 }
 
 
