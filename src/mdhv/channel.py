@@ -6,8 +6,9 @@ who alone knows his axis b_hat, keeps each incoming vector with probability
 follow the weighted hemisphere density step(lam.a)|lam.b|/pi, the acceptance
 rate is 1/2 for every axis pair, and outcome frequencies are (1 +- a.b)/2.
 
-Stream layout: per block of _BLOCK rounds, Alice draws all z, then all phi,
-from stream(seed, 1); Bob draws one uniform per round from stream(seed, 2).
+Stream layout: per block of _BLOCK rounds, Alice draws all z, then all
+azimuths in turns (uniform on [0, 1)), from stream(seed, 1); Bob draws one
+uniform per round from stream(seed, 2).
 Alice and Bob read a unit of _UNIT rounds at its Philox counter offsets, so
 the units run on a pool of one worker per available core, and the calling
 thread takes them in order.  The output does not depend on the worker count.
@@ -101,13 +102,13 @@ class AliceSender:
     def emit(self, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Rounds first .. first+n-1 of one block, uniform on the hemisphere
         {lam : lam.a >= 0} (density step/2pi): z from the block's first half,
-        phi from its second."""
+        the azimuth in turns from its second."""
         k, r = divmod(first, _BLOCK)
         if r + n > _BLOCK:
             raise ValueError("emitted rounds must lie within one block")
         z = stream_at(self.seed, 1, 2 * _BLOCK * k + r).uniform(0.0, 1.0, size=n)
-        phi = stream_at(self.seed, 1, 2 * _BLOCK * k + _BLOCK + r).uniform(0.0, 2.0 * np.pi, size=n)
-        return np.arange(first, first + n), embed_local(self.axis, z, phi)
+        turns = stream_at(self.seed, 1, 2 * _BLOCK * k + _BLOCK + r).uniform(0.0, 1.0, size=n)
+        return np.arange(first, first + n), embed_local(self.axis, z, turns)
 
 
 class BobFilter:
@@ -169,13 +170,13 @@ def run_channel(
                 pending.append(pool.submit(unit, sent // _UNIT + len(pending)))
             ids, vecs, accept, outcome_plus = pending.popleft().result()
 
-            cum = np.cumsum(accept)
-            if accepted + cum[-1] >= target_accepted:
+            # a count costs a fortieth of the cumsum, which only the unit reaching the target needs
+            if accepted + np.count_nonzero(accept) >= target_accepted:
                 # truncate at the round that reaches the target; later rounds never ran
-                stop = int(np.searchsorted(cum, target_accepted - accepted)) + 1
+                stop = int(np.searchsorted(np.cumsum(accept), target_accepted - accepted)) + 1
                 ids, vecs, accept, outcome_plus = ids[:stop], vecs[:stop], accept[:stop], outcome_plus[:stop]
             sent += ids.size
-            accepted += int(accept.sum())
+            accepted += int(np.count_nonzero(accept))
             plus += int(np.count_nonzero(accept & outcome_plus))
 
             if trace is not None:

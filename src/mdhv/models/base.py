@@ -14,6 +14,7 @@ merged counts are bit-identical regardless of execution order.
 
 from __future__ import annotations
 
+import functools
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields, is_dataclass
@@ -129,16 +130,23 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(index)))))
 
 
+@functools.lru_cache(maxsize=64)
+def _philox_key(seed: int, index: int) -> int:
+    """The 128-bit Philox key of stream(seed, index): its SeedSequence's first two 64-bit words."""
+    low, high = np.random.SeedSequence((seed, index)).generate_state(2, np.uint64).tolist()
+    return low | high << 64
+
+
 def stream_at(seed: int, index: int, draw: int) -> np.random.Generator:
     """stream(seed, index) after its first `draw` 64-bit outputs (one per float64 uniform).
 
     Philox is counter-based (Salmon et al., SC'11): counter c yields outputs 4c .. 4c+3,
-    so the generator opens at counter draw // 4 and drops the draw % 4 before its position.
+    so the generator opens on stream(seed, index)'s key at counter draw // 4 and drops the
+    draw % 4 before its position.  The key is derived once per (seed, index).
     """
-    rng = stream(seed, index)
-    rng.bit_generator.advance(draw // 4)
-    rng.bit_generator.random_raw(draw % 4)
-    return rng
+    bits = np.random.Philox(key=_philox_key(int(seed), int(index)), counter=draw // 4)
+    bits.random_raw(draw % 4)
+    return np.random.Generator(bits)
 
 
 def categorical(weights: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -29,8 +29,13 @@ class IntervalModel(HiddenVariableModel):
 
     def cells(self, *contexts: ModelContext) -> tuple[dict, np.ndarray]:
         """Midpoints ({"x"}) and widths of the cells cut by every context's bin edges, on each of
-        which every density is constant."""
-        edges = np.unique(np.concatenate([self.bin_edges(ctx)[1] for ctx in contexts]))
+        which every density is constant.
+
+        The distinct edges come from a sort and a neighbour mask, not from np.unique, whose first
+        call in a process imports numpy.ma (about 13 ms).
+        """
+        edges = np.sort(np.concatenate([self.bin_edges(ctx)[1] for ctx in contexts]))
+        edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]
         return {"x": 0.5 * (edges[:-1] + edges[1:])}, np.diff(edges)
 
     def _bin_of(self, pos: np.ndarray, edges: np.ndarray) -> np.ndarray:

@@ -5,8 +5,28 @@ vectors.  Directional samplers take the target axis as the local +z and embed
 through a deterministic orthonormal frame, so identical streams give
 identical draws.
 
+Azimuths are in turns.  Each sampler draws u = rng.uniform(0.0, 1.0) where
+it drew phi = rng.uniform(0.0, 2 pi) before, the same uniform at the same
+place in the stream, so the stream layout did not change.  _cos_sin_turns
+maps u to (cos 2 pi u, sin 2 pi u) with no libm call: for N = 1024 and j
+the integer nearest t = N u, the remainder f = t - j is exact with
+|f| <= 1/2, a table holds C_j and S_j, the cos and sin at j/N of a turn
+(rounded from long double, exact at the quarter turns), and for d = 2 pi f / N
+    cos = C_j + (C_j (cos d - 1) - S_j sin d),
+    sin = S_j + (S_j (cos d - 1) + C_j sin d),
+with cos d - 1 and sin d as Taylor polynomials to d^4 and d^5.  It is
+multiplications, additions, one rounding and two gathers, about 9 ns a
+value against 31 ns for np.cos and np.sin of 2 pi u (x86-64, numpy 2.4).
+Its error against long-double cos and sin of 2 pi u is at most half an ulp
+of the table entry, half an ulp of the result and about 0.01 x 2^-53 from the
+polynomials: 1.0 x 2^-53 measured over 2^20 draws, where np.cos(2 pi u)
+reads 5.8 x 2^-53, since 2 pi u rounds first.  So the last bits of drawn
+vectors moved when the table replaced np.cos and np.sin (up to 6.7e-16 per
+coordinate, in about 80% of the rows of a channel trace), while every
+outcome and printed figure that the tests pin stayed the same.
+
 The embedding's float order is part of the seeded output.  With
-r = sqrt(1 - z^2), c = r cos(phi) and s = r sin(phi), world column j is the
+r = sqrt(1 - z^2), c = r cos 2 pi u and s = r sin 2 pi u, world column j is the
 left-to-right sum c*t1[j] + s*t2[j] + z*axis[j], which is the sum that
 np.outer(c, t1) + np.outer(s, t2) + np.outer(z, axis) forms.  A
 (n,3)@(3,3) frame matmul sums in another order and moves generic-axis draws
@@ -15,8 +35,8 @@ each element keeps it, so the blocks change no bit.
 
 BLOCK_ROWS = 2^13 bounds the working set of every sphere sampler: a float
 vector of one block is 64 KiB, under glibc's default 128 KiB mmap threshold,
-so block temporaries are reused from the heap instead of being mapped, faulted
-in and unmapped again on every call.  rejection_sample proposes at most one
+so block temporaries come from the heap instead of being mapped, faulted in
+and unmapped again on every call.  rejection_sample proposes at most one
 block per round for the same reason.
 
 bootstrap_stderr is the ideal bootstrap of a mean, sqrt(mean((x - mean x)^2) / n),
@@ -78,36 +98,93 @@ def tangent_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, np.array([ay * uz - az * uy, az * ux - ax * uz, ax * uy - ay * ux])
 
 
-def embed_local(axis: np.ndarray, z: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Map local cylindrical coordinates (z along `axis`, azimuth phi) to world vectors."""
+def _turn_table(steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin at j/steps of a turn, j < steps.
+
+    The first quarter turn's sines are taken in long double, with pi/4 as
+    atan(1) to that precision, and rounded; the other quarters follow by
+    symmetry, and 0.0 - x keeps their zeros +0.0.
+    """
+    q = steps // 4
+    quarter = np.sin(np.arange(q + 1) * (np.arctan(np.longdouble(1.0)) / (q / 2))).astype(float)
+    up, down = quarter[:-1], quarter[:0:-1]  # sin and cos at j/steps, j < q
+    return np.concatenate([down, 0.0 - up, 0.0 - down, up]), np.concatenate([up, down, 0.0 - up, 0.0 - down])
+
+
+_STEPS = 1 << 10  # table entries per turn
+_COS, _SIN = _turn_table(_STEPS)
+# sin(k f) = f (S1 + f^2 (S3 + f^2 S5)) and cos(k f) - 1 = f^2 (C2 + f^2 C4) for k = 2 pi / N
+_S1 = 2.0 * np.pi / _STEPS
+_S3, _S5, _C2, _C4 = -(_S1**3) / 6.0, _S1**5 / 120.0, -(_S1**2) / 2.0, _S1**4 / 24.0
+
+
+def _cos_sin_turns(u: np.ndarray, c: np.ndarray, s: np.ndarray, work: tuple[np.ndarray, ...]) -> None:
+    """c, s = cos 2 pi u, sin 2 pi u for turns 0 <= u <= 1 (the table map of the module docstring).
+
+    `work` holds four float vectors and one np.intp vector of u's size.
+    """
+    t, f, g, h, j = work
+    np.multiply(u, _STEPS, out=t)
+    np.rint(t, out=f)
+    np.copyto(j, f, casting="unsafe")  # the nearest step; N wraps to 0
+    np.subtract(t, f, out=f)  # exact, |f| <= 1/2
+    np.multiply(f, f, out=g)
+    np.multiply(g, _S5, out=t)
+    t += _S3
+    t *= g
+    t += _S1
+    t *= f  # t = sin of the remainder's angle
+    np.multiply(g, _C4, out=h)
+    h += _C2
+    h *= g  # h = its cos - 1
+    np.take(_COS, j, out=c, mode="wrap")
+    np.take(_SIN, j, out=s, mode="wrap")
+    np.multiply(c, h, out=f)
+    f -= np.multiply(s, t, out=g)
+    np.multiply(s, h, out=h)
+    h += np.multiply(c, t, out=t)
+    c += f
+    s += h
+
+
+def _disk_blocks(z: np.ndarray, turns: np.ndarray):
+    """Per block of at most BLOCK_ROWS rows: (its rows, z, r cos 2 pi u, r sin 2 pi u, two free
+    vectors) for r = sqrt(1 - z^2) and u the turns, in block buffers that the next block overwrites."""
+    n = z.size
+    c, s, t, f, g, h = (np.empty(min(n, BLOCK_ROWS)) for _ in range(6))
+    j = np.empty(min(n, BLOCK_ROWS), np.intp)
+    for lo in range(0, n, BLOCK_ROWS):
+        zb = z[lo : lo + BLOCK_ROWS]
+        m = zb.size
+        c, s, t, f, g, h, j = c[:m], s[:m], t[:m], f[:m], g[:m], h[:m], j[:m]
+        _cos_sin_turns(turns[lo : lo + m], c, s, (t, f, g, h, j))
+        np.subtract(1.0, np.multiply(zb, zb, out=t), out=t)
+        np.sqrt(np.maximum(0.0, t, out=t), out=t)
+        c *= t
+        s *= t
+        yield slice(lo, lo + m), zb, c, s, (f, g)
+
+
+def embed_local(axis: np.ndarray, z: np.ndarray, turns: np.ndarray) -> np.ndarray:
+    """Map local cylindrical coordinates (z along `axis`, azimuth in turns) to world vectors."""
     t1, t2 = tangent_frame(axis)
     a = np.asarray(axis, dtype=float)
-    n = z.size
-    out = np.empty((n, 3))
-    r, c, s, col, tmp = (np.empty(min(n, BLOCK_ROWS)) for _ in range(5))
-    for lo in range(0, n, BLOCK_ROWS):
-        zb, pb = z[lo : lo + BLOCK_ROWS], phi[lo : lo + BLOCK_ROWS]
-        m = zb.size
-        r, c, s, col, tmp = r[:m], c[:m], s[:m], col[:m], tmp[:m]
-        np.subtract(1.0, np.multiply(zb, zb, out=r), out=r)
-        np.sqrt(np.maximum(0.0, r, out=r), out=r)
-        np.multiply(np.cos(pb, out=c), r, out=c)
-        np.multiply(np.sin(pb, out=s), r, out=s)
+    out = np.empty((z.size, 3))
+    for rows, zb, c, s, (col, tmp) in _disk_blocks(z, turns):
         for j in range(3):  # the module docstring's sum order
             np.multiply(c, t1[j], out=col)
             col += np.multiply(s, t2[j], out=tmp)
             col += np.multiply(zb, a[j], out=tmp)
-            out[lo : lo + m, j] = col
+            out[rows, j] = col
     return out
 
 
 def uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.uniform(-1.0, 1.0, size=n)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    turns = rng.uniform(0.0, 1.0, size=n)
     out = np.empty((n, 3))
-    np.multiply(r, np.cos(phi), out=out[:, 0])
-    np.multiply(r, np.sin(phi), out=out[:, 1])
+    for rows, _, x, y, _ in _disk_blocks(z, turns):
+        out[rows, 0], out[rows, 1] = x, y
     out[:, 2] = z
     return out
 
@@ -115,15 +192,15 @@ def uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
 def uniform_hemisphere(rng: np.random.Generator, n: int, axis: np.ndarray) -> np.ndarray:
     """Area-uniform draw from the hemisphere {v : v.axis >= 0}."""
     z = rng.uniform(0.0, 1.0, size=n)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return embed_local(axis, z, phi)
+    turns = rng.uniform(0.0, 1.0, size=n)
+    return embed_local(axis, z, turns)
 
 
 def cosine_hemisphere(rng: np.random.Generator, n: int, axis: np.ndarray) -> np.ndarray:
     """Draw from density (1/pi) (v.axis) on the hemisphere around `axis`."""
     z = np.sqrt(rng.uniform(0.0, 1.0, size=n))
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return embed_local(axis, z, phi)
+    turns = rng.uniform(0.0, 1.0, size=n)
+    return embed_local(axis, z, turns)
 
 
 def uniform_cap(rng: np.random.Generator, n: int, axis: np.ndarray, zmin: np.ndarray) -> np.ndarray:
@@ -131,8 +208,8 @@ def uniform_cap(rng: np.random.Generator, n: int, axis: np.ndarray, zmin: np.nda
     zmin = np.broadcast_to(np.asarray(zmin, dtype=float), (n,))
     u = rng.uniform(0.0, 1.0, size=n)
     z = zmin + u * (1.0 - zmin)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return embed_local(axis, z, phi)
+    turns = rng.uniform(0.0, 1.0, size=n)
+    return embed_local(axis, z, turns)
 
 
 def stratified_sphere_points(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -144,11 +221,10 @@ def stratified_sphere_points(n: int, rng: np.random.Generator) -> np.ndarray:
     k = max(1, int(np.sqrt(n // 2)))
     kz, kphi = k, max(1, n // 2 // k)
     z = 2.0 * ((np.repeat(np.arange(kz), kphi) + rng.uniform(size=kz * kphi)) / kz) - 1.0
-    phi = 2.0 * np.pi * ((np.tile(np.arange(kphi), kz) + rng.uniform(size=kz * kphi)) / kphi)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    turns = (np.tile(np.arange(kphi), kz) + rng.uniform(size=kz * kphi)) / kphi
     out = np.empty((2, z.size, 3))  # the points, then their mirrors
-    np.multiply(r, np.cos(phi), out=out[0, :, 0])
-    np.multiply(r, np.sin(phi), out=out[0, :, 1])
+    for rows, _, x, y, _ in _disk_blocks(z, turns):
+        out[0, rows, 0], out[0, rows, 1] = x, y
     out[0, :, 2] = z
     np.negative(out[0], out=out[1])
     return out.reshape(-1, 3)

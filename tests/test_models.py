@@ -1,12 +1,17 @@
 """Model suite: interface contracts plus each model's defining identities."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdhv
 import oracles
 from conftest import BIPARTITE_MODEL_NAMES, STATE_MODEL_NAMES, cell_contexts, orthogonal_pair_contexts
 from mdhv.channel import ChannelTranscript
@@ -743,6 +748,42 @@ class TestIntervalModel:
     def test_density_outside_domain_is_zero(self):
         ctx = ModelContext(PLUS, Z_BASIS)
         assert self.model.density_arrays({"x": np.array([-0.1, 97.0])}, ctx).tolist() == [0.0, 0.0]
+
+    @staticmethod
+    def assert_cells_from_unique_edges(model, contexts):
+        edges = np.unique(np.concatenate([model.bin_edges(ctx)[1] for ctx in contexts]))
+        points, widths = model.cells(*contexts)
+        assert points["x"].tobytes() == (0.5 * (edges[:-1] + edges[1:])).tobytes()
+        assert widths.tobytes() == np.diff(edges).tobytes()
+
+    def test_cells_cut_at_the_np_unique_edges(self, monkeypatch):
+        # a basis state repeats its edges through its zero weights, and a context given twice repeats all
+        random = [self.model.random_context(stream(951, trial), dim=3) for trial in range(3)]
+        repeated = [ModelContext(ZERO, Z_BASIS), ModelContext(PLUS, Z_BASIS), ModelContext(ONE, Z_BASIS)]
+        for contexts in ([repeated[0]], repeated, repeated + random, random + random[:1]):
+            self.assert_cells_from_unique_edges(self.model, contexts)
+        # both signs of zero, repeated inner and outer edges, and a single repeated edge
+        monkeypatch.setattr(self.model, "bin_edges", lambda edges: (None, np.array(edges)))
+        signed = ([0.0, -0.0, 0.5, 0.5, 1.0], [-0.0, 0.25, 1.0, 1.0], [-0.0, -0.0, 1.0], [0.0, 0.0])
+        for contexts in ([signed[0], signed[1]], [signed[2], signed[0]], [signed[3]], list(signed)):
+            self.assert_cells_from_unique_edges(self.model, contexts)
+
+    def test_overlap_leaves_numpy_ma_unimported(self):
+        # np.unique's first call imports numpy.ma; the cells do without it
+        code = (
+            "import sys\n"
+            "from mdhv.analysis import classical_overlap\n"
+            "from mdhv.models import create_model, stream\n"
+            "from mdhv.quantum import random_basis, random_state\n"
+            "rng = stream(953)\n"
+            "w = classical_overlap(create_model('interval'), random_state(3, rng), random_state(3, rng), "
+            "random_basis(3, rng))\n"
+            "print(0.0 < w < 1.0, 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(mdhv.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert run.stdout.split() == ["True", "False"]
 
     def test_nan_position_has_zero_density_and_is_out_of_support(self):
         ctx = self.model.random_context(stream(1, 1), dim=3)

@@ -410,7 +410,7 @@ def test_channel_stdout_and_trace_hash(tmp_path, monkeypatch, capsys):
     argv = ["--bob", "60,0", "--accepted", "500", "--seed", "7"]
     assert traced_channel_hashes(argv, tmp_path, monkeypatch, capsys) == (
         "be084875e5d1f8952719f94a6ef0294679cb809424a97226e501215ade49ecf2",
-        "bb010eae532346117701583e71913a9dbdc6db9e3549bbe5f8558ddc96714463",
+        "2cd4ccbed93a11fb125073dc353480ab2ffbd21614454fb235e8dbd6c704c400",
     )
 
 
@@ -421,5 +421,5 @@ def test_generic_axis_channel_stdout_and_trace_hash(tmp_path, monkeypatch, capsy
     argv = ["--alice=0.3,-0.5,0.8", "--bob=-0.6,0.2,0.7", "--accepted", "500", "--seed", "7"]
     assert traced_channel_hashes(argv, tmp_path, monkeypatch, capsys) == (
         "460e9a6a853ebc3f11ee40a647621ecd75e2a790af9ea2ef1e8fd227d6b2afaf",
-        "b6249014a3f574919fd3f351a6c08ef179b000588a6d1f99687087e6ec50b1bc",
+        "f3382e643a8af99105be85ce6dfb842efc7c912cd59844d20f15439ec9e8a6b9",
     )

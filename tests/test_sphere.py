@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from conftest import turned
+from mdhv import sphere
 from mdhv.models import stream
 from mdhv.sphere import (
     BLOCK_ROWS,
@@ -42,11 +43,20 @@ def reference_frame(axis):
     return t1, np.cross(a, t1)
 
 
-def reference_embed(axis, z, phi):
+def turn_cos_sin(u):
+    """The sphere module's cos and sin of 2 pi u, from one kernel call over all of u."""
+    u = np.asarray(u, dtype=float)
+    c, s = np.empty_like(u), np.empty_like(u)
+    sphere._cos_sin_turns(u, c, s, (*(np.empty_like(u) for _ in range(4)), np.empty(u.shape, np.intp)))
+    return c, s
+
+
+def reference_embed(axis, z, turns):
     """embed_local as three np.outer terms, the float order of the seeded output."""
     t1, t2 = reference_frame(axis)
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.outer(r * np.cos(phi), t1) + np.outer(r * np.sin(phi), t2) + np.outer(z, axis)
+    c, s = turn_cos_sin(turns)
+    return np.outer(r * c, t1) + np.outer(r * s, t2) + np.outer(z, axis)
 
 
 def kernel_axes():
@@ -71,43 +81,74 @@ def test_tangent_frame_matches_cross_product_reference_bit_for_bit():
 
 
 def test_embed_local_matches_outer_product_reference_bit_for_bit():
-    # tobytes compares signed zeros too; the fixed z and phi values give exact zeros
+    # tobytes compares signed zeros too; the fixed z and turns give exact zeros
     rng = stream(9)
     z = np.concatenate([rng.uniform(-1.0, 1.0, 300), [-1.0, 0.0, 1.0, 1.0, 0.0]])
-    phi = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 300), [0.0, 0.0, np.pi / 2, np.pi, np.pi]])
+    turns = np.concatenate([rng.uniform(0.0, 1.0, 300), [0.0, 0.0, 0.25, 0.5, 0.5]])
     for axis in kernel_axes():
-        got = embed_local(axis, z, phi)
+        got = embed_local(axis, z, turns)
         assert got.flags.c_contiguous
-        assert got.tobytes() == reference_embed(axis, z, phi).tobytes(), axis
+        assert got.tobytes() == reference_embed(axis, z, turns).tobytes(), axis
 
 
 @pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
 def test_embed_local_blocks_match_outer_product_reference_bit_for_bit(n):
     # rows on both sides of every block boundary, including a last block of 1 or 5 rows
     rng = stream(12, n)
-    z, phi = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 2.0 * np.pi, n)
+    z, turns = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0, n)
     for axis in kernel_axes():
-        got = embed_local(axis, z, phi)
+        got = embed_local(axis, z, turns)
         assert got.flags.c_contiguous and got.shape == (n, 3)
-        assert got.tobytes() == reference_embed(axis, z, phi).tobytes(), axis
+        assert got.tobytes() == reference_embed(axis, z, turns).tobytes(), axis
 
 
 def test_uniform_sphere_matches_stacked_reference_bit_for_bit():
     got = uniform_sphere(stream(10), 1000)
     rng = stream(10)
     z = rng.uniform(-1.0, 1.0, size=1000)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=1000)
+    c, s = turn_cos_sin(rng.uniform(0.0, 1.0, size=1000))
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    assert got.tobytes() == np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1).tobytes()
+    assert got.tobytes() == np.stack([r * c, r * s, z], axis=1).tobytes()
 
 
 def test_embed_preserves_unit_norm():
     rng = stream(1)
     z = rng.uniform(-1, 1, 100)
-    phi = rng.uniform(0, 2 * np.pi, 100)
-    pts = embed_local(AXIS, z, phi)
+    turns = rng.uniform(0, 1, 100)
+    pts = embed_local(AXIS, z, turns)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
     assert np.allclose(pts @ AXIS, z, atol=1e-12)
+
+
+WIDE_LONG_DOUBLE = np.finfo(np.longdouble).nmant > np.finfo(float).nmant
+
+
+@pytest.mark.skipif(not WIDE_LONG_DOUBLE, reason="long double is no wider than double here")
+def test_turn_cos_sin_is_within_three_units_of_2_to_minus_53():
+    steps = np.arange(sphere._STEPS + 1) / sphere._STEPS
+    halves = (np.arange(sphere._STEPS) + 0.5) / sphere._STEPS
+    edges = np.concatenate(
+        [
+            [0.0, np.nextafter(1.0, 0.0)],
+            np.nextafter(steps, -np.inf)[1:],  # both sides of each j/N within [0, 1]
+            np.nextafter(steps, np.inf)[:-1],
+            halves,  # where the nearest j changes, and both sides
+            np.nextafter(halves, -np.inf),
+            np.nextafter(halves, np.inf),
+        ]
+    )
+    u = np.concatenate([stream(18).uniform(0.0, 1.0, size=1 << 20), steps, edges])
+    c, s = turn_cos_sin(u)
+    angle = u.astype(np.longdouble) * (8 * np.arctan(np.longdouble(1.0)))
+    for got, want in ((c, np.cos(angle)), (s, np.sin(angle))):
+        assert float(np.abs(got - want).max()) <= 3.0 * 2.0**-53
+
+
+def test_turn_cos_sin_is_exact_at_quarter_turns():
+    c, s = turn_cos_sin([0.0, 0.25, 0.5, 0.75, 1.0])
+    # tobytes compares signed zeros too
+    assert c.tobytes() == np.array([1.0, 0.0, -1.0, 0.0, 1.0]).tobytes()
+    assert s.tobytes() == np.array([0.0, 1.0, 0.0, -1.0, 0.0]).tobytes()
 
 
 def test_uniform_sphere_moments():
@@ -156,9 +197,9 @@ def reference_stratified(n, rng):
     uz = (iz.ravel() + rng.uniform(size=iz.size)) / kz
     uphi = (iphi.ravel() + rng.uniform(size=iphi.size)) / kphi
     z = 2.0 * uz - 1.0
-    phi = 2.0 * np.pi * uphi
+    c, s = turn_cos_sin(uphi)
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    pts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    pts = np.stack([r * c, r * s, z], axis=1)
     return np.concatenate([pts, -pts], axis=0)
 
 
