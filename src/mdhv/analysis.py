@@ -18,7 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TOL
-from .models.base import HiddenVariableModel, ModelContext, OnticKind, integrate, singlet_context, stream
+from .models.base import (
+    HiddenVariableModel,
+    ModelContext,
+    OutcomeIndexModel,
+    SingletModel,
+    integrate,
+    singlet_context,
+    stream,
+)
 from .quantum import DensityMatrix, Povm, ProjectiveBasis, StateVector, born_probability
 from .sphere import bootstrap_stderr, stratified_sphere_points
 
@@ -253,9 +261,10 @@ def preparation_independence_residual(
 
     The preparation is the tensor product of qubit `factors`; the 2^n
     measurement outcomes map to ontic bit-tuples lexicographically (outcome
-    index in binary, most significant bit = subsystem 1).
+    index in binary, most significant bit = subsystem 1).  Only an
+    OutcomeIndexModel's ontic value is that outcome index.
     """
-    if model.ontic_kind is not OnticKind.DISCRETE_INDEX:
+    if not isinstance(model, OutcomeIndexModel):
         raise TypeError("the tuple decomposition needs a discrete ontic space")
     n = len(factors)
     if n < 2:
@@ -326,19 +335,23 @@ def compatibility_audit(
     (|psi><psi| (x) I/2 and |phi><phi| (x) I/2) and reports whether they land
     in the supports of the four product preparations, plus the common-support
     intersection across all four and the separable-tuple check on product
-    preparations.  Only discrete ontic spaces are enumerable.
+    preparations.  Only an OutcomeIndexModel's ontic space, the outcome
+    indices, is enumerated, and each context is checked by validate_context.
     """
-    if model.ontic_kind is not OnticKind.DISCRETE_INDEX:
+    if not isinstance(model, OutcomeIndexModel):
         raise TypeError("compatibility enumeration is undefined for continuous ontic spaces")
     if psi.dim != 2 or phi.dim != 2:
         raise ValueError("the audit covers two-qubit product spaces")
     if M.dim != 4:
         raise ValueError("measurement must act on the 4-dimensional product space")
 
-    def supp(prep) -> frozenset[int]:
+    def law(prep) -> np.ndarray:
         ctx = ModelContext(prep, M)
-        p = model.density_arrays({"j": np.arange(len(M))}, ctx)
-        return frozenset(int(j) for j in np.flatnonzero(p > TOL.support))
+        model.validate_context(ctx)
+        return model.density_arrays({"j": np.arange(len(M))}, ctx)
+
+    def supp(prep) -> frozenset[int]:
+        return frozenset(int(j) for j in np.flatnonzero(law(prep) > TOL.support))
 
     s_a = supp(_padded(psi, 1))
     s_b = supp(_padded(phi, 1))
@@ -361,13 +374,13 @@ def compatibility_audit(
     # separable-tuple check: bit-marginal supports of the padded single-system
     # preparations must recombine inside the product preparation's support
     def bit_support(state: StateVector, slot: int) -> frozenset[int]:
-        p = model.density_arrays({"j": np.arange(4)}, ModelContext(_padded(state, slot), M))
+        p = law(_padded(state, slot))[:4]
         bits = (np.arange(4) >> (1 if slot == 1 else 0)) & 1
         return frozenset(int(b) for b in (0, 1) if p[bits == b].sum() > TOL.support)
 
     s1 = bit_support(psi, 1)
     s2 = bit_support(phi, 2)
-    joint = model.density_arrays({"j": np.arange(4)}, ModelContext(products["psi_phi"], M))
+    joint = law(products["psi_phi"])
     locally_compatible = all(joint[2 * b1 + b2] > TOL.support for b1 in s1 for b2 in s2)
 
     return CompatibilityReport(
@@ -410,10 +423,11 @@ def setting_marginal_dependence(
     axis a held fixed.
 
     For particle 1 the contexts are (alice=a, bob=b) vs (alice=a, bob=b_alt);
-    for particle 2 the roles mirror.  Exact for the tag-based singlet model
-    (two-point counting marginal); stratified antithetic quadrature for the
-    antipodal-pair model, whose ideal-bootstrap stderr treats the points as
-    iid and so overstates the design's error (see mdhv.sphere).
+    for particle 2 the roles mirror.  Only a SingletModel has these contexts.
+    Exact for one whose ontic value is an outcome index (brans' tags: a
+    two-point counting marginal); otherwise stratified antithetic quadrature
+    over the sphere (hall's lam1), whose ideal-bootstrap stderr treats the
+    points as iid and so overstates the design's error (see mdhv.sphere).
     """
     if particle == 1:
         ctx1, ctx2 = singlet_context(a, b), singlet_context(a, b_alt)
@@ -421,7 +435,9 @@ def setting_marginal_dependence(
         ctx1, ctx2 = singlet_context(b, a), singlet_context(b_alt, a)
     else:
         raise ValueError("particle must be 1 or 2")
-    if model.ontic_kind is OnticKind.SETTINGS_OUTCOME_PAIR:
+    if not isinstance(model, SingletModel):
+        raise TypeError("setting-marginal dependence is defined for the bipartite singlet models")
+    if isinstance(model, OutcomeIndexModel):
         tv = 0.5 * sum(
             abs(
                 model.marginal_density(particle, i, ctx1)
@@ -430,12 +446,8 @@ def setting_marginal_dependence(
             for i in (+1, -1)
         )
         return MarginalDependenceReport(float(tv), 0.0, particle, "exact")
-    if model.ontic_kind is OnticKind.ANTIPODAL_PAIR:
-        pts = stratified_sphere_points(resolution, stream(seed, 0))
-        diff = np.abs(
-            model.density_arrays({"vec": pts}, ctx1) - model.density_arrays({"vec": pts}, ctx2)
-        )
-        tv = 0.5 * 4.0 * np.pi * float(diff.mean())
-        err = 0.5 * 4.0 * np.pi * bootstrap_stderr(diff)
-        return MarginalDependenceReport(tv, err, particle, "quadrature")
-    raise TypeError("setting-marginal dependence is defined for the bipartite singlet models")
+    pts = stratified_sphere_points(resolution, stream(seed, 0))
+    diff = np.abs(model.density_arrays({"vec": pts}, ctx1) - model.density_arrays({"vec": pts}, ctx2))
+    tv = 0.5 * 4.0 * np.pi * float(diff.mean())
+    err = 0.5 * 4.0 * np.pi * bootstrap_stderr(diff)
+    return MarginalDependenceReport(tv, err, particle, "quadrature")

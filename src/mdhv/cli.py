@@ -23,7 +23,7 @@ from .constants import TOL
 from .models import (
     MODEL_REGISTRY,
     AxisPair,
-    OnticKind,
+    OutcomeIndexModel,
     SingletFlag,
     create_model,
     json_form,
@@ -74,7 +74,9 @@ def parse_direction(text: str) -> BlochVector:
         # a unit vector is taken as given, so an echoed direction re-parses to the same bits
         if abs(math.hypot(*parts) - 1.0) <= TOL.structural:
             return BlochVector(*parts)
-        return BlochVector.normalized(*parts)
+        # a power-of-two scale is exact, and keeps normalized's sum of squares finite and nonzero
+        scale = -math.frexp(max(map(abs, parts)))[1]
+        return BlochVector.normalized(*(math.ldexp(p, scale) for p in parts))
     raise argparse.ArgumentTypeError(f"expected 'theta,phi' or 'x,y,z', got {text!r}")
 
 
@@ -211,11 +213,10 @@ def cmd_scan(args) -> int:
     rows = []
     all_ok = True
     for k, angle in enumerate(args.angles):
-        rad = math.radians(angle)
-        b = BlochVector.from_polar(rad, 0.0)
+        b = BlochVector.from_polar(math.radians(angle), 0.0)
         report = run_experiment(model, singlet_context(a, b), args.shots, args.seed + k, threads=workers())
         est = singlet_correlation(report.estimates)
-        expected = -math.cos(rad)
+        expected = singlet_expectation(a, b)
         stderr = math.sqrt(max(1e-300, (1.0 - expected**2)) / args.shots)
         ok = abs(est - expected) <= 5.0 * stderr
         all_ok &= ok
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("compat", "--states", "0,+", audit_compat, "support-implication audit of two states"),
     ):
         p = checks.add_parser(check, help=summary)
-        _add_model(p, lambda cls: cls.ontic_kind is OnticKind.DISCRETE_INDEX)
+        _add_model(p, lambda cls: issubclass(cls, OutcomeIndexModel) and cls.any_dimension)
         p.add_argument(flag, type=_qubit_pair, default=default, help="two qubit labels, e.g. '+,0'")
         p.add_argument("--basis", choices=tuple(_NAMED_BASES), default="mixed-psi-plus")
         _add_common(p, _audit(func))

@@ -7,7 +7,7 @@ from .base import (
     AxisPair,
     HiddenVariableModel,
     ModelContext,
-    OnticKind,
+    OutcomeIndexModel,
     SimulationReport,
     SingletFlag,
     SingletModel,
@@ -56,7 +56,7 @@ __all__ = [
     "KochenSpecker2",
     "MODEL_REGISTRY",
     "ModelContext",
-    "OnticKind",
+    "OutcomeIndexModel",
     "SimulationReport",
     "SingletFlag",
     "SingletModel",

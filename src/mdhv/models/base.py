@@ -1,9 +1,9 @@
-"""Hidden-variable model interface: ontic kinds, contexts, sampling engine.
+"""Hidden-variable model interface: contexts, model families, sampling engine.
 
 A model is conditioned on a (preparation, measurement) pair and works on
 named arrays, one row per ontic value: draw n values, evaluate the ensemble
-density at each (w.r.t. the reference measure of the model's ontic kind),
-give the outcome index of the response at each, and test support
+density at each (w.r.t. the reference measure that the model's module
+states), give the outcome index of the response at each, and test support
 membership.  These array operations are the whole model interface; a
 single value is a length-1 array.
 
@@ -18,7 +18,6 @@ import functools
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields, is_dataclass
-from enum import Enum, auto
 from typing import Callable, Union
 
 import numpy as np
@@ -43,7 +42,6 @@ __all__ = [
     "SINGLET",
     "AxisPair",
     "ModelContext",
-    "OnticKind",
     "HiddenVariableModel",
     "QubitBasisModel",
     "SingletModel",
@@ -97,32 +95,6 @@ class ModelContext:
 
     preparation: Union[StateVector, DensityMatrix, SingletFlag]
     measurement: Union[Povm, AxisPair, BlochVector]
-
-
-class OnticKind(Enum):
-    """The ontic space of a model: the tag the auditors dispatch on.
-
-    A kind fixes the named arrays that hold one ontic value per row, and the
-    reference measure that the model's densities are stated against:
-
-      DISCRETE_INDEX         {"j"}             counting measure on the outcome indices
-      SETTINGS_OUTCOME_PAIR  {"j"}             counting measure on the four tag pairs
-                                               (the setting axes are the context's own)
-      INTERVAL               {"x"}             Lebesgue measure on the interval
-      SPHERE                 {"vec"}           sphere surface measure
-      ANTIPODAL_PAIR         {"vec"} = lam1    sphere surface measure of lam1 (lam2 = -lam1)
-      LABELED_SPHERE         {"label", "vec"}  counting x sphere surface measure
-
-    The delta factors of the settings pair and the antipodal pair are
-    resolved analytically, which leaves those measures.
-    """
-
-    DISCRETE_INDEX = auto()
-    SETTINGS_OUTCOME_PAIR = auto()
-    INTERVAL = auto()
-    SPHERE = auto()
-    ANTIPODAL_PAIR = auto()
-    LABELED_SPHERE = auto()
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -207,19 +179,18 @@ def rejection_sample(
 class HiddenVariableModel(ABC):
     """Behavioral contract shared by all models in the registry.
 
-    Subclasses declare `name`, `ontic_kind` (an OnticKind) and the context
-    classes they are conditioned on: `preparations` and `measurements`, each
-    a tuple of classes.  They set `any_dimension` (contexts in every
-    Hilbert-space dimension, not only qubits) where it holds, and implement
-    the array-level operations.  `validate_context` is the one check of a
-    context against these declarations.  Densities are always stated with
-    respect to the reference measure of the ontic kind.  `born_weights` is
-    the model's one Born law: the exact outcome distribution that `verify`
-    gates against and that samplers and bins read.
+    Subclasses declare `name` and the context classes they are conditioned
+    on: `preparations` and `measurements`, each a tuple of classes.  They set
+    `any_dimension` (contexts in every Hilbert-space dimension, not only
+    qubits) where it holds, and implement the array-level operations.
+    `validate_context` is the one check of a context against these
+    declarations.  Densities are always stated with respect to the reference
+    measure of the model's ontic space, which its module docstring names.
+    `born_weights` is the model's one Born law: the exact outcome
+    distribution that `verify` gates against and that samplers and bins read.
     """
 
     name: str = ""
-    ontic_kind: OnticKind
     preparations: tuple[type, ...]
     measurements: tuple[type, ...]
     any_dimension: bool = False
@@ -360,7 +331,8 @@ def _label_row(table: np.ndarray, label: np.ndarray) -> np.ndarray:
 class QubitBasisModel(HiddenVariableModel):
     """A qubit state measured in a qubit projective basis, with ontic values
     (label, unit vector) on the labeled Bloch sphere and the point mass on
-    the label as response.  Subclasses supply the sampler and the density.
+    the label as response.  Densities are against counting x sphere surface
+    measure.  Subclasses supply the sampler and the density.
 
     A subclass's law factors as Born(label) x p(lam_hat | label), and its
     sampler draws the labels first with _labels, from the first n uniforms
@@ -368,7 +340,6 @@ class QubitBasisModel(HiddenVariableModel):
     same bits.
     """
 
-    ontic_kind = OnticKind.LABELED_SPHERE
     preparations = (StateVector,)
     measurements = (ProjectiveBasis,)
 
@@ -419,8 +390,9 @@ class SingletModel(HiddenVariableModel):
 
 class OutcomeIndexModel(HiddenVariableModel):
     """Ontic value j ({"j"}), an index into outcome_labels drawn with its Born
-    weight, whose response is the point mass on outcome j.  Subclasses supply
-    the contexts and, where it is not the base default, born_weights.
+    weight, whose response is the point mass on outcome j.  Densities are
+    against counting measure on the indices.  Subclasses supply the contexts
+    and, where it is not the base default, born_weights.
     """
 
     def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:

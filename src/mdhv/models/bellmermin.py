@@ -2,9 +2,10 @@
 
 For |psi> measured in a qubit basis with Bloch axes k_hat per label, the
 ontic value is (lambda_k, lam_hat) with joint density
-(1/4pi) step(k_hat.(psi_hat + lam_hat)), with step(x) = 1 for x >= 0 and 0
-otherwise (a zero dot counts as +1): a uniform density on the spherical cap
-lam.k >= -psi.k, whose area gives the label exactly its Born weight.
+(1/4pi) step(k_hat.(psi_hat + lam_hat)) against counting x sphere surface
+measure, with step(x) = 1 for x >= 0 and 0 otherwise (a zero dot counts as
++1): a uniform density on the spherical cap lam.k >= -psi.k, whose area
+gives the label exactly its Born weight.
 Response is the point mass on the tag's label.  Sampling draws the label with
 its Born weight and then lam_hat area-uniformly on the matching cap.  The
 labels come first (QubitBasisModel._labels), so `verify` draws the labels

@@ -3,8 +3,9 @@
 The ontic value is (i, j, A_hat, B_hat): the two particles' outcome tags plus
 the setting axes they were conditioned on.  The delta factors tying A_hat,
 B_hat to the chosen axes are resolved analytically (the arrays store only the
-tag pair's index j in OUTCOME_PAIRS; the axes are the context's), leaving a
-four-point counting density (1 - i j a.b)/4; the responses are A = i and B = j.
+tag pair's index j in OUTCOME_PAIRS; the axes are the context's), leaving the
+density (1 - i j a.b)/4 against counting measure on the four tag pairs; the
+responses are A = i and B = j.
 
 Each particle's tag is correlated only with its local setting: the marginal
 weight of tag i is tr(P_singlet |i><i|_a (x) I) = 1/2, a computation the
@@ -16,12 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..quantum import singlet_state, spin_eigenket
-from .base import ModelContext, OnticKind, OutcomeIndexModel, SingletModel
+from .base import ModelContext, OutcomeIndexModel, SingletModel
 
 
 class BransSinglet(SingletModel, OutcomeIndexModel):
     name = "brans"
-    ontic_kind = OnticKind.SETTINGS_OUTCOME_PAIR
 
     def marginal_density(self, particle: int, outcome: int, ctx: ModelContext) -> float:
         """Weight of one particle's tag: tr(P_singlet Pi_i (x) I) resp. (I (x) Pi_j).

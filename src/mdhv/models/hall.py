@@ -7,11 +7,11 @@ and -- have the angle theta between the axes, the others pi - theta, and a
 lune of angle x has area 2x.  lam1's density is uniform on each lune: its
 outcome's singlet weight (1 - A B a.b)/4 = sin^2(x/2)/2 over that area, so
 the joint statistics are the singlet's (the antipodal delta is resolved
-analytically, so the reference measure of this ontic kind is the sphere
-measure of the first component).  Unlike the tag-based singlet model, this
-marginal depends on both parties' axes for generic settings.  At exactly
-parallel or antiparallel axes two lunes have angle 0 and carry nothing, and
-the density is uniform on the rest of the sphere.
+analytically, so densities are against the sphere surface measure of lam1).
+Unlike the tag-based singlet model, this marginal depends on both parties'
+axes for generic settings.  At exactly parallel or antiparallel axes two
+lunes have angle 0 and carry nothing, and the density is uniform on the rest
+of the sphere.
 
 Sampling is rejection from the uniform sphere under the largest lune density.
 """
@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from ..sphere import great_circle_cells, uniform_sphere
-from .base import ModelContext, OnticKind, SingletModel, rejection_sample
+from .base import ModelContext, SingletModel, rejection_sample
 
 
 def _outcome(vecs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -54,7 +54,6 @@ def _lune_density(ctx: ModelContext) -> np.ndarray:
 
 class HallSinglet(SingletModel):
     name = "hall"
-    ontic_kind = OnticKind.ANTIPODAL_PAIR
 
     def sample_arrays(self, ctx: ModelContext, n: int, rng: np.random.Generator) -> dict:
         a, b = ctx.measurement.alice.as_array(), ctx.measurement.bob.as_array()

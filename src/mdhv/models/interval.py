@@ -2,9 +2,9 @@
 
 For |psi> measured in an orthonormal basis {|e_i>}, set x_i = |<e_i|psi>|.
 The ontic variable lives on [0, sum_i x_i], split into consecutive bins of
-length x_i; the density is the constant x_i on bin i (total mass
-sum x_i^2 = 1) and the response is the point mass on e_i for points in
-bin i.  Boundary points belong to the lower bin.
+length x_i; the density against Lebesgue measure is the constant x_i on
+bin i (total mass sum x_i^2 = 1) and the response is the point mass on e_i
+for points in bin i.  Boundary points belong to the lower bin.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..quantum import ProjectiveBasis, StateVector
-from .base import HiddenVariableModel, ModelContext, OnticKind, categorical
+from .base import HiddenVariableModel, ModelContext, categorical
 
 
 class IntervalModel(HiddenVariableModel):
     name = "interval"
-    ontic_kind = OnticKind.INTERVAL
     preparations = (StateVector,)
     measurements = (ProjectiveBasis,)
     any_dimension = True

@@ -2,19 +2,21 @@
 
 KochenSpecker1: ontic value (lambda_k, lam_hat) with joint density
 (1/pi) step(k_hat.lam) step(psi_hat.lam) (psi_hat.lam) per outcome label k of
-a qubit projective basis; response is the point mass on k.  Here and below
-step(x) is 1 for x >= 0 and 0 otherwise, so a zero dot counts as +1.  The
-joint is the normalized object: it factors as Born(k) x (psi_hat's cosine
-lobe restricted to k_hat's hemisphere).  Sampling follows that factorization,
-label first (QubitBasisModel._labels), so `verify` draws the labels alone and
-its rows test the Born label draw.  That the law gives the Born weights is
-shown exactly by TestCells::test_label_masses_are_the_born_weights; that the
+a qubit projective basis, against counting x sphere surface measure; response
+is the point mass on k.  Here and below step(x) is 1 for x >= 0 and 0
+otherwise, so a zero dot counts as +1.  The joint is the normalized object:
+it factors as Born(k) x (psi_hat's cosine lobe restricted to k_hat's
+hemisphere).  Sampling follows that factorization, label first
+(QubitBasisModel._labels), so `verify` draws the labels alone and its rows
+test the Born label draw.  That the law gives the Born weights is shown
+exactly by TestCells::test_label_masses_are_the_born_weights; that the
 sampler draws the law, by TestSamplerMatchesDensity; and that the counted
 labels are the sampler's, by the sample_outcomes contract test.
 
 KochenSpecker2: preparation along a_hat measured along b_hat; ontic unit
-vector with density step(lam.a)|lam.b|/pi, response +b iff lam.b >= 0.
-Sampling is rejection from the uniform a-hemisphere with weight |lam.b|.
+vector with density step(lam.a)|lam.b|/pi against sphere surface measure,
+response +b iff lam.b >= 0.  Sampling is rejection from the uniform
+a-hemisphere with weight |lam.b|.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from ..sphere import BLOCK_ROWS, cosine_hemisphere, great_circle_cells, tangent_
 from .base import (
     HiddenVariableModel,
     ModelContext,
-    OnticKind,
     QubitBasisModel,
     _label_row,
     _qubit_basis_axes,
@@ -143,7 +144,6 @@ class KochenSpecker1(QubitBasisModel):
 
 class KochenSpecker2(HiddenVariableModel):
     name = "ks2"
-    ontic_kind = OnticKind.SPHERE
     preparations = (StateVector,)
     measurements = (BlochVector,)
 

@@ -273,8 +273,8 @@ def singlet_state() -> StateVector:
 
 
 def singlet_expectation(a: BlochVector, b: BlochVector) -> float:
-    """<sigma.a (x) sigma.b> for the singlet: -a.b."""
-    return -a.dot(b)
+    """<sigma.a (x) sigma.b> for the singlet: -a.b, as a Python float."""
+    return float(-a.dot(b))
 
 
 def orthonormal_basis_containing(phi: StateVector) -> ProjectiveBasis:

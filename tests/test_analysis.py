@@ -11,7 +11,7 @@ import oracles
 from conftest import cell_contexts, orthogonal_pair_contexts, turned
 from mdhv.constants import TOL
 from mdhv import analysis
-from mdhv.models import ModelContext, create_model, json_form, singlet_context, stream
+from mdhv.models import MODEL_REGISTRY, ModelContext, create_model, json_form, singlet_context, stream
 from mdhv.models import hall as hall_model
 from mdhv.models.gbrans import GeneralizedBrans
 from mdhv.quantum import (
@@ -789,10 +789,6 @@ class TestCompatibilityAudit:
         assert rep.implications["premise_in_psi_phi"]
         assert rep.implications["premise_in_phi_psi"]
 
-    def test_continuous_models_rejected(self):
-        with pytest.raises(TypeError):
-            analysis.compatibility_audit(create_model("ks1"), ZERO, PLUS, product_zz_basis())
-
     def test_report_serializes(self):
         model = create_model("gbrans")
         rep = analysis.compatibility_audit(model, ZERO, PLUS, product_zz_basis())
@@ -851,7 +847,34 @@ class TestSettingMarginalDependence:
         spread = np.std([r.tv_distance for r in reps], ddof=1)
         assert spread < min(r.stderr for r in reps)
 
-    def test_rejects_other_models(self):
-        with pytest.raises(TypeError):
-            analysis.setting_marginal_dependence(create_model("gbrans"), 1, Z_AXIS, Z_AXIS, X_AXIS)
 
+# Each family-scoped audit, the models it accepts, and the report it returns for them.
+FAMILY_AUDITS = {
+    "pi": (
+        ["gbrans"],
+        analysis.PiReport,
+        lambda model: analysis.preparation_independence_residual(model, [PLUS, ZERO], mixed_psi_plus_basis()),
+    ),
+    "compat": (
+        ["gbrans"],
+        analysis.CompatibilityReport,
+        lambda model: analysis.compatibility_audit(model, ZERO, PLUS, mixed_psi_plus_basis()),
+    ),
+    "marginal": (
+        ["brans", "hall"],
+        analysis.MarginalDependenceReport,
+        lambda model: analysis.setting_marginal_dependence(model, 1, Z_AXIS, DEG60, X_AXIS, 1000),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MODEL_REGISTRY)
+@pytest.mark.parametrize("check", FAMILY_AUDITS)
+def test_each_family_audit_refuses_the_models_outside_its_family(check, name):
+    accepted, report, audit = FAMILY_AUDITS[check]
+    model = create_model(name)
+    if name in accepted:
+        assert isinstance(audit(model), report)
+    else:
+        with pytest.raises(TypeError):
+            audit(model)

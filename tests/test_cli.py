@@ -69,6 +69,16 @@ class TestParsing:
                 w = parse_direction(",".join(repr(float(c)) for c in (v.x, v.y, v.z)))
                 assert (w.x, w.y, w.z) == (v.x, v.y, v.z), (theta, phi)
 
+    @pytest.mark.parametrize("alice", ["1e200,1e200,1e200", "1e-200,0,1e-200"])
+    def test_huge_and_tiny_components_normalize(self, alice, capsys):
+        # their sum of squares overflows resp. underflows; the echoed unit vector re-parses to its bits
+        argv = ["channel", f"--alice={alice}", "--accepted", "10", "--seed", "1", "--format", "json"]
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        echoed = json.loads(out)["config"]["alice"]
+        w = parse_direction(",".join(map(repr, echoed)))
+        assert [w.x, w.y, w.z] == echoed
+
     def test_product_state(self):
         factors = parse_product_state("+,0")
         assert factors[0].overlap_sq(factors[0]) == pytest.approx(1.0)

@@ -21,7 +21,6 @@ from mdhv.models import (
     SINGLET,
     AxisPair,
     ModelContext,
-    OnticKind,
     SingletFlag,
     create_model,
     run_experiment,
@@ -32,6 +31,9 @@ from mdhv.models import hall as hall_model
 from mdhv.models.base import (
     JOINT_LABELS,
     OUTCOME_PAIRS,
+    OutcomeIndexModel,
+    QubitBasisModel,
+    SingletModel,
     _qubit_basis_axes,
     categorical,
     integrate,
@@ -180,19 +182,26 @@ class TestInterfaceContracts:
             assert all(type(v) is float for v in rep.estimates.values())
 
 
-def test_each_model_declares_its_ontic_kind():
-    # the ontic spaces and context classes the README lists; each kind fixes its reference measure
+def test_each_model_declares_its_contexts_and_family():
+    # the context classes the README lists, and the family classes whose arrays the auditors read
     expected = {
-        "brans": (OnticKind.SETTINGS_OUTCOME_PAIR, (SingletFlag,), (AxisPair,)),
-        "gbrans": (OnticKind.DISCRETE_INDEX, (StateVector, DensityMatrix), (Povm,)),
-        "interval": (OnticKind.INTERVAL, (StateVector,), (ProjectiveBasis,)),
-        "ks2": (OnticKind.SPHERE, (StateVector,), (BlochVector,)),
-        "hall": (OnticKind.ANTIPODAL_PAIR, (SingletFlag,), (AxisPair,)),
-        "ks1": (OnticKind.LABELED_SPHERE, (StateVector,), (ProjectiveBasis,)),
-        "bellmermin": (OnticKind.LABELED_SPHERE, (StateVector,), (ProjectiveBasis,)),
+        "brans": ((SingletFlag,), (AxisPair,)),
+        "gbrans": ((StateVector, DensityMatrix), (Povm,)),
+        "interval": ((StateVector,), (ProjectiveBasis,)),
+        "ks2": ((StateVector,), (BlochVector,)),
+        "hall": ((SingletFlag,), (AxisPair,)),
+        "ks1": ((StateVector,), (ProjectiveBasis,)),
+        "bellmermin": ((StateVector,), (ProjectiveBasis,)),
     }
-    declared = {n: (c.ontic_kind, c.preparations, c.measurements) for n, c in MODEL_REGISTRY.items()}
+    declared = {n: (c.preparations, c.measurements) for n, c in MODEL_REGISTRY.items()}
     assert declared == expected
+    families = (OutcomeIndexModel, SingletModel, QubitBasisModel)
+    members = {f.__name__: sorted(n for n, c in MODEL_REGISTRY.items() if issubclass(c, f)) for f in families}
+    assert members == {
+        "OutcomeIndexModel": ["brans", "gbrans"],
+        "SingletModel": ["brans", "hall"],
+        "QubitBasisModel": ["bellmermin", "ks1"],
+    }
 
 
 def _context_shapes() -> list[ModelContext]:
