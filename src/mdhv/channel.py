@@ -7,8 +7,8 @@ follow the weighted hemisphere density step(lam.a)|lam.b|/pi, the acceptance
 rate is 1/2 for every axis pair, and outcome frequencies are (1 +- a.b)/2.
 
 Stream layout: per block of _BLOCK rounds, Alice draws all z, then all
-azimuths in turns (uniform on [0, 1)), from stream(seed, 1); Bob draws one
-uniform per round from stream(seed, 2).
+azimuths in turns, from stream(seed, 1); Bob draws one uniform per round
+from stream(seed, 2).  Every draw is a unit uniform, rng.random.
 Alice and Bob read a unit of _UNIT rounds at its Philox counter offsets, so
 the units run on a pool of one worker per available core, and the calling
 thread takes them in order.  The output does not depend on the worker count.
@@ -106,8 +106,8 @@ class AliceSender:
         k, r = divmod(first, _BLOCK)
         if r + n > _BLOCK:
             raise ValueError("emitted rounds must lie within one block")
-        z = stream_at(self.seed, 1, 2 * _BLOCK * k + r).uniform(0.0, 1.0, size=n)
-        turns = stream_at(self.seed, 1, 2 * _BLOCK * k + _BLOCK + r).uniform(0.0, 1.0, size=n)
+        z = stream_at(self.seed, 1, 2 * _BLOCK * k + r).random(n)
+        turns = stream_at(self.seed, 1, 2 * _BLOCK * k + _BLOCK + r).random(n)
         return np.arange(first, first + n), embed_local(self.axis, z, turns)
 
 

@@ -102,11 +102,26 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), int(index)))))
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """The Philox key of stream(seed, index), its SeedSequence's first two 64-bit words,
+    served where a Philox asks its seed for them.
+
+    Philox(key=..., counter=...) would first build a SeedSequence from OS entropy and drop it.
+    """
+
+    def __init__(self, seed: int, index: int):
+        self.words = np.random.SeedSequence((seed, index)).generate_state(2, np.uint64)
+        self.words.setflags(write=False)
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or dtype is not np.uint64:
+            raise ValueError("a Philox key is two 64-bit words")
+        return self.words
+
+
 @functools.lru_cache(maxsize=64)
-def _philox_key(seed: int, index: int) -> int:
-    """The 128-bit Philox key of stream(seed, index): its SeedSequence's first two 64-bit words."""
-    low, high = np.random.SeedSequence((seed, index)).generate_state(2, np.uint64).tolist()
-    return low | high << 64
+def _philox_key(seed: int, index: int) -> _PhiloxKey:
+    return _PhiloxKey(seed, index)
 
 
 def stream_at(seed: int, index: int, draw: int) -> np.random.Generator:
@@ -116,7 +131,7 @@ def stream_at(seed: int, index: int, draw: int) -> np.random.Generator:
     so the generator opens on stream(seed, index)'s key at counter draw // 4 and drops the
     draw % 4 before its position.  The key is derived once per (seed, index).
     """
-    bits = np.random.Philox(key=_philox_key(int(seed), int(index)), counter=draw // 4)
+    bits = np.random.Philox(_philox_key(int(seed), int(index)), counter=draw // 4)
     bits.random_raw(draw % 4)
     return np.random.Generator(bits)
 

@@ -9,6 +9,12 @@ everything is dense complex arithmetic.
 All values are validated at construction and treated as immutable afterwards;
 each check is written `not x <= tol`, so a NaN fails it.  Equality of states
 is only ever judged through |<a|b>|^2, never through a canonical global phase.
+
+Being immutable, values keep what is derived from them: a qubit state its
+Bloch vector (bloch_from_ket), and a measurement the Born distribution of the
+last state it was evaluated on (born_probability), keyed on that state
+object's identity.  A verify trial's sampler, chunks, bins and report read
+one evaluation, which for a wide POVM is most of a chunk's time.
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ class BlochVector:
 class StateVector:
     """Normalized pure state |psi> in dimension d >= 2."""
 
-    __slots__ = ("dim", "amplitudes")
+    __slots__ = ("dim", "amplitudes", "_bloch")
 
     def __init__(self, amplitudes):
         amp = np.array(amplitudes, dtype=complex).reshape(-1)
@@ -92,6 +98,7 @@ class StateVector:
         amp.setflags(write=False)
         self.amplitudes = amp
         self.dim = amp.size
+        self._bloch = None  # bloch_from_ket's result, once asked for
 
     def overlap_sq(self, other: "StateVector") -> float:
         """|<self|other>|^2, computed as re^2 + im^2 (symmetric in its arguments)."""
@@ -133,39 +140,59 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
+def _leading(ok: np.ndarray) -> int:
+    """The number of leading True entries of ok."""
+    return int(np.argmin(ok)) if not ok.all() else ok.size
+
+
 class Povm:
     """Ordered collection of labeled positive operators summing to the identity."""
 
-    __slots__ = ("dim", "labels", "operators")
+    __slots__ = ("dim", "labels", "operators", "_born")
 
     def __init__(self, elements: Sequence[tuple[str, np.ndarray]]):
+        """Each element square, of the first one's shape, Hermitian and PSD, and their sum the
+        identity.  The first element to fail a check raises, as if each were checked in turn
+        (square, shape, Hermitian, PSD).
+
+        The elements before the first of another shape are checked as one stack: a Hermitian
+        residual each, then one eigvalsh over those before the first non-Hermitian one (a NaN
+        fails the residual, so eigvalsh never sees it).
+        """
         if len(elements) < 1:
             raise ValueError("POVM needs at least one element")
         labels = tuple(str(label) for label, _ in elements)
         if len(set(labels)) != len(labels):
             raise ValueError("POVM labels must be unique")
-        ops = []
-        dim = None
-        for label, op in elements:
-            m = np.array(op, dtype=complex)
+        mats = [np.asarray(op, dtype=complex) for _, op in elements]
+        shape_error = None
+        for i, (m, (label, _)) in enumerate(zip(mats, elements)):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"element {label!r} is not a square matrix")
-            if dim is None:
-                dim = m.shape[0]
-            elif m.shape[0] != dim:
-                raise ValueError("POVM elements must share one dimension")
-            if not np.max(np.abs(m - m.conj().T)) <= TOL.structural:
-                raise ValueError(f"element {label!r} is not Hermitian")
-            if not np.linalg.eigvalsh(m).min() >= -TOL.structural:
-                raise ValueError(f"element {label!r} is not PSD")
-            m.setflags(write=False)
-            ops.append(m)
-        total = sum(ops)
-        if not np.max(np.abs(total - np.eye(dim))) <= TOL.structural:
+                shape_error = ValueError(f"element {label!r} is not a square matrix")
+            elif m.shape != mats[0].shape:
+                shape_error = ValueError("POVM elements must share one dimension")
+            if shape_error is not None:
+                del mats[i:]  # the elements before it are checked first
+                break
+        if not mats:
+            raise shape_error
+        stack = np.array(mats)
+        hermitian = _leading(np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) <= TOL.structural)
+        psd = _leading(np.linalg.eigvalsh(stack[:hermitian]).min(axis=1) >= -TOL.structural)
+        if psd < hermitian:
+            raise ValueError(f"element {elements[psd][0]!r} is not PSD")
+        if hermitian < len(mats):
+            raise ValueError(f"element {elements[hermitian][0]!r} is not Hermitian")
+        if shape_error is not None:
+            raise shape_error
+        stack.setflags(write=False)
+        total = sum(stack)
+        if not np.max(np.abs(total - np.eye(stack.shape[1]))) <= TOL.structural:
             raise ValueError("POVM elements must sum to the identity")
-        self.dim = dim
+        self.dim = stack.shape[1]
         self.labels = labels
-        self.operators = tuple(ops)
+        self.operators = tuple(stack)
+        self._born = None
 
     def __len__(self):
         return len(self.labels)
@@ -213,6 +240,7 @@ class ProjectiveBasis(Povm):
         self.dim = d
         self.labels = tuple(str(i) for i in range(n))
         self._operators = None
+        self._born = None
 
     @property
     def operators(self) -> tuple[np.ndarray, ...]:
@@ -232,16 +260,26 @@ def born_probability(prep: DensityMatrix | StateVector, M: Povm) -> np.ndarray:
     (StateVector.overlap_sq) per ket, unclamped and bit for bit; anything else
     gives tr(prep E_i), clamped to [0, 1].  Every model's basis Born weights
     come from here.  Raises ValueError on dimension mismatch.
+
+    The result is read-only, and M keeps it until it is asked about another
+    preparation object: a repeated call returns the same array.
     """
+    last = M._born
+    if last is not None and last[0] is prep:
+        return last[1]
     if prep.dim != M.dim:
         raise ValueError(f"preparation dim {prep.dim} != measurement dim {M.dim}")
-    if isinstance(prep, StateVector):
-        if isinstance(M, ProjectiveBasis):
-            return np.array([ket.overlap_sq(prep) for ket in M.kets])
-        p = [np.vdot(prep.amplitudes, op @ prep.amplitudes).real for op in M.operators]
+    if isinstance(prep, StateVector) and isinstance(M, ProjectiveBasis):
+        p = np.array([ket.overlap_sq(prep) for ket in M.kets])
     else:
-        p = [np.trace(prep.entries @ op).real for op in M.operators]
-    return np.array([min(1.0, max(0.0, v)) for v in p])
+        if isinstance(prep, StateVector):
+            raw = [np.vdot(prep.amplitudes, op @ prep.amplitudes).real for op in M.operators]
+        else:
+            raw = [np.trace(prep.entries @ op).real for op in M.operators]
+        p = np.array([min(1.0, max(0.0, v)) for v in raw])
+    p.setflags(write=False)
+    M._born = (prep, p)
+    return p
 
 
 def ket_from_bloch(v: BlochVector) -> StateVector:
@@ -252,12 +290,14 @@ def ket_from_bloch(v: BlochVector) -> StateVector:
 
 
 def bloch_from_ket(s: StateVector) -> BlochVector:
-    """Inverse Bloch parametrization; defined for qubits only."""
-    if s.dim != 2:
-        raise ValueError("Bloch coordinates are defined for dim == 2 only")
-    a, b = s.amplitudes
-    cross = np.conj(a) * b
-    return BlochVector.normalized(2.0 * cross.real, 2.0 * cross.imag, abs(a) ** 2 - abs(b) ** 2)
+    """Inverse Bloch parametrization; defined for qubits only.  Formed once per state."""
+    if s._bloch is None:
+        if s.dim != 2:
+            raise ValueError("Bloch coordinates are defined for dim == 2 only")
+        a, b = s.amplitudes
+        cross = np.conj(a) * b
+        s._bloch = BlochVector.normalized(2.0 * cross.real, 2.0 * cross.imag, abs(a) ** 2 - abs(b) ** 2)
+    return s._bloch
 
 
 def spin_eigenket(axis: BlochVector, outcome: int) -> StateVector:
@@ -329,8 +369,10 @@ def random_povm(dim: int, n_elements: int, rng: np.random.Generator) -> Povm:
 
 
 def random_bloch(rng: np.random.Generator) -> BlochVector:
-    """Uniform point on the unit sphere."""
-    z = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, 2.0 * np.pi)
+    """Uniform point on the unit sphere: z = -1 + 2u and phi = 2 pi v from the next two uniforms,
+    the values rng.uniform(-1, 1) and rng.uniform(0, 2 pi) form from them."""
+    u, v = rng.random(2).tolist()
+    z = -1.0 + 2.0 * u
+    phi = 2.0 * np.pi * v
     r = np.sqrt(max(0.0, 1.0 - z * z))
     return BlochVector.normalized(r * np.cos(phi), r * np.sin(phi), z)

@@ -5,9 +5,12 @@ vectors.  Directional samplers take the target axis as the local +z and embed
 through a deterministic orthonormal frame, so identical streams give
 identical draws.
 
-Azimuths are in turns.  Each sampler draws u = rng.uniform(0.0, 1.0) where
-it drew phi = rng.uniform(0.0, 2 pi) before, the same uniform at the same
-place in the stream, so the stream layout did not change.  _cos_sin_turns
+Azimuths are in turns.  Each sampler draws u = rng.random() where it drew
+phi = rng.uniform(0.0, 2 pi) before, the same uniform at the same place in
+the stream, so the stream layout did not change.  Every unit-interval draw
+is rng.random(n): numpy forms rng.uniform(0.0, 1.0) as 0.0 + 1.0 u from that
+same u, so the two give the same bits, and random skips uniform's argument
+handling.  _cos_sin_turns
 maps u to (cos 2 pi u, sin 2 pi u) with no libm call: for N = 1024 and j
 the integer nearest t = N u, the remainder f = t - j is exact with
 |f| <= 1/2, a table holds C_j and S_j, the cos and sin at j/N of a turn
@@ -181,7 +184,7 @@ def embed_local(axis: np.ndarray, z: np.ndarray, turns: np.ndarray) -> np.ndarra
 
 def uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.uniform(-1.0, 1.0, size=n)
-    turns = rng.uniform(0.0, 1.0, size=n)
+    turns = rng.random(n)
     out = np.empty((n, 3))
     for rows, _, x, y, _ in _disk_blocks(z, turns):
         out[rows, 0], out[rows, 1] = x, y
@@ -191,24 +194,24 @@ def uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def uniform_hemisphere(rng: np.random.Generator, n: int, axis: np.ndarray) -> np.ndarray:
     """Area-uniform draw from the hemisphere {v : v.axis >= 0}."""
-    z = rng.uniform(0.0, 1.0, size=n)
-    turns = rng.uniform(0.0, 1.0, size=n)
+    z = rng.random(n)
+    turns = rng.random(n)
     return embed_local(axis, z, turns)
 
 
 def cosine_hemisphere(rng: np.random.Generator, n: int, axis: np.ndarray) -> np.ndarray:
     """Draw from density (1/pi) (v.axis) on the hemisphere around `axis`."""
-    z = np.sqrt(rng.uniform(0.0, 1.0, size=n))
-    turns = rng.uniform(0.0, 1.0, size=n)
+    z = np.sqrt(rng.random(n))
+    turns = rng.random(n)
     return embed_local(axis, z, turns)
 
 
 def uniform_cap(rng: np.random.Generator, n: int, axis: np.ndarray, zmin: np.ndarray) -> np.ndarray:
     """Area-uniform draw from the cap {v : v.axis >= zmin}; zmin may be per-sample."""
     zmin = np.broadcast_to(np.asarray(zmin, dtype=float), (n,))
-    u = rng.uniform(0.0, 1.0, size=n)
+    u = rng.random(n)
     z = zmin + u * (1.0 - zmin)
-    turns = rng.uniform(0.0, 1.0, size=n)
+    turns = rng.random(n)
     return embed_local(axis, z, turns)
 
 
@@ -220,8 +223,8 @@ def stratified_sphere_points(n: int, rng: np.random.Generator) -> np.ndarray:
     """
     k = max(1, int(np.sqrt(n // 2)))
     kz, kphi = k, max(1, n // 2 // k)
-    z = 2.0 * ((np.repeat(np.arange(kz), kphi) + rng.uniform(size=kz * kphi)) / kz) - 1.0
-    turns = (np.tile(np.arange(kphi), kz) + rng.uniform(size=kz * kphi)) / kphi
+    z = 2.0 * ((np.repeat(np.arange(kz), kphi) + rng.random(kz * kphi)) / kz) - 1.0
+    turns = (np.tile(np.arange(kphi), kz) + rng.random(kz * kphi)) / kphi
     out = np.empty((2, z.size, 3))  # the points, then their mirrors
     for rows, _, x, y, _ in _disk_blocks(z, turns):
         out[0, rows, 0], out[0, rows, 1] = x, y

@@ -236,14 +236,21 @@ class TestStreamPositions:
     def test_stream_at_continues_the_stream_at_its_draw(self, draw):
         assert stream_at(915, 2, draw).random(9).tobytes() == stream(915, 2).random(draw + 9)[draw:].tobytes()
 
-    @pytest.mark.parametrize("draw", [0, 1, 5, 2 * channel._BLOCK + channel._UNIT + 3, 10**9 + 3])
-    @pytest.mark.parametrize("seed, index", [(915, 1), (915, 2), (2**32 - 1, 2)])
-    def test_stream_at_gives_the_bits_of_stream_advanced_to_its_draw(self, seed, index, draw):
+    @pytest.mark.parametrize("draw", [0, 1, 5, 2 * channel._BLOCK + channel._UNIT + 3, 10**9 + 3, 2**40 + 7])
+    @pytest.mark.parametrize(
+        "seed, index", [(915, 1), (915, 2), (2**32 - 1, 2), (2**32, 2), (915, 2**32 - 1), (915, 2**32)]
+    )
+    def test_stream_at_gives_the_bits_of_stream_advanced_to_its_draw(self, seed, index, draw, monkeypatch):
         # stream(seed, index) advanced by whole counters, then the draws before its position dropped
         rng = stream(seed, index)
         rng.bit_generator.advance(draw // 4)
         rng.bit_generator.random_raw(draw % 4)
+        # numpy seeds an unseeded SeedSequence from OS entropy through this function
+        entropy = []
+        randbits = np.random.bit_generator.randbits
+        monkeypatch.setattr(np.random.bit_generator, "randbits", lambda k: entropy.append(k) or randbits(k))
         got = stream_at(seed, index, draw)
+        assert entropy == []
         assert got.uniform(0.0, 1.0, 7).tobytes() == rng.uniform(0.0, 1.0, 7).tobytes()
         assert got.bit_generator.random_raw(9).tobytes() == rng.bit_generator.random_raw(9).tobytes()
 

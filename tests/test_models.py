@@ -378,16 +378,19 @@ def test_json_form_writes_fields_in_order_and_bloch_vectors_as_lists():
 
 
 class _FixedUniforms:
-    """Stands in for a Generator whose random(n) returns the given uniforms;
-    its other draws, if any, come from rng."""
+    """Stands in for a Generator whose first random(n) returns the given uniforms;
+    its later draws, if any, come from rng."""
 
     def __init__(self, u, rng: np.random.Generator | None = None):
         self.u = np.asarray(u, dtype=float)
         self.rng = rng
 
     def random(self, n):
-        assert n == self.u.size
-        return self.u
+        if self.u is None:
+            return self.rng.random(n)
+        u, self.u = self.u, None
+        assert n == u.size
+        return u
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
@@ -1128,7 +1131,7 @@ class TestBellMermin:
             p0 = ctx.measurement.kets[0].overlap_sq(ctx.preparation)
             u = np.array([np.nextafter(p0, 0.0), p0, np.nextafter(p0, 1.0)])
             want = np.array([0, 1, 1])
-            # the caps and the lobe draw with rng.uniform, so random() serves the tags alone
+            # the tags are the first draw; the caps and the lobe draw from the stream after it
             arrays = model.sample_arrays(ctx, 3, _FixedUniforms(u, stream(93, trial)))
             assert np.array_equal(arrays["label"], want)
             assert np.array_equal(model.sample_outcomes(ctx, 3, _FixedUniforms(u)), want)

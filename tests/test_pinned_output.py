@@ -39,6 +39,11 @@ RUNS = {
         ["verify", "gbrans", "--dim", "5", "--shots", "200000", "--trials", "3", "--threads", "2", "--seed", "7"],
         "40d188775138230d0ad3ea80d55889f7384c9b8d33dc2ce8ec220fb26d94898a",
     ),
+    # trials 1 and 2 draw 41-element POVMs, each sampled over four chunks of shots
+    "verify-gbrans-dim40": (
+        ["verify", "gbrans", "--dim", "40", "--shots", "200000", "--trials", "3", "--seed", "2"],
+        "d1dba0c0992f5215118f3aa00ab911d63a2cd34349cb13bd1adeb8d7ce9a35f4",
+    ),
     "verify-interval-dim4": (
         ["verify", "interval", "--dim", "4", "--shots", "200000", "--trials", "3", "--threads", "2", "--seed", "7"],
         "4b4a0ee6b02d4a026fd1b46595b76ecb92303a59da0decbcd83ce91dc5f07874",

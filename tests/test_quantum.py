@@ -84,6 +84,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Povm([("a", 0.5 * np.eye(2))])  # does not sum to identity
 
+    @pytest.mark.parametrize(
+        "elements, message",
+        [
+            ([0.25 * np.eye(2), [[0.25, 0.1], [0.0, 0.25]], 0.5 * np.eye(2)], "element 'E1' is not Hermitian"),
+            ([0.25 * np.eye(2), 0.25 * np.eye(2), np.diag([1.5, -0.5]), np.diag([-1.0, 1.0])], "element 'E2' is not PSD"),
+            ([0.5 * np.eye(2), [[0.5, 0.0], [0.0, np.nan]]], "element 'E1' is not Hermitian"),
+            # the first failure in element order, whichever check it fails
+            ([np.diag([1.5, -0.5]), [[0.0, 1.0], [0.0, 0.0]]], "element 'E0' is not PSD"),
+            ([[[0.0, 1.0], [0.0, 0.0]], np.diag([1.5, -0.5])], "element 'E0' is not Hermitian"),
+            ([np.diag([1.5, -0.5]), np.eye(3)], "element 'E0' is not PSD"),
+            ([0.5 * np.eye(2), np.eye(3)], "POVM elements must share one dimension"),
+            ([0.5 * np.eye(2), np.ones((2, 3))], "element 'E1' is not a square matrix"),
+        ],
+        ids=["hermitian", "psd", "nan", "psd-first", "hermitian-first", "psd-before-shape", "dims", "square"],
+    )
+    def test_povm_raises_the_first_failing_check_in_element_order(self, elements, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Povm([(f"E{k}", m) for k, m in enumerate(elements)])
+
     def test_projective_basis_rejects_nonorthogonal(self):
         with pytest.raises(ValueError):
             ProjectiveBasis([ZERO, PLUS])
@@ -152,6 +171,32 @@ class TestBornProbability:
             oracle = [oracles.born_trace(rho, op) for op in M.operators]
             assert born_probability(prep, M) == pytest.approx(oracle, abs=1e-12)
 
+    @pytest.mark.parametrize("build", ["basis", "povm", "density"])
+    def test_a_repeated_evaluation_returns_the_kept_read_only_array(self, build):
+        rng = stream(71)
+        psi = random_state(3, rng)
+        M = random_basis(3, rng) if build == "basis" else random_povm(3, 4, rng)
+        prep = random_density(3, rng) if build == "density" else psi
+        first = born_probability(prep, M)
+        assert born_probability(prep, M) is first
+        assert not first.flags.writeable
+        # the bits of a measurement that has evaluated nothing yet
+        fresh = ProjectiveBasis(M.kets) if build == "basis" else Povm(list(zip(M.labels, M.operators)))
+        assert first.tobytes() == born_probability(prep, fresh).tobytes()
+
+    def test_another_state_object_recomputes(self):
+        rng = stream(73)
+        M = random_povm(3, 4, rng)
+        psi, phi = random_state(3, rng), random_state(3, rng)
+        p = born_probability(psi, M)
+        q = born_probability(phi, M)
+        assert q is not p and q.tolist() != p.tolist()
+        # an equal state in another object is evaluated again, to the same bits
+        twin = StateVector(psi.amplitudes)
+        again = born_probability(twin, M)
+        assert again is not q and again.tobytes() == p.tobytes()
+        assert born_probability(psi, M) is not p  # the measurement keeps its last state only
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             born_probability(DensityMatrix(singlet_state().projector()), Z_BASIS)
@@ -188,6 +233,22 @@ class TestBlochParametrization:
         v, w = random_bloch(rng), random_bloch(rng)
         got = ket_from_bloch(v).overlap_sq(ket_from_bloch(w))
         assert got == pytest.approx((1.0 + v.dot(w)) / 2.0, abs=TOL.structural)
+
+    def test_a_state_forms_its_bloch_vector_once(self):
+        s = random_state(2, stream(75))
+        v = bloch_from_ket(s)
+        assert bloch_from_ket(s) is v
+        assert v == bloch_from_ket(StateVector(s.amplitudes))
+
+    @pytest.mark.parametrize("seed", [0, 77, 2**32 - 1, 2**32])
+    def test_random_bloch_gives_the_bytes_of_two_uniform_draws(self, seed):
+        rng, ref = stream(seed), stream(seed)
+        for _ in range(50):
+            z, phi = ref.uniform(-1.0, 1.0), ref.uniform(0.0, 2.0 * np.pi)
+            r = np.sqrt(max(0.0, 1.0 - z * z))
+            want = BlochVector.normalized(r * np.cos(phi), r * np.sin(phi), z)
+            assert random_bloch(rng).as_array().tobytes() == want.as_array().tobytes()
+        assert rng.random(3).tobytes() == ref.random(3).tobytes()
 
     def test_round_trip_fixes_the_ray(self):
         rng = stream(7)
@@ -366,7 +427,8 @@ class TestBasisCheck:
             orthonormal_basis_containing(random_state(dim, rng))
         assert calls == []
         random_povm(3, 4, rng)  # a general POVM still checks each element's eigenvalues
-        assert len(calls) == 4
+        # counted in matrices: the POVM check passes its elements as one (K, d, d) stack
+        assert sum(np.reshape(m, (-1, *np.shape(m)[-2:])).shape[0] for m in calls) == 4
 
     def test_a_basis_forms_no_projector_until_one_is_read(self, monkeypatch):
         calls = []

@@ -111,6 +111,29 @@ def test_uniform_sphere_matches_stacked_reference_bit_for_bit():
     assert got.tobytes() == np.stack([r * c, r * s, z], axis=1).tobytes()
 
 
+def two_uniform_sampler(name, rng, n, axis):
+    """The directional samplers as written with rng.uniform(0.0, 1.0, size=n) for every unit draw."""
+    if name == "uniform_hemisphere":
+        z = rng.uniform(0.0, 1.0, size=n)
+    elif name == "cosine_hemisphere":
+        z = np.sqrt(rng.uniform(0.0, 1.0, size=n))
+    else:
+        z = 0.25 + rng.uniform(0.0, 1.0, size=n) * (1.0 - 0.25)
+    return reference_embed(axis, z, rng.uniform(0.0, 1.0, size=n))
+
+
+@pytest.mark.parametrize("n", [1, 1000, BLOCK_ROWS + 1])
+@pytest.mark.parametrize("seed", [17, 2**32 - 1])
+@pytest.mark.parametrize("name", ["uniform_hemisphere", "cosine_hemisphere", "uniform_cap"])
+def test_samplers_give_the_bytes_of_two_uniform_draws(name, seed, n):
+    # random(n) is the u that uniform(0.0, 1.0) scales as 0.0 + 1.0 u, so no bit and no stream position moves
+    rng, ref = stream(seed, n), stream(seed, n)
+    extra = (0.25,) if name == "uniform_cap" else ()
+    got = getattr(sphere, name)(rng, n, AXIS, *extra)
+    assert got.tobytes() == two_uniform_sampler(name, ref, n, AXIS).tobytes()
+    assert rng.random(3).tobytes() == ref.random(3).tobytes()
+
+
 def test_embed_preserves_unit_norm():
     rng = stream(1)
     z = rng.uniform(-1, 1, 100)
